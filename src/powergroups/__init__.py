@@ -10,7 +10,10 @@ upper cuts of the rationals.
 The natural entry points:
 
 - ``group_from_name`` / ``catalog`` / ``validate_cayley`` build carriers;
-- ``all_power_groups`` enumerates the subset families over one;
+- ``lattice_power_groups`` lists the subset families over one from its
+  subgroup lattice, one coset family H/N per pair (H, N normal in H), and
+  ``build_census`` turns them into records; ``all_power_groups`` finds the
+  same families by an idempotent search and is kept as an oracle;
 - ``match_subquotient`` / ``is_group_of_cosets`` classify a family;
 - ``underlies`` asks whether one group occurs as a subset group of another;
 - ``zsets`` and ``qcuts`` hold the exact integer-set and rational-cut models;
@@ -32,6 +35,7 @@ from .classify import (
     coset_group_epimorphism_check,
     enumerate_subquotients,
     is_group_of_cosets,
+    lattice_power_groups,
     match_subquotient,
 )
 from .errors import (
@@ -39,6 +43,7 @@ from .errors import (
     CayleyTableError,
     CommutationFailsError,
     HomomorphismFailsError,
+    InternalFaultError,
     NoIdentityError,
     NoInverseError,
     NotAssociativeError,
@@ -99,6 +104,7 @@ __all__ = [
     "GroupFingerprint",
     "GroupSubset",
     "HomomorphismFailsError",
+    "InternalFaultError",
     "LocalMonoid",
     "NoIdentityError",
     "NoInverseError",
@@ -138,6 +144,7 @@ __all__ = [
     "is_group_of_cosets",
     "is_idempotent",
     "iter_bits",
+    "lattice_power_groups",
     "load_table_file",
     "local_monoid",
     "match_subquotient",

@@ -15,11 +15,14 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .errors import (
+    CapExceededError,
     CommutationFailsError,
     HomomorphismFailsError,
+    InternalFaultError,
     NotIdempotentError,
 )
 from .groups import (
+    DEFAULT_SEARCH_CAP,
     FiniteGroup,
     SubgroupMask,
     all_subgroups,
@@ -43,6 +46,7 @@ __all__ = [
     "coset_group_epimorphism_check",
     "enumerate_subquotients",
     "is_group_of_cosets",
+    "lattice_power_groups",
     "match_subquotient",
 ]
 
@@ -154,9 +158,12 @@ def enumerate_subquotients(
 ) -> list[tuple[SubquotientDescriptor, PowerGroupFamily]]:
     """All pairs (H, N normal in H) with the coset family each pair induces.
 
-    This is the classification-side census; the search-side census
-    (all_power_groups) must produce exactly the same families on finite groups,
-    which the verification suites assert.
+    Over a finite carrier every subset family forming a group is one of these
+    coset families, so this is the production census: ``enum`` and
+    ``underlies`` list their families from here, through
+    lattice_power_groups.  The idempotent search (all_power_groups) and the
+    exhaustive scan are independent oracles for it, compared in the
+    verification suites.
     """
     out = []
     for h in all_subgroups(g):
@@ -167,15 +174,31 @@ def enumerate_subquotients(
     return out
 
 
+def lattice_power_groups(
+    g: FiniteGroup, *, max_order: int = DEFAULT_SEARCH_CAP
+) -> list[PowerGroupFamily]:
+    """Every subset family over g forming a group, sorted by (order, masks).
+
+    One family per pair (H, N normal in H) from enumerate_subquotients; pairs
+    give distinct families, since H is a family's union and N its identity.
+    This is the order all_power_groups returns the same families in.
+    """
+    if g.order > max_order:
+        raise CapExceededError(f"census of order {g.order} exceeds cap {max_order}")
+    fams = [fam for _, fam in enumerate_subquotients(g)]
+    fams.sort(key=lambda f: (f.order, f.masks()))
+    return fams
+
+
 def build_coset_group(
     g: FiniteGroup, e: GroupSubset, h: SubgroupMask
 ) -> CosetGroupDescriptor:
     """Form {aE | a in H} for an idempotent E with aE = Ea for every a in H.
 
     Raises NotIdempotentError or CommutationFailsError when the preconditions
-    fail; a product-law failure after that would be an internal bug and is
-    asserted.  E need not contain the group identity and need not be a subset
-    of H; distinct a may give the same coset.
+    fail; a product-law failure after that would be an internal bug and
+    raises InternalFaultError.  E need not contain the group identity and
+    need not be a subset of H; distinct a may give the same coset.
     """
     if not is_idempotent(e):
         raise NotIdempotentError(f"EE != E for mask {e.members:#x}")
@@ -192,8 +215,10 @@ def build_coset_group(
         for b in iter_bits(h.members):
             ab = g.table[a][b]
             got = g.product_mask(translate_of[a], translate_of[b])
-            assert got == translate_of[ab], f"(aE)(bE) != (ab)E at a={a}, b={b}"
-            assert pos[got] == fam.abstract_table[pos[translate_of[a]]][pos[translate_of[b]]]
+            if got != translate_of[ab]:
+                raise InternalFaultError(f"(aE)(bE) != (ab)E at a={a}, b={b}")
+            if pos[got] != fam.abstract_table[pos[translate_of[a]]][pos[translate_of[b]]]:
+                raise InternalFaultError(f"family table disagrees with (aE)(bE) at a={a}, b={b}")
     return CosetGroupDescriptor(idempotent=e, carrier=h, family=fam)
 
 

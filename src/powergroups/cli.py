@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes are a stable contract: 0 means every requested check passed,
-1 means a mathematical assertion failed (a discrepancy worth investigating),
+1 means a mathematical assertion failed or an internal invariant broke (a
+discrepancy worth investigating),
 2 means the input or usage was wrong (unknown group, bad table file, cap
 violation, unparsable set text).  All randomness is controlled by --seed and
 file output is written to a temporary file and renamed, so an interrupted run
@@ -14,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 from typing import Any, Optional, Sequence
@@ -22,7 +22,7 @@ from typing import Any, Optional, Sequence
 from . import qcuts as qc
 from . import zsets as zs
 from .classify import enumerate_subquotients
-from .errors import CapExceededError, ParamOutOfRangeError
+from .errors import CapExceededError, InternalFaultError, ParamOutOfRangeError
 from .groups import (
     FiniteGroup,
     all_subgroups,
@@ -33,7 +33,7 @@ from .groups import (
     normal_subgroups_of,
 )
 from .iso import fingerprint, matrix_is_transitive, matrix_to_csv, underlies, underlies_matrix
-from .records import build_census, record_to_json, write_records
+from .records import build_census, record_to_json, write_text_atomic
 from .suites import SUITES, UNDERLIES_CATALOG, run_suite
 
 CATALOG_NAMES = (
@@ -71,18 +71,6 @@ def _dumps(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"), default=_jsonify)
 
 
-def _write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".out-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
 def _load_group(args: argparse.Namespace) -> tuple[FiniteGroup, str]:
     if getattr(args, "group", None):
         g = group_from_name(args.group)
@@ -101,13 +89,13 @@ def _load_group(args: argparse.Namespace) -> tuple[FiniteGroup, str]:
 
 def cmd_enum(args: argparse.Namespace) -> int:
     g, label = _load_group(args)
-    records = build_census(g, label, max_order=args.max_order, jobs=args.jobs)
+    records = build_census(g, label, max_order=args.max_order)
     lines = "".join(record_to_json(r) + "\n" for r in records)
     total = len(records)
     sub = sum(1 for r in records if r.subquotient)
     summary = f"group={label} families={total} subquotients={sub}"
     if args.out:
-        write_records(args.out, records)
+        write_text_atomic(args.out, (lines,))
         print(summary)
     else:
         sys.stdout.write(lines)
@@ -133,7 +121,7 @@ def cmd_subquotients(args: argparse.Namespace) -> int:
     text = "".join(line + "\n" for line in lines)
     summary = f"group={label} subquotients={len(lines)}"
     if args.out:
-        _write_text(args.out, text)
+        write_text_atomic(args.out, (text,))
         print(summary)
     else:
         sys.stdout.write(text)
@@ -168,7 +156,7 @@ def cmd_underlies(args: argparse.Namespace) -> int:
         matrix = underlies_matrix(groups, max_order=args.max_order)
         csv = matrix_to_csv(names, matrix)
         if args.out:
-            _write_text(args.out, csv)
+            write_text_atomic(args.out, (csv,))
         else:
             sys.stdout.write(csv)
         transitive = matrix_is_transitive(matrix)
@@ -286,7 +274,6 @@ def cmd_qcuts(args: argparse.Namespace) -> int:
 def _add_common(p: argparse.ArgumentParser, *, max_order: int = 8) -> None:
     p.add_argument("--max-order", type=int, default=max_order, help="largest carrier group order")
     p.add_argument("--out", help="write results here (atomic rename)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -371,6 +358,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except InternalFaultError as exc:
+        # An internal invariant failed: a discrepancy, not a usage error.
+        print(f"error: internal fault: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, KeyError, OSError) as exc:
         # Every domain error (bad table, unknown name, cap overrun,
         # unrepresentable set arithmetic) derives from ValueError.

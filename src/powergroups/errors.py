@@ -63,7 +63,11 @@ class CommutationFailsError(ValueError):
         self.witness = witness
 
 
-class HomomorphismFailsError(RuntimeError):
+class InternalFaultError(RuntimeError):
+    """An internal invariant failed: a bug in the package, not bad input."""
+
+
+class HomomorphismFailsError(InternalFaultError):
     """Internal consistency failure: a map that must be a homomorphism is not."""
 
 

@@ -28,8 +28,8 @@ from .errors import (
     UnknownFamilyError,
 )
 
-# Order caps.  Exhaustive subset searches (2^n masks) default to 16; plain
-# group construction defaults to 64.  Both are per-call overridable.
+# Order caps.  The census and the subset searches (2^n masks) default to 16;
+# plain group construction defaults to 64.  Both are per-call overridable.
 DEFAULT_SEARCH_CAP = 16
 DEFAULT_CONSTRUCTION_CAP = 64
 
@@ -41,6 +41,7 @@ __all__ = [
     "all_subgroups",
     "catalog",
     "direct_product",
+    "generating_set",
     "group_from_name",
     "is_subgroup_mask",
     "iter_bits",
@@ -95,6 +96,11 @@ class FiniteGroup:
     @cached_property
     def full_mask(self) -> int:
         return (1 << self.order) - 1
+
+    @cached_property
+    def subgroup_masks(self) -> tuple[int, ...]:
+        """Every subgroup mask, sorted by (size, mask); built once per group."""
+        return tuple(subgroup_lattice(self.table, self.identity))
 
     @cached_property
     def _translate_chunks(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -318,24 +324,41 @@ def subgroup_lattice(table: Sequence[Sequence[int]], identity: int) -> list[int]
     return sorted(found, key=lambda m: (m.bit_count(), m))
 
 
+def generating_set(g: FiniteGroup, mask: int) -> list[int]:
+    """Greedy generators of a subgroup mask: ascending members, each kept
+    whenever it enlarges the subgroup the kept ones generate."""
+    gens: list[int] = []
+    span = 1 << g.identity
+    for a in iter_bits(mask):
+        if span == mask:
+            break
+        if span >> a & 1:
+            continue
+        gens.append(a)
+        span = closure_mask(g.table, span | (1 << a))
+    return gens
+
+
 def all_subgroups(g: FiniteGroup) -> list[SubgroupMask]:
     """Every subgroup of g, sorted by (size, mask)."""
-    return [SubgroupMask(g, m) for m in subgroup_lattice(g.table, g.identity)]
+    return [SubgroupMask(g, m) for m in g.subgroup_masks]
 
 
 def normal_subgroups_of(g: FiniteGroup, h: SubgroupMask) -> list[SubgroupMask]:
-    """Subgroups N <= H with hNh^-1 = N for every h in H (normal in H, not in g)."""
+    """Subgroups N <= H with hNh^-1 = N for every h in H (normal in H, not in g).
+
+    The elements of H whose conjugation fixes N form a subgroup, so testing
+    a generating set of H is enough.
+    """
     if h.parent != g:
         raise NotASubgroupError("subgroup belongs to a different parent group")
     hmask = h.members
-    helems = list(iter_bits(hmask))
-    out = []
-    for m in subgroup_lattice(g.table, g.identity):
-        if m & ~hmask:
-            continue
-        if all(g.conjugate_mask(m, x) == m for x in helems):
-            out.append(SubgroupMask(g, m))
-    return out
+    gens = generating_set(g, hmask)
+    return [
+        SubgroupMask(g, m)
+        for m in g.subgroup_masks
+        if not m & ~hmask and all(g.conjugate_mask(m, x) == m for x in gens)
+    ]
 
 
 def direct_product(

@@ -13,8 +13,10 @@ import io
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .groups import DEFAULT_SEARCH_CAP, FiniteGroup, closure_mask, iter_bits
-from .search import PowerGroupFamily, all_power_groups
+from .classify import lattice_power_groups
+from .errors import InternalFaultError
+from .groups import DEFAULT_SEARCH_CAP, FiniteGroup, generating_set
+from .search import PowerGroupFamily
 
 __all__ = [
     "GroupFingerprint",
@@ -67,20 +69,6 @@ def fingerprint(g: FiniteGroup) -> GroupFingerprint:
     )
 
 
-def _generating_chain(g: FiniteGroup) -> list[int]:
-    """Greedy generators: ascending elements kept whenever they enlarge the span."""
-    gens: list[int] = []
-    span = 1 << g.identity
-    for a in range(g.order):
-        if span >> a & 1:
-            continue
-        gens.append(a)
-        span = closure_mask(g.table, span | (1 << a))
-        if span == g.full_mask:
-            break
-    return gens
-
-
 def _extend_map(
     g1: FiniteGroup, g2: FiniteGroup, gens: Sequence[int], images: Sequence[int]
 ) -> Optional[list[int]]:
@@ -129,7 +117,7 @@ def are_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> Optional[tuple[int, ...]
         return None
     if fingerprint(g1) != fingerprint(g2):
         return None
-    gens = _generating_chain(g1)
+    gens = generating_set(g1, g1.full_mask)
     orders1 = [g1.element_order(a) for a in gens]
     cands = [
         [b for b in range(g2.order) if g2.element_order(b) == k] for k in orders1
@@ -148,11 +136,12 @@ def are_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> Optional[tuple[int, ...]
     if phi is None:
         return None
     n = g1.order
-    assert sorted(phi) == list(range(n))
+    if sorted(phi) != list(range(n)):  # pragma: no cover
+        raise InternalFaultError("candidate mapping is not a bijection")
     for a in range(n):
         for b in range(n):
             if phi[g1.table[a][b]] != g2.table[phi[a]][phi[b]]:  # pragma: no cover
-                raise AssertionError("candidate mapping failed verification")
+                raise InternalFaultError("candidate mapping failed verification")
     return tuple(phi)
 
 
@@ -167,9 +156,13 @@ class UnderliesWitness:
 def underlies(
     g1: FiniteGroup, g2: FiniteGroup, *, max_order: int = DEFAULT_SEARCH_CAP
 ) -> Optional[UnderliesWitness]:
-    """Does g1 carry a subset family forming a group isomorphic to g2?"""
+    """Does g1 carry a subset family forming a group isomorphic to g2?
+
+    The candidates are g1's coset families H/N from its subgroup lattice, in
+    (order, masks) order, so the witness is the first such family.
+    """
     target_fp = fingerprint(g2)
-    for fam in all_power_groups(g1, max_order=max_order):
+    for fam in lattice_power_groups(g1, max_order=max_order):
         if fam.order != g2.order:
             continue
         abstract = fam.abstract_group()
@@ -187,7 +180,7 @@ def underlies_matrix(
     """matrix[i][j] = groups[j] underlies groups[i]."""
     fams: list[list[FiniteGroup]] = []
     for g in groups:
-        fams.append([f.abstract_group() for f in all_power_groups(g, max_order=max_order)])
+        fams.append([f.abstract_group() for f in lattice_power_groups(g, max_order=max_order)])
     fps = [fingerprint(g) for g in groups]
     out = []
     for i, _ in enumerate(groups):

@@ -13,19 +13,22 @@ from .classify import (
     check_identity_subgroup,
     check_inverse_closure,
     check_partition_union_subgroup,
+    lattice_power_groups,
     match_subquotient,
 )
 from .groups import FiniteGroup, iter_bits
 from .iso import GroupFingerprint, fingerprint
-from .search import all_power_groups
+from .search import PowerGroupFamily
 
 __all__ = [
     "CensusRecord",
     "build_census",
+    "census_record",
     "read_records",
     "record_from_json",
     "record_to_json",
     "write_records",
+    "write_text_atomic",
 ]
 
 
@@ -62,30 +65,36 @@ def _indices(mask: int) -> tuple[int, ...]:
     return tuple(iter_bits(mask))
 
 
-def build_census(
-    g: FiniteGroup, label: str, *, max_order: int = 16, jobs: int = 1
-) -> list[CensusRecord]:
-    out = []
-    for fam in all_power_groups(g, max_order=max_order, jobs=jobs):
-        verdict = match_subquotient(fam)
-        missed = isinstance(verdict, NotSubquotient)
-        abstract = fam.abstract_group()
-        out.append(
-            CensusRecord(
-                group=label,
-                order=fam.order,
-                family=tuple(_indices(m) for m in fam.masks()),
-                identity=_indices(fam.identity.members),
-                subquotient=not missed,
-                identity_subgroup=check_identity_subgroup(fam),
-                inverse_closed=check_inverse_closure(fam),
-                partition_union_subgroup=check_partition_union_subgroup(fam),
-                fingerprint=fingerprint(abstract),
-                carrier=None if missed else _indices(verdict.carrier.members),
-                kernel=None if missed else _indices(verdict.kernel.members),
-                witness=verdict.condition if missed else None,
-            )
-        )
+def census_record(fam: PowerGroupFamily, label: str) -> CensusRecord:
+    """Classify one family into its record; ``label`` names the carrier."""
+    verdict = match_subquotient(fam)
+    missed = isinstance(verdict, NotSubquotient)
+    return CensusRecord(
+        group=label,
+        order=fam.order,
+        family=tuple(_indices(m) for m in fam.masks()),
+        identity=_indices(fam.identity.members),
+        subquotient=not missed,
+        identity_subgroup=check_identity_subgroup(fam),
+        inverse_closed=check_inverse_closure(fam),
+        partition_union_subgroup=check_partition_union_subgroup(fam),
+        fingerprint=fingerprint(fam.abstract_group()),
+        carrier=None if missed else _indices(verdict.carrier.members),
+        kernel=None if missed else _indices(verdict.kernel.members),
+        witness=verdict.condition if missed else None,
+    )
+
+
+def build_census(g: FiniteGroup, label: str, *, max_order: int = 16) -> list[CensusRecord]:
+    """One record per subset family over g forming a group, sorted by canonical_key.
+
+    The families come from the subgroup lattice, one coset family H/N per
+    pair (H, N normal in H).  Every record is still classified from the
+    family alone, so ``subquotient`` re-derives (H, N) independently.  The
+    idempotent search (all_power_groups) is the oracle for this list.
+    Raises CapExceededError when g's order exceeds ``max_order``.
+    """
+    out = [census_record(fam, label) for fam in lattice_power_groups(g, max_order=max_order)]
     out.sort(key=lambda r: r.canonical_key)
     return out
 
@@ -140,18 +149,27 @@ def record_from_json(line: str) -> CensusRecord:
     )
 
 
-def write_records(path: str, records: Iterable[CensusRecord]) -> None:
-    """Write atomically: a killed run never leaves a partial final file."""
+def write_text_atomic(path: str, chunks: Iterable[str]) -> None:
+    """Write the chunks to path atomically: a killed or failed run leaves the
+    old file (or none), never a partial one.  The data reaches the disk
+    before the temporary file is renamed over path."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".census-")
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".out-")
     try:
         with os.fdopen(fd, "w") as fh:
-            for r in records:
-                fh.write(record_to_json(r) + "\n")
+            for chunk in chunks:
+                fh.write(chunk)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def write_records(path: str, records: Iterable[CensusRecord]) -> None:
+    """Write one JSON line per record, atomically (see write_text_atomic)."""
+    write_text_atomic(path, (record_to_json(r) + "\n" for r in records))
 
 
 def read_records(path: str) -> list[CensusRecord]:

@@ -1,4 +1,10 @@
-"""Exhaustive search for families of subsets that form a group under the subset product.
+"""Searches for families of subsets that form a group under the subset product.
+
+These are the oracles for the census.  ``enum`` and ``underlies`` take their
+families from the subgroup lattice instead, one coset family H/N per pair
+(H, N normal in H); see classify.lattice_power_groups.  The idempotent search
+here (all_power_groups) and the exhaustive scan (brute_force_power_groups)
+reach the same families without the lattice, so comparing them checks it.
 
 The organizing fact: the identity of any such family is an idempotent subset E,
 every member A satisfies EA = AE = A (so A lives in the local monoid at E), and
@@ -11,11 +17,10 @@ subsets (orders <= 4) serves as the independent oracle for all of this.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import CapExceededError, CayleyTableError, NotIdempotentError
+from .errors import CapExceededError, CayleyTableError, InternalFaultError, NotIdempotentError
 from .groups import (
     DEFAULT_SEARCH_CAP,
     FiniteGroup,
@@ -107,8 +112,9 @@ def power_group_family(parent: FiniteGroup, masks: Iterable[int]) -> PowerGroupF
         i for i in range(k) if all(table[i][j] == j and table[j][i] == j for j in range(k))
     )
     inverse_map = tuple(table[i].index(identity_index) for i in range(k))
+    if abstract.order != k:
+        raise InternalFaultError(f"family of {k} masks validated as order {abstract.order}")
     elements = tuple(GroupSubset(parent, m) for m in sorted_masks)
-    assert abstract.order == k
     return PowerGroupFamily(
         parent=parent,
         elements=elements,
@@ -182,40 +188,30 @@ def _families_at_idempotent(g: FiniteGroup, emask: int, max_order: int) -> list[
 
 
 def all_power_groups(
-    g: FiniteGroup, *, max_order: int = DEFAULT_SEARCH_CAP, jobs: int = 1
+    g: FiniteGroup, *, max_order: int = DEFAULT_SEARCH_CAP
 ) -> list[PowerGroupFamily]:
     """Every family of nonempty subsets of g forming a group under the subset product.
 
-    Strategy: for each idempotent E, every such family with identity E is a
-    subgroup of the unit group at E (its members are invertible monoid elements),
-    so enumerating subgroups of each unit group is complete.  Families from
-    different idempotents never coincide (one idempotent per family), but the
-    results are still deduplicated by canonical key and sorted deterministically.
+    A test oracle: the census itself comes from the subgroup lattice
+    (classify.lattice_power_groups).  Strategy: for each idempotent E, every
+    such family with identity E is a subgroup of the unit group at E (its
+    members are invertible monoid elements), so enumerating subgroups of each
+    unit group is complete.  Families from different idempotents never
+    coincide (one idempotent per family), but the results are still
+    deduplicated by canonical key and sorted deterministically.
     """
     n = g.order
     if n > max_order:
         raise CapExceededError(f"power group search needs 2^{n} masks, cap is order {max_order}")
     pm = g.product_mask
     idempotent_masks = [m for m in range(1, 1 << n) if pm(m, m) == m]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = pool.map(
-                _families_worker, [(g, em, max_order) for em in idempotent_masks]
-            )
-            family_keys = {key for chunk in chunks for key in chunk}
-    else:
-        family_keys = {
-            key
-            for em in idempotent_masks
-            for key in _families_at_idempotent(g, em, max_order)
-        }
+    family_keys = {
+        key
+        for em in idempotent_masks
+        for key in _families_at_idempotent(g, em, max_order)
+    }
     ordered = sorted(family_keys, key=lambda ms: (len(ms), ms))
     return [power_group_family(g, ms) for ms in ordered]
-
-
-def _families_worker(args: tuple[FiniteGroup, int, int]) -> list[tuple[int, ...]]:
-    g, emask, max_order = args
-    return _families_at_idempotent(g, emask, max_order)
 
 
 def brute_force_power_groups(

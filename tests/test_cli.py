@@ -1,5 +1,6 @@
 """Command-line contract: verbs, output shapes, exit codes 0/1/2."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -7,6 +8,9 @@ import sys
 import pytest
 
 from powergroups.cli import main
+from powergroups.errors import InternalFaultError
+from powergroups.groups import group_from_name, subgroup_mask
+from powergroups.subsets import subset
 from powergroups.suites import SuiteCheck
 
 
@@ -44,8 +48,15 @@ def test_enum_to_file(capsys, tmp_path):
 def test_enum_is_parallel_stable(capsys, tmp_path):
     p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     assert run(capsys, "enum", "--group", "S3", "--out", str(p1))[0] == 0
-    assert run(capsys, "enum", "--group", "S3", "--out", str(p2), "--jobs", "2")[0] == 0
+    assert run(capsys, "enum", "--group", "S3", "--out", str(p2))[0] == 0
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_enum_rejects_jobs(capsys):
+    # --jobs went with the process pool; argparse rejects it as a usage error.
+    with pytest.raises(SystemExit) as info:
+        main(["enum", "--group", "S3", "--jobs", "2"])
+    assert info.value.code == 2
 
 
 def test_enum_cap_and_input_errors(capsys, tmp_path):
@@ -116,6 +127,66 @@ def test_verify_reports_failures_with_exit_1(capsys, monkeypatch):
     assert code == 1
     assert json_lines(out)[0]["ok"] is False
     assert "failed=1" in err
+
+
+# ---------------------------------------------------------------------------
+# internal faults: explicit checks (kept under python -O), exit 1, no traceback
+
+
+def _flatten_family_tables(monkeypatch, module):
+    """Make every family of order > 1 built through module carry a constant,
+    non-group table, as a bug in the table construction would."""
+    import powergroups.search as search
+
+    real = search.power_group_family
+
+    def faulty(parent, masks):
+        fam = real(parent, masks)
+        if fam.order == 1:
+            return fam
+        zeros = tuple((0,) * fam.order for _ in range(fam.order))
+        return dataclasses.replace(fam, abstract_table=zeros)
+
+    monkeypatch.setattr(module, "power_group_family", faulty)
+
+
+def test_power_group_family_fault_exits_1(capsys, monkeypatch):
+    import powergroups.search as search
+
+    real = search.validate_cayley
+    monkeypatch.setattr(search, "validate_cayley", lambda table, **kw: real([[0]], **kw))
+    with pytest.raises(InternalFaultError, match="validated as order 1"):
+        search.power_group_family(group_from_name("C2"), [0b01, 0b10])
+    code, out, err = run(capsys, "enum", "--group", "C2")
+    assert code == 1 and out == ""
+    assert err.startswith("error: internal fault:") and "Traceback" not in err
+
+
+def test_build_coset_group_fault_exits_1(capsys, monkeypatch):
+    import powergroups.classify as classify
+
+    _flatten_family_tables(monkeypatch, classify)
+    g = group_from_name("C2")
+    with pytest.raises(InternalFaultError, match="family table"):
+        classify.build_coset_group(g, subset(g, [0]), subgroup_mask(g, g.full_mask))
+    code, _, err = run(capsys, "verify", "remark1-cosets", "--max-order", "2")
+    assert code == 1 and err.startswith("error: internal fault:")
+
+
+def test_homomorphism_failure_exits_1(capsys, monkeypatch):
+    import powergroups.classify as classify
+    import powergroups.suites as suites
+
+    # Families with broken tables reach the epimorphism check unverified.
+    def unchecked(g, e, h):
+        masks = sorted({classify._left_translate(g, a, e.members) for a in h.elements()})
+        return classify.CosetGroupDescriptor(e, h, classify.power_group_family(g, masks))
+
+    _flatten_family_tables(monkeypatch, classify)
+    monkeypatch.setattr(suites, "build_coset_group", unchecked)
+    code, _, err = run(capsys, "verify", "remark1-cosets", "--max-order", "2")
+    assert code == 1
+    assert err.startswith("error: internal fault: phi(ab) != phi(a)phi(b)")
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from powergroups.groups import (
     closure_mask,
     direct_product,
     exponent,
+    generating_set,
     group_from_name,
     is_subgroup_mask,
     iter_bits,
@@ -30,6 +31,7 @@ from powergroups.groups import (
     subgroup_mask,
     validate_cayley,
 )
+from powergroups.records import build_census
 
 S3 = catalog("symmetric", 3)
 D4 = catalog("dihedral", 4)
@@ -265,6 +267,53 @@ def test_normal_subgroups_relative_to_carrier():
     assert len(normal_subgroups_of(Q8, q8full)) == len(all_subgroups(Q8))
     with pytest.raises(NotASubgroupError):
         normal_subgroups_of(D4, subgroup_mask(S3, [0]))
+
+
+@pytest.mark.parametrize("name", ["S4", "D6", "Q8xC2"])
+def test_generator_normality_matches_conjugation_by_every_element(name):
+    g = group_from_name(name)
+    subs = all_subgroups(g)
+    for h in subs:
+        want = [
+            n.members
+            for n in subs
+            if not n.members & ~h.members
+            and all(g.conjugate_mask(n.members, x) == n.members for x in h.elements())
+        ]
+        assert [n.members for n in normal_subgroups_of(g, h)] == want
+
+
+def test_generating_set_generates_each_subgroup():
+    g = group_from_name("S4")
+    for h in all_subgroups(g):
+        gens = generating_set(g, h.members)
+        assert all(h.members >> x & 1 for x in gens)
+        span = closure_mask(g.table, 1 | sum(1 << x for x in gens))
+        assert span == h.members
+    assert generating_set(g, 1) == []
+
+
+def test_subgroup_lattice_runs_once_per_group(monkeypatch):
+    import powergroups.groups as groups_module
+
+    calls = []
+    real = groups_module.subgroup_lattice
+
+    def counting(table, identity):
+        calls.append(len(table))
+        return real(table, identity)
+
+    monkeypatch.setattr(groups_module, "subgroup_lattice", counting)
+    g = group_from_name("S4")
+    subs = all_subgroups(g)
+    for h in subs:
+        normal_subgroups_of(g, h)
+    assert all_subgroups(g) == subs
+    assert calls == [24]
+    # A new group object builds its own lattice, once, also through the
+    # whole census.
+    assert len(build_census(group_from_name("D4"), "D4")) == 30
+    assert calls == [24, 8]
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,16 @@ import pytest
 
 from powergroups.errors import CapExceededError
 from powergroups.groups import group_from_name
+from powergroups.search import all_power_groups
+from powergroups.suites import THM2_GROUPS
 from powergroups.records import (
     build_census,
+    census_record,
     read_records,
     record_from_json,
     record_to_json,
     write_records,
+    write_text_atomic,
 )
 
 S3 = group_from_name("S3")
@@ -37,8 +41,19 @@ def test_build_census_shape():
 def test_census_is_deterministic_and_parallel_safe():
     a = [record_to_json(r) for r in build_census(S3, "S3")]
     b = [record_to_json(r) for r in build_census(S3, "S3")]
-    c = [record_to_json(r) for r in build_census(S3, "S3", jobs=2)]
-    assert a == b == c
+    assert a == b
+
+
+@pytest.mark.parametrize("name", THM2_GROUPS + ("D6", "C2xC6"))
+def test_census_matches_search_route_byte_for_byte(name):
+    # The census lists families from the subgroup lattice; the idempotent
+    # search finds them independently.  Both routes must print the same lines.
+    g = group_from_name(name)
+    lattice = [record_to_json(r) for r in build_census(g, name)]
+    searched = sorted(
+        (census_record(f, name) for f in all_power_groups(g)), key=lambda r: r.canonical_key
+    )
+    assert lattice == [record_to_json(r) for r in searched]
 
 
 def test_record_json_round_trip():
@@ -91,3 +106,15 @@ def test_write_records_is_atomic_on_failure(tmp_path):
 def test_build_census_respects_cap():
     with pytest.raises(CapExceededError):
         build_census(group_from_name("S4"), "S4")
+
+
+def test_write_text_atomic_syncs_before_rename(tmp_path, monkeypatch):
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+    monkeypatch.setattr(os, "fsync", lambda fd: (events.append("fsync"), real_fsync(fd)))
+    monkeypatch.setattr(os, "replace", lambda a, b: (events.append("replace"), real_replace(a, b)))
+    path = tmp_path / "out.txt"
+    write_text_atomic(str(path), ["first ", "second\n"])
+    assert events == ["fsync", "replace"]
+    assert path.read_text() == "first second\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
