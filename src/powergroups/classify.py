@@ -114,15 +114,7 @@ def _partition_union_check(g: FiniteGroup, masks: Sequence[int]) -> bool:
 
 def _coset_masks(g: FiniteGroup, hmask: int, nmask: int) -> list[int]:
     """Masks of {aN | a in H}, deduplicated and sorted."""
-    return sorted({_left_translate(g, a, nmask) for a in iter_bits(hmask)})
-
-
-def _left_translate(g: FiniteGroup, a: int, mask: int) -> int:
-    out = 0
-    row = g.table[a]
-    for x in iter_bits(mask):
-        out |= 1 << row[x]
-    return out
+    return sorted({g.product_mask(1 << a, nmask) for a in iter_bits(hmask)})
 
 
 def match_subquotient(
@@ -203,10 +195,11 @@ def build_coset_group(
     if not is_idempotent(e):
         raise NotIdempotentError(f"EE != E for mask {e.members:#x}")
     emask = e.members
+    translate_of = {}
     for a in iter_bits(h.members):
-        if _left_translate(g, a, emask) != g.right_translate_mask(emask, a):
+        translate_of[a] = g.product_mask(1 << a, emask)
+        if translate_of[a] != g.product_mask(emask, 1 << a):
             raise CommutationFailsError(f"aE != Ea for a = {a}", a)
-    translate_of = {a: _left_translate(g, a, emask) for a in iter_bits(h.members)}
     masks = sorted(set(translate_of.values()))
     fam = power_group_family(g, masks)
     pos = {m: i for i, m in enumerate(fam.masks())}
@@ -247,7 +240,7 @@ def coset_group_epimorphism_check(d: CosetGroupDescriptor) -> EpimorphismReport:
     fam_masks = d.family.masks()
     pos = {m: i for i, m in enumerate(fam_masks)}
     helems = list(iter_bits(d.carrier.members))
-    phi = {a: pos[_left_translate(g, a, emask)] for a in helems}
+    phi = {a: pos[g.product_mask(1 << a, emask)] for a in helems}
 
     table = d.family.abstract_table
     hom_ok = all(phi[g.table[a][b]] == table[phi[a]][phi[b]] for a in helems for b in helems)
@@ -265,7 +258,7 @@ def coset_group_epimorphism_check(d: CosetGroupDescriptor) -> EpimorphismReport:
     # Cosets of K in H pair off with family elements via aK -> aE.
     pairs = {}
     for a in helems:
-        ck = _left_translate(g, a, kmask)
+        ck = g.product_mask(1 << a, kmask)
         idx = phi[a]
         if pairs.setdefault(ck, idx) != idx:
             raise HomomorphismFailsError("aK -> aE is not well defined")
@@ -296,11 +289,11 @@ def is_group_of_cosets(
     want = sorted(f.masks())
     for h in all_subgroups(g):
         if any(
-            _left_translate(g, a, emask) != g.right_translate_mask(emask, a)
+            g.product_mask(1 << a, emask) != g.product_mask(emask, 1 << a)
             for a in iter_bits(h.members)
         ):
             continue
-        masks = sorted({_left_translate(g, a, emask) for a in iter_bits(h.members)})
+        masks = sorted({g.product_mask(1 << a, emask) for a in iter_bits(h.members)})
         if masks == want:
             return build_coset_group(g, e, h)
     return NotCosetGroup("no subgroup H has {aE | a in H} equal to the family")

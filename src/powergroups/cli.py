@@ -87,19 +87,23 @@ def _load_group(args: argparse.Namespace) -> tuple[FiniteGroup, str]:
     return g, label
 
 
+def _emit(out: Optional[str], text: str, summary: str) -> None:
+    """Write text to ``out`` atomically and print the summary, or, without
+    ``out``, write text to stdout and the summary to stderr."""
+    if out:
+        write_text_atomic(out, (text,))
+        print(summary)
+    else:
+        sys.stdout.write(text)
+        print(summary, file=sys.stderr)
+
+
 def cmd_enum(args: argparse.Namespace) -> int:
     g, label = _load_group(args)
     records = build_census(g, label, max_order=args.max_order)
     lines = "".join(record_to_json(r) + "\n" for r in records)
-    total = len(records)
     sub = sum(1 for r in records if r.subquotient)
-    summary = f"group={label} families={total} subquotients={sub}"
-    if args.out:
-        write_text_atomic(args.out, (lines,))
-        print(summary)
-    else:
-        sys.stdout.write(lines)
-        print(summary, file=sys.stderr)
+    _emit(args.out, lines, f"group={label} families={len(records)} subquotients={sub}")
     return 0
 
 
@@ -119,13 +123,7 @@ def cmd_subquotients(args: argparse.Namespace) -> int:
             )
         )
     text = "".join(line + "\n" for line in lines)
-    summary = f"group={label} subquotients={len(lines)}"
-    if args.out:
-        write_text_atomic(args.out, (text,))
-        print(summary)
-    else:
-        sys.stdout.write(text)
-        print(summary, file=sys.stderr)
+    _emit(args.out, text, f"group={label} subquotients={len(lines)}")
     return 0
 
 

@@ -35,12 +35,8 @@ class ParamOutOfRangeError(ValueError):
     """Catalog parameters outside the supported range."""
 
 
-class SizeCapExceededError(ValueError):
-    """A construction would exceed the configured order cap."""
-
-
 class CapExceededError(ValueError):
-    """An exhaustive subset search would exceed the configured order cap."""
+    """A construction, census or subset search would exceed its order cap."""
 
 
 class NotASubgroupError(ValueError):

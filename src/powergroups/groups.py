@@ -18,18 +18,19 @@ from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
+    CapExceededError,
     NoIdentityError,
     NoInverseError,
     NotAssociativeError,
     NotASubgroupError,
     NotClosedError,
     ParamOutOfRangeError,
-    SizeCapExceededError,
     UnknownFamilyError,
 )
 
-# Order caps.  The census and the subset searches (2^n masks) default to 16;
-# plain group construction defaults to 64.  Both are per-call overridable.
+# Order caps.  The census (listed from the subgroup lattice) and the oracle
+# subset searches (2^n masks) default to 16; plain group construction defaults
+# to 64.  Both are per-call overridable.
 DEFAULT_SEARCH_CAP = 16
 DEFAULT_CONSTRUCTION_CAP = 64
 
@@ -102,48 +103,14 @@ class FiniteGroup:
         """Every subgroup mask, sorted by (size, mask); built once per group."""
         return tuple(subgroup_lattice(self.table, self.identity))
 
-    @cached_property
-    def _translate_chunks(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        # _translate_chunks[b][c][v]: image mask of the elements encoded by
-        # byte v at chunk c under right translation x -> x*b.  Lets subset
-        # products run on byte-table lookups instead of per-bit loops.
-        n = self.order
-        nchunks = (n + 7) // 8
-        per_elem = []
-        for b in range(n):
-            col = [self.table[i][b] for i in range(n)]
-            chunks = []
-            for c in range(nchunks):
-                base = c * 8
-                width = min(8, n - base)
-                tbl = [0] * 256
-                for v in range(1, 256):
-                    low = v & -v
-                    j = low.bit_length() - 1
-                    rest = tbl[v ^ low]
-                    tbl[v] = rest | (1 << col[base + j] if j < width else 0)
-                chunks.append(tuple(tbl))
-            per_elem.append(tuple(chunks))
-        return tuple(per_elem)
-
-    def right_translate_mask(self, mask: int, b: int) -> int:
-        """Image of a subset mask under x -> x*b."""
-        chunks = self._translate_chunks[b]
-        out = 0
-        c = 0
-        while mask:
-            out |= chunks[c][mask & 255]
-            mask >>= 8
-            c += 1
-        return out
-
     def product_mask(self, amask: int, bmask: int) -> int:
-        """Subset product {a*b} as a mask: union of right translates of A."""
+        """Subset product {a*b} as a mask: OR of 1 << table[a][b] over a in A, b in B."""
+        bs = tuple(iter_bits(bmask))
         out = 0
-        while bmask:
-            low = bmask & -bmask
-            out |= self.right_translate_mask(amask, low.bit_length() - 1)
-            bmask ^= low
+        for a in iter_bits(amask):
+            row = self.table[a]
+            for b in bs:
+                out |= 1 << row[b]
         return out
 
     def inverse_mask(self, mask: int) -> int:
@@ -182,7 +149,7 @@ def validate_cayley(
     if n == 0:
         raise NoIdentityError("empty table has no identity")
     if n > max_order:
-        raise SizeCapExceededError(f"order {n} exceeds construction cap {max_order}")
+        raise CapExceededError(f"order {n} exceeds construction cap {max_order}")
     rows: list[tuple[int, ...]] = []
     for i, row in enumerate(table):
         row = tuple(row)
@@ -371,7 +338,7 @@ def direct_product(
     n1, n2 = g1.order, g2.order
     n = n1 * n2
     if n > max_order:
-        raise SizeCapExceededError(f"product order {n} exceeds cap {max_order}")
+        raise CapExceededError(f"product order {n} exceeds cap {max_order}")
     t1, t2 = g1.table, g2.table
     table = [
         [t1[i1][j1] * n2 + t2[i2][j2] for j1 in range(n1) for j2 in range(n2)]

@@ -17,7 +17,7 @@ subsets (orders <= 4) serves as the independent oracle for all of this.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import CapExceededError, CayleyTableError, InternalFaultError, NotIdempotentError
@@ -49,7 +49,8 @@ class PowerGroupFamily:
 
     ``elements`` is sorted by ascending mask; ``abstract_table[i][j]`` is the
     position of elements[i] * elements[j] within the family, and passes the
-    group-table validator.  Construct via power_group_family().
+    group-table validator.  ``abstract`` is the group that validation
+    returned.  Construct via power_group_family().
     """
 
     parent: FiniteGroup
@@ -57,6 +58,7 @@ class PowerGroupFamily:
     identity_index: int
     inverse_map: tuple[int, ...]
     abstract_table: tuple[tuple[int, ...], ...]
+    abstract: FiniteGroup = field(compare=False, repr=False)
 
     @property
     def order(self) -> int:
@@ -72,9 +74,9 @@ class PowerGroupFamily:
     def canonical_key(self) -> tuple[int, ...]:
         return self.masks()
 
-    def abstract_group(self, name: str = "F") -> FiniteGroup:
+    def abstract_group(self) -> FiniteGroup:
         """The family as an abstract group (relabeled so its identity is 0)."""
-        return validate_cayley(self.abstract_table, name=name)
+        return self.abstract
 
     def __repr__(self) -> str:
         return (
@@ -105,7 +107,7 @@ def power_group_family(parent: FiniteGroup, masks: Iterable[int]) -> PowerGroupF
                 )
             row.append(pos[p])
         table.append(tuple(row))
-    abstract = validate_cayley(table, max_order=max(64, len(table)))
+    abstract = validate_cayley(table, name="F", max_order=max(64, len(table)))
     # validate_cayley may relabel; recover the identity's position in family order.
     k = len(sorted_masks)
     identity_index = next(
@@ -121,6 +123,7 @@ def power_group_family(parent: FiniteGroup, masks: Iterable[int]) -> PowerGroupF
         identity_index=identity_index,
         inverse_map=inverse_map,
         abstract_table=tuple(table),
+        abstract=abstract,
     )
 
 

@@ -25,7 +25,12 @@ from math import gcd, lcm
 from random import Random
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import NotIdempotentError, NotRepresentableError, ParamOutOfRangeError
+from .errors import (
+    InternalFaultError,
+    NotIdempotentError,
+    NotRepresentableError,
+    ParamOutOfRangeError,
+)
 
 __all__ = [
     "BoundedAbove",
@@ -62,10 +67,6 @@ __all__ = [
     "zset_translate",
     "zset_window_mask",
 ]
-
-# When True, every zset_sum re-checks itself against the windowed oracle.
-VERIFY_SUMS = False
-
 
 def _check_bits(bits: Sequence[int], label: str) -> tuple[int, ...]:
     out = tuple(int(b) for b in bits)
@@ -186,10 +187,13 @@ def two_sided(modulus: int, residues: Iterable[int]) -> TwoSidedPeriodic:
     rs = frozenset(r % modulus for r in residues)
     if not rs:
         raise ValueError("empty set is not representable")
-    for d in range(1, modulus + 1):
-        if modulus % d == 0 and rs == frozenset((r + d) % modulus for r in rs):
-            return TwoSidedPeriodic(d, frozenset(r % d for r in rs))
-    raise AssertionError("unreachable: modulus divides itself")
+    # d = modulus always qualifies, so the least qualifying divisor exists.
+    d = next(
+        d
+        for d in range(1, modulus + 1)
+        if modulus % d == 0 and rs == frozenset((r + d) % modulus for r in rs)
+    )
+    return TwoSidedPeriodic(d, frozenset(r % d for r in rs))
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +233,7 @@ def zset_min(s: ZSet) -> Optional[int]:
 def zset_max(s: ZSet) -> Optional[int]:
     if isinstance(s, BoundedAbove):
         return -s.mirror.offset
-    if zset_is_finite(s):
-        assert isinstance(s, BoundedBelow)
+    if isinstance(s, BoundedBelow) and zset_is_finite(s):
         return s.offset + len(s.transient) - 1
     return None
 
@@ -280,7 +283,6 @@ def _sum_bounded_below(a: BoundedBelow, b: BoundedBelow) -> BoundedBelow:
     beta = b.offset + len(b.transient)
     lam = lcm(a.period, b.period)
     gamma = alpha + beta + lam  # sum provably lcm-periodic from here (module docstring)
-    need = (gamma - o) + lam
     amask = zset_window_mask(a, a.offset, gamma + lam - b.offset)
     bmask = zset_window_mask(b, b.offset, gamma + lam - a.offset)
     conv = 0
@@ -289,13 +291,12 @@ def _sum_bounded_below(a: BoundedBelow, b: BoundedBelow) -> BoundedBelow:
         low = m & -m
         conv |= bmask << (low.bit_length() - 1)
         m ^= low
-    assert gamma + lam - o == need
     bits = [(conv >> i) & 1 for i in range(gamma - o)]
     word = [(conv >> (gamma - o + i)) & 1 for i in range(lam)]
     return bounded_below(o, bits, lam, word)
 
 
-def zset_sum(a: ZSet, b: ZSet, *, verify: Optional[bool] = None) -> ZSet:
+def zset_sum(a: ZSet, b: ZSet, *, verify: bool = False) -> ZSet:
     """Exact Minkowski sum {x + y}.
 
     An infinite bounded-below set plus an infinite bounded-above set is
@@ -303,6 +304,9 @@ def zset_sum(a: ZSet, b: ZSet, *, verify: Optional[bool] = None) -> ZSet:
     generally not a union of residue classes (example: {0,2,4,...} plus the
     negative odd numbers covers every odd integer but only the non-negative
     evens), so it falls outside the representable class.
+
+    With ``verify`` the result is re-checked against the windowed brute-force
+    oracle (minkowski_window_sum); a mismatch raises InternalFaultError.
     """
     if isinstance(a, TwoSidedPeriodic) and isinstance(b, TwoSidedPeriodic):
         g = gcd(a.modulus, b.modulus)
@@ -325,7 +329,7 @@ def zset_sum(a: ZSet, b: ZSet, *, verify: Optional[bool] = None) -> ZSet:
             )
         neg = _sum_bounded_below(zset_negate(below), above.mirror)  # type: ignore[union-attr,arg-type]
         out = zset_negate(neg)
-    if verify or (verify is None and VERIFY_SUMS):
+    if verify:
         _verify_sum(a, b, out)
     return out
 
@@ -343,8 +347,8 @@ def _verify_sum(a: ZSet, b: ZSet, c: ZSet) -> None:
     span = sa + sb + sa * sb + 16
     got = zset_window_mask(c, -2 * span, 2 * span)
     want = minkowski_window_sum(a, b, -2 * span, 2 * span, pad=4 * span)
-    if got != want:  # pragma: no cover
-        raise AssertionError(f"sum failed windowed self-check: {a!r} + {b!r}")
+    if got != want:
+        raise InternalFaultError(f"sum failed windowed self-check: {a!r} + {b!r}")
 
 
 def minkowski_window_sum(a: ZSet, b: ZSet, lo: int, hi: int, pad: Optional[int] = None) -> int:
@@ -367,7 +371,8 @@ def minkowski_window_sum(a: ZSet, b: ZSet, lo: int, hi: int, pad: Optional[int] 
         conv |= bmask << (low.bit_length() - 1)
         m ^= low
     shift = lo - 2 * olo
-    assert shift >= 0, "pad too small for this window"
+    if shift < 0:
+        raise ValueError(f"pad {pad} too small for the window [{lo}, {hi})")
     return (conv >> shift) & ((1 << (hi - lo)) - 1)
 
 

@@ -18,7 +18,13 @@ from powergroups.classify import (
     match_subquotient,
 )
 from powergroups.errors import CommutationFailsError, NotIdempotentError
-from powergroups.groups import all_subgroups, catalog, group_from_name, subgroup_mask
+from powergroups.groups import (
+    all_subgroups,
+    catalog,
+    group_from_name,
+    subgroup_mask,
+    validate_cayley,
+)
 from powergroups.search import PowerGroupFamily, all_power_groups
 from powergroups.subsets import GroupSubset, subset
 
@@ -35,12 +41,14 @@ def fabricate(parent, masks, identity_index=0):
     # finite family is a coset set), so exercising the reporting needs raw
     # instances.
     k = len(masks)
+    table = tuple(tuple((i + j) % k for j in range(k)) for i in range(k))
     return PowerGroupFamily(
         parent=parent,
         elements=tuple(GroupSubset(parent, m) for m in masks),
         identity_index=identity_index,
         inverse_map=tuple(range(k)),
-        abstract_table=tuple(tuple((i + j) % k for j in range(k)) for i in range(k)),
+        abstract_table=table,
+        abstract=validate_cayley(table, name="F"),
     )
 
 

@@ -179,7 +179,7 @@ def test_homomorphism_failure_exits_1(capsys, monkeypatch):
 
     # Families with broken tables reach the epimorphism check unverified.
     def unchecked(g, e, h):
-        masks = sorted({classify._left_translate(g, a, e.members) for a in h.elements()})
+        masks = sorted({g.product_mask(1 << a, e.members) for a in h.elements()})
         return classify.CosetGroupDescriptor(e, h, classify.power_group_family(g, masks))
 
     _flatten_family_tables(monkeypatch, classify)
@@ -187,6 +187,17 @@ def test_homomorphism_failure_exits_1(capsys, monkeypatch):
     code, _, err = run(capsys, "verify", "remark1-cosets", "--max-order", "2")
     assert code == 1
     assert err.startswith("error: internal fault: phi(ab) != phi(a)phi(b)")
+
+
+def test_zset_sum_self_check_fault_exits_1(capsys, monkeypatch):
+    import powergroups.zsets as zsets
+
+    real = zsets.minkowski_window_sum
+    monkeypatch.setattr(zsets, "minkowski_window_sum", lambda *a, **kw: real(*a, **kw) ^ 1)
+    code, out, err = run(capsys, "zset", "sum", "BB(0;;1;1)", "BB(0;;1;1)")
+    assert code == 1 and out == ""
+    assert err.startswith("error: internal fault: sum failed windowed self-check")
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

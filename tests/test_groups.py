@@ -7,13 +7,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from powergroups.errors import (
+    CapExceededError,
     NoIdentityError,
     NoInverseError,
     NotAssociativeError,
     NotASubgroupError,
     NotClosedError,
     ParamOutOfRangeError,
-    SizeCapExceededError,
     UnknownFamilyError,
 )
 from powergroups.groups import (
@@ -125,7 +125,7 @@ def test_validate_rejects_non_associative_with_witness():
 
 
 def test_validate_respects_order_cap():
-    with pytest.raises(SizeCapExceededError):
+    with pytest.raises(CapExceededError):
         validate_cayley(cyclic_table(3), max_order=2)
 
 
@@ -217,7 +217,7 @@ def test_direct_product_structure():
                 for j2 in range(3):
                     got = g.mul(i1 * 3 + i2, j1 * 3 + j2)
                     assert got == c2.mul(i1, j1) * 3 + c3.mul(i2, j2)
-    with pytest.raises(SizeCapExceededError):
+    with pytest.raises(CapExceededError):
         direct_product(C8, C8, max_order=32)
 
 
@@ -316,6 +316,23 @@ def test_subgroup_lattice_runs_once_per_group(monkeypatch):
     assert calls == [24, 8]
 
 
+def test_census_validates_each_family_once(monkeypatch):
+    import powergroups.search as search
+
+    calls = []
+    real = search.validate_cayley
+
+    def counting(table, **kw):
+        calls.append(len(table))
+        return real(table, **kw)
+
+    g = group_from_name("D4")
+    monkeypatch.setattr(search, "validate_cayley", counting)
+    records = build_census(g, "D4")
+    assert len(records) == 30
+    assert sorted(calls) == sorted(r.order for r in records)
+
+
 # ---------------------------------------------------------------------------
 # Mask arithmetic
 
@@ -327,7 +344,8 @@ def test_mask_operations_match_naive_loops(raw_a, raw_b, pick):
     bm = 1 + raw_b % g.full_mask
     assert g.product_mask(am, bm) == naive_product_mask(g, am, bm)
     b = next(iter_bits(bm))
-    assert g.right_translate_mask(am, b) == naive_product_mask(g, am, 1 << b)
+    assert g.product_mask(am, 1 << b) == naive_product_mask(g, am, 1 << b)
+    assert g.product_mask(1 << b, am) == naive_product_mask(g, 1 << b, am)
     want_inv = 0
     for a in iter_bits(am):
         want_inv |= 1 << g.inv(a)

@@ -261,7 +261,7 @@ def test_bounded_below_sum_is_associative_on_samples():
 
 def test_minkowski_window_sum_rejects_insufficient_pad():
     # The guard fires when the window sits further from 0 than the pad covers.
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="pad 10 too small"):
         minkowski_window_sum(naturals(), naturals(), 100, 120, pad=10)
 
 
