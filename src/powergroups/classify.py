@@ -112,9 +112,21 @@ def _partition_union_check(g: FiniteGroup, masks: Sequence[int]) -> bool:
     return is_subgroup_mask(g, union)
 
 
+def _translates(g: FiniteGroup, hmask: int, emask: int) -> dict[int, int]:
+    """{a: aE for a in H}, for a subgroup E.  Since b in aE gives bE = aE,
+    each coset is multiplied out once, at the least member of H it holds."""
+    out: dict[int, int] = {}
+    for a in iter_bits(hmask):
+        if a not in out:
+            coset = g.product_mask(1 << a, emask)
+            for b in iter_bits(coset & hmask):
+                out[b] = coset
+    return out
+
+
 def _coset_masks(g: FiniteGroup, hmask: int, nmask: int) -> list[int]:
     """Masks of {aN | a in H}, deduplicated and sorted."""
-    return sorted({g.product_mask(1 << a, nmask) for a in iter_bits(hmask)})
+    return sorted(set(_translates(g, hmask, nmask).values()))
 
 
 def match_subquotient(
@@ -189,19 +201,19 @@ def build_coset_group(
 
     Raises NotIdempotentError or CommutationFailsError when the preconditions
     fail; a product-law failure after that would be an internal bug and
-    raises InternalFaultError.  E need not contain the group identity and
-    need not be a subset of H; distinct a may give the same coset.
+    raises InternalFaultError.  An idempotent of a finite group is a
+    subgroup, which _translates relies on; E need not be a subset of H, and
+    distinct a may give the same coset.  This is the one place aE is
+    compared with Ea.
     """
     if not is_idempotent(e):
         raise NotIdempotentError(f"EE != E for mask {e.members:#x}")
     emask = e.members
-    translate_of = {}
+    translate_of = _translates(g, h.members, emask)
     for a in iter_bits(h.members):
-        translate_of[a] = g.product_mask(1 << a, emask)
         if translate_of[a] != g.product_mask(emask, 1 << a):
             raise CommutationFailsError(f"aE != Ea for a = {a}", a)
-    masks = sorted(set(translate_of.values()))
-    fam = power_group_family(g, masks)
+    fam = power_group_family(g, translate_of.values())
     pos = {m: i for i, m in enumerate(fam.masks())}
     # Product law: (aE)(bE) = (ab)E.  Guaranteed by commutation; verify anyway.
     for a in iter_bits(h.members):
@@ -285,15 +297,11 @@ def is_group_of_cosets(
     NotCosetGroup as a value.
     """
     e = f.identity
-    emask = e.members
     want = sorted(f.masks())
     for h in all_subgroups(g):
-        if any(
-            g.product_mask(1 << a, emask) != g.product_mask(emask, 1 << a)
-            for a in iter_bits(h.members)
-        ):
-            continue
-        masks = sorted({g.product_mask(1 << a, emask) for a in iter_bits(h.members)})
-        if masks == want:
-            return build_coset_group(g, e, h)
+        if _coset_masks(g, h.members, e.members) == want:
+            try:
+                return build_coset_group(g, e, h)
+            except CommutationFailsError:
+                continue
     return NotCosetGroup("no subgroup H has {aE | a in H} equal to the family")

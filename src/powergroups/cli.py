@@ -36,6 +36,8 @@ from .iso import fingerprint, matrix_is_transitive, matrix_to_csv, underlies, un
 from .records import build_census, record_to_json, write_text_atomic
 from .suites import SUITES, UNDERLIES_CATALOG, run_suite
 
+MAX_ORDER = 8  # default --max-order of every command that takes one
+
 CATALOG_NAMES = (
     "trivial",
     "C2",
@@ -269,8 +271,8 @@ def cmd_qcuts(args: argparse.Namespace) -> int:
     return 0 if w.ok else 1
 
 
-def _add_common(p: argparse.ArgumentParser, *, max_order: int = 8) -> None:
-    p.add_argument("--max-order", type=int, default=max_order, help="largest carrier group order")
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--max-order", type=int, default=MAX_ORDER, help="largest carrier group order")
     p.add_argument("--out", help="write results here (atomic rename)")
 
 
@@ -360,9 +362,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # An internal invariant failed: a discrepancy, not a usage error.
         print(f"error: internal fault: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         # Every domain error (bad table, unknown name, cap overrun,
-        # unrepresentable set arithmetic) derives from ValueError.
+        # unrepresentable set arithmetic) derives from ValueError.  Argparse
+        # rejects unknown suites, so a KeyError is a bug and escapes (exit 1).
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -131,6 +131,11 @@ class FiniteGroup:
         return f"<FiniteGroup {self.name} order={self.order}>"
 
 
+def _check_cap(n: int, max_order: int) -> None:
+    if n > max_order:
+        raise CapExceededError(f"order {n} exceeds construction cap {max_order}")
+
+
 def validate_cayley(
     table: Sequence[Sequence[int]],
     *,
@@ -148,8 +153,7 @@ def validate_cayley(
     n = len(table)
     if n == 0:
         raise NoIdentityError("empty table has no identity")
-    if n > max_order:
-        raise CapExceededError(f"order {n} exceeds construction cap {max_order}")
+    _check_cap(n, max_order)
     rows: list[tuple[int, ...]] = []
     for i, row in enumerate(table):
         row = tuple(row)
@@ -250,21 +254,22 @@ def _mask_of(indices: Iterable[int]) -> int:
 
 
 def closure_mask(table: Sequence[Sequence[int]], seed: int) -> int:
-    """Smallest product-closed superset of seed (a subgroup when seed is nonempty)."""
+    """Smallest product-closed superset of seed (a subgroup when seed is nonempty).
+
+    A product of seed elements is a shorter product times a seed element, so
+    right-multiplying each new member by the seed elements closes the set.
+    That needs associativity, which every caller's validated table has.
+    """
+    gens = tuple(iter_bits(seed))
     cur = seed
-    frontier = list(iter_bits(seed))
-    members = list(frontier)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            row = table[a]
-            for b in members:
-                for c in (row[b], table[b][a]):
-                    if not cur >> c & 1:
-                        cur |= 1 << c
-                        nxt.append(c)
-        members.extend(nxt)
-        frontier = nxt
+    stack = list(gens)
+    while stack:
+        row = table[stack.pop()]
+        for s in gens:
+            c = row[s]
+            if not cur >> c & 1:
+                cur |= 1 << c
+                stack.append(c)
     return cur
 
 
@@ -419,11 +424,13 @@ def catalog(
         if len(params) != 1 or params[0] < 1:
             raise ParamOutOfRangeError(f"cyclic needs one parameter >= 1, got {params}")
         (n,) = params
+        _check_cap(n, max_order)  # before building the n x n table
         return validate_cayley(_cyclic_table(n), name=f"C{n}", max_order=max_order)
     if fam == "dihedral":
         if len(params) != 1 or params[0] < 1:
             raise ParamOutOfRangeError(f"dihedral needs one parameter >= 1, got {params}")
         (n,) = params
+        _check_cap(2 * n, max_order)
         return validate_cayley(_dihedral_table(n), name=f"D{n}", max_order=max_order)
     if fam == "symmetric":
         if len(params) != 1 or not 1 <= params[0] <= max_symmetric_degree:

@@ -161,14 +161,8 @@ def underlies(
     The candidates are g1's coset families H/N from its subgroup lattice, in
     (order, masks) order, so the witness is the first such family.
     """
-    target_fp = fingerprint(g2)
     for fam in lattice_power_groups(g1, max_order=max_order):
-        if fam.order != g2.order:
-            continue
-        abstract = fam.abstract_group()
-        if fingerprint(abstract) != target_fp:
-            continue
-        phi = are_isomorphic(abstract, g2)
+        phi = are_isomorphic(fam.abstract_group(), g2)
         if phi is not None:
             return UnderliesWitness(family=fam, mapping=phi)
     return None
@@ -178,22 +172,14 @@ def underlies_matrix(
     groups: Sequence[FiniteGroup], *, max_order: int = DEFAULT_SEARCH_CAP
 ) -> list[list[bool]]:
     """matrix[i][j] = groups[j] underlies groups[i]."""
-    fams: list[list[FiniteGroup]] = []
-    for g in groups:
-        fams.append([f.abstract_group() for f in lattice_power_groups(g, max_order=max_order)])
-    fps = [fingerprint(g) for g in groups]
-    out = []
-    for i, _ in enumerate(groups):
-        row = []
-        for j, target in enumerate(groups):
-            hit = any(
-                fingerprint(a) == fps[j] and are_isomorphic(a, target) is not None
-                for a in fams[i]
-                if a.order == target.order
-            )
-            row.append(hit)
-        out.append(row)
-    return out
+    fams = [
+        [f.abstract_group() for f in lattice_power_groups(g, max_order=max_order)]
+        for g in groups
+    ]
+    return [
+        [any(are_isomorphic(a, target) is not None for a in row) for target in groups]
+        for row in fams
+    ]
 
 
 def matrix_is_transitive(matrix: Sequence[Sequence[bool]]) -> bool:

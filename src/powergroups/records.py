@@ -16,7 +16,7 @@ from .classify import (
     lattice_power_groups,
     match_subquotient,
 )
-from .groups import FiniteGroup, iter_bits
+from .groups import DEFAULT_SEARCH_CAP, FiniteGroup, iter_bits
 from .iso import GroupFingerprint, fingerprint
 from .search import PowerGroupFamily
 
@@ -85,7 +85,9 @@ def census_record(fam: PowerGroupFamily, label: str) -> CensusRecord:
     )
 
 
-def build_census(g: FiniteGroup, label: str, *, max_order: int = 16) -> list[CensusRecord]:
+def build_census(
+    g: FiniteGroup, label: str, *, max_order: int = DEFAULT_SEARCH_CAP
+) -> list[CensusRecord]:
     """One record per subset family over g forming a group, sorted by canonical_key.
 
     The families come from the subgroup lattice, one coset family H/N per

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import CapExceededError, ParentMismatchError
-from .groups import DEFAULT_SEARCH_CAP, FiniteGroup, is_subgroup_mask, iter_bits
+from .groups import DEFAULT_SEARCH_CAP, FiniteGroup, _mask_of, is_subgroup_mask, iter_bits
 
 __all__ = [
     "GroupSubset",
@@ -48,12 +48,7 @@ class GroupSubset:
 
 def subset(g: FiniteGroup, members: Iterable[int] | int) -> GroupSubset:
     """Build a GroupSubset from a mask or an iterable of element indices."""
-    if isinstance(members, int):
-        return GroupSubset(g, members)
-    mask = 0
-    for i in members:
-        mask |= 1 << i
-    return GroupSubset(g, mask)
+    return GroupSubset(g, members if isinstance(members, int) else _mask_of(members))
 
 
 def _same_parent(a: GroupSubset, b: GroupSubset) -> FiniteGroup:
@@ -92,5 +87,5 @@ def all_idempotents(g: FiniteGroup, *, max_order: int = DEFAULT_SEARCH_CAP) -> l
 
 
 def _idempotents_are_subgroups(g: FiniteGroup) -> bool:
-    # Cross-check helper used by tests and internal assertions.
+    # Cross-check helper for the tests.
     return all(is_subgroup_mask(g, e.members) for e in all_idempotents(g))

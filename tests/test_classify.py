@@ -7,6 +7,7 @@ from powergroups.classify import (
     NotCosetGroup,
     NotSubquotient,
     SubquotientDescriptor,
+    _coset_masks,
     _partition_union_check,
     build_coset_group,
     check_identity_subgroup,
@@ -19,9 +20,12 @@ from powergroups.classify import (
 )
 from powergroups.errors import CommutationFailsError, NotIdempotentError
 from powergroups.groups import (
+    FiniteGroup,
     all_subgroups,
     catalog,
     group_from_name,
+    iter_bits,
+    normal_subgroups_of,
     subgroup_mask,
     validate_cayley,
 )
@@ -68,6 +72,26 @@ def test_subquotient_enumeration_round_trips(g):
     # identity, both recoverable from the family.
     assert len(seen) == len(enumerate_subquotients(g))
     assert seen == {f.masks() for f in all_power_groups(g)}
+
+
+@pytest.mark.parametrize("name", ["D4", "S4"])
+def test_coset_masks_multiplies_each_coset_once(name, monkeypatch):
+    g = group_from_name(name)
+    calls = []
+    real = FiniteGroup.product_mask
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return real(self, a, b)
+
+    monkeypatch.setattr(FiniteGroup, "product_mask", counted)
+    for h in all_subgroups(g):
+        for n in normal_subgroups_of(g, h):
+            calls.clear()
+            cosets = _coset_masks(g, h.members, n.members)
+            assert len(calls) == len(cosets) == h.size // n.size
+            naive = {real(g, 1 << a, n.members) for a in iter_bits(h.members)}
+            assert cosets == sorted(naive)
 
 
 def test_partition_union_check_negatives():

@@ -189,6 +189,24 @@ def test_homomorphism_failure_exits_1(capsys, monkeypatch):
     assert err.startswith("error: internal fault: phi(ab) != phi(a)phi(b)")
 
 
+def test_internal_key_error_exits_1():
+    # argparse rejects unknown suites, so a KeyError can only be a bug: it must
+    # not be reported as bad input (exit 2).
+    code = (
+        "import sys\n"
+        "from powergroups import cli\n"
+        "def broken(*args, **kwargs):\n"
+        "    raise KeyError('internal')\n"
+        "cli.build_census = broken\n"
+        "sys.exit(cli.main(['enum', '--group', 'C2']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "KeyError: 'internal'" in proc.stderr
+
+
 def test_zset_sum_self_check_fault_exits_1(capsys, monkeypatch):
     import powergroups.zsets as zsets
 
@@ -258,6 +276,16 @@ def test_catalog_show(capsys):
     assert doc["subgroups"] == 6 and doc["normal_subgroups"] == 6
     code, _, err = run(capsys, "catalog", "show", "--group", "wat")
     assert code == 2 and "error:" in err
+
+
+def test_catalog_show_huge_group_is_usage_error(capsys, monkeypatch):
+    import powergroups.groups as groups
+
+    # The cap must be checked before the 10^10-entry table would be built.
+    monkeypatch.setattr(groups, "_cyclic_table", lambda n: pytest.fail(f"built C{n}"))
+    code, out, err = run(capsys, "catalog", "show", "--group", "C100000")
+    assert code == 2 and out == ""
+    assert err == "error: order 100000 exceeds construction cap 64\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Cayley-table validation, the group catalog, and subgroup machinery."""
 
 import json
+from random import Random
 
 import pytest
 from hypothesis import given
@@ -191,6 +192,22 @@ def test_catalog_rejects_bad_parameters():
         catalog("frobnicate")
 
 
+def test_catalog_checks_the_cap_before_building_a_table(monkeypatch):
+    import powergroups.groups as groups_module
+
+    def never(n):
+        pytest.fail(f"built a table for n={n}")
+
+    monkeypatch.setattr(groups_module, "_cyclic_table", never)
+    monkeypatch.setattr(groups_module, "_dihedral_table", never)
+    with pytest.raises(CapExceededError, match="order 100000 exceeds"):
+        catalog("cyclic", 100000)
+    with pytest.raises(CapExceededError, match="order 66 exceeds"):
+        catalog("dihedral", 33)
+    with pytest.raises(CapExceededError):
+        group_from_name("C100000xC2")
+
+
 def test_group_from_name_parsing():
     assert group_from_name("C2xC3").order == 6
     assert group_from_name("c2*c2").is_abelian
@@ -371,6 +388,31 @@ def test_closure_mask_generates_subgroups():
     # of order 4 yields exactly that block.
     assert closure_mask(D4.table, 0b10 | 1) == 0b1111
     assert closure_mask(S3.table, 1) == 1
+
+
+def _naive_closure(table, seed):
+    # Add every pairwise product until nothing changes.
+    cur = seed
+    while True:
+        elems = list(iter_bits(cur))
+        nxt = cur
+        for a in elems:
+            for b in elems:
+                nxt |= 1 << table[a][b]
+        if nxt == cur:
+            return cur
+        cur = nxt
+
+
+@pytest.mark.parametrize("name", ["S4", "D6", "Q8xC2"])
+def test_closure_mask_matches_naive_fixpoint(name):
+    g = group_from_name(name)
+    rng = Random(name)
+    for _ in range(60):
+        seed = 0
+        for x in rng.sample(range(g.order), rng.randint(1, 4)):
+            seed |= 1 << x
+        assert closure_mask(g.table, seed) == _naive_closure(g.table, seed)
 
 
 # ---------------------------------------------------------------------------
