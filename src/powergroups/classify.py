@@ -31,7 +31,7 @@ from .groups import (
     normal_subgroups_of,
 )
 from .subsets import GroupSubset, is_idempotent
-from .search import PowerGroupFamily, power_group_family
+from .search import PowerGroupFamily, _family_from_table, power_group_family
 
 __all__ = [
     "CosetGroupDescriptor",
@@ -124,6 +124,54 @@ def _translates(g: FiniteGroup, hmask: int, emask: int) -> dict[int, int]:
     return out
 
 
+def _coset_family(g: FiniteGroup, translate_of: dict[int, int]) -> PowerGroupFamily:
+    """The family {xN | x in H} from the map {x: xN for x in H} of _translates.
+
+    A(bN) is the union of (xb)N over x in A, which needs only that N is a
+    subgroup and H is closed, not normality: |A| map reads per product
+    instead of the |A||B| table reads of power_group_family.  Raises
+    ValueError unless N = translate_of[identity] is a subgroup, every key
+    lies in the block it maps to, and each block is rN for its least member
+    r; then every key x maps to xN.  Also raises ValueError when a product
+    leaves the keys (the N column reads every block member) or the family.
+    The table is validated once, by _family_from_table.
+    """
+    t = g.table
+    nmask = translate_of.get(g.identity, 0)
+    if not is_subgroup_mask(g, nmask):
+        raise ValueError(f"translate map's identity block {nmask:#x} is not a subgroup")
+    for x, m in translate_of.items():
+        if not m >> x & 1:
+            raise ValueError(f"translate map sends {x} to a block without it")
+    ns = tuple(iter_bits(nmask))
+    masks = sorted(set(translate_of.values()))
+    reps = [(m & -m).bit_length() - 1 for m in masks]
+    for m, r in zip(masks, reps):
+        row = t[r]
+        coset = 0
+        for y in ns:
+            coset |= 1 << row[y]
+        if coset != m:
+            raise ValueError(f"translate map block {m:#x} is not a left coset of {nmask:#x}")
+    pos = {m: i for i, m in enumerate(masks)}
+    table = []
+    for a in masks:
+        rows = [t[x] for x in iter_bits(a)]
+        out = []
+        for bmask, b in zip(masks, reps):
+            p = 0
+            for row in rows:
+                try:
+                    p |= translate_of[row[b]]
+                except KeyError:
+                    raise ValueError(f"family not closed: {row[b]} is outside the carrier") from None
+            if p not in pos:
+                raise ValueError(f"family not closed: product of {a:#x} and {bmask:#x} is {p:#x}")
+            out.append(pos[p])
+        table.append(tuple(out))
+    return _family_from_table(g, masks, table)
+
+
 def _coset_masks(g: FiniteGroup, hmask: int, nmask: int) -> list[int]:
     """Masks of {aN | a in H}, deduplicated and sorted."""
     return sorted(set(_translates(g, hmask, nmask).values()))
@@ -172,8 +220,7 @@ def enumerate_subquotients(
     out = []
     for h in all_subgroups(g):
         for n in normal_subgroups_of(g, h):
-            masks = _coset_masks(g, h.members, n.members)
-            fam = power_group_family(g, masks)
+            fam = _coset_family(g, _translates(g, h.members, n.members))
             out.append((SubquotientDescriptor(carrier=h, kernel=n), fam))
     return out
 

@@ -50,7 +50,8 @@ class PowerGroupFamily:
     ``elements`` is sorted by ascending mask; ``abstract_table[i][j]`` is the
     position of elements[i] * elements[j] within the family, and passes the
     group-table validator.  ``abstract`` is the group that validation
-    returned.  Construct via power_group_family().
+    returned.  Construct via power_group_family(), or for a coset family
+    from its translate map via classify._coset_family.
     """
 
     parent: FiniteGroup
@@ -107,6 +108,19 @@ def power_group_family(parent: FiniteGroup, masks: Iterable[int]) -> PowerGroupF
                 )
             row.append(pos[p])
         table.append(tuple(row))
+    return _family_from_table(parent, sorted_masks, table)
+
+
+def _family_from_table(
+    parent: FiniteGroup, sorted_masks: Sequence[int], table: Sequence[tuple[int, ...]]
+) -> PowerGroupFamily:
+    """Package ascending masks with their product table, validated once.
+
+    ``table[i][j]`` must be the position of sorted_masks[i] * sorted_masks[j];
+    the builders (power_group_family and the coset builder in classify)
+    compute it, and this raises the table validator's errors when it is not
+    a group table.
+    """
     abstract = validate_cayley(table, name="F", max_order=max(64, len(table)))
     # validate_cayley may relabel; recover the identity's position in family order.
     k = len(sorted_masks)

@@ -1,5 +1,7 @@
 """Coset realizations of subset families and the equivalent finite-carrier checks."""
 
+from random import Random
+
 import pytest
 
 from powergroups.classify import (
@@ -7,8 +9,10 @@ from powergroups.classify import (
     NotCosetGroup,
     NotSubquotient,
     SubquotientDescriptor,
+    _coset_family,
     _coset_masks,
     _partition_union_check,
+    _translates,
     build_coset_group,
     check_identity_subgroup,
     check_inverse_closure,
@@ -29,8 +33,9 @@ from powergroups.groups import (
     subgroup_mask,
     validate_cayley,
 )
-from powergroups.search import PowerGroupFamily, all_power_groups
+from powergroups.search import PowerGroupFamily, all_power_groups, power_group_family
 from powergroups.subsets import GroupSubset, subset
+from powergroups.suites import THM2_GROUPS
 
 S3 = catalog("symmetric", 3)
 D4 = catalog("dihedral", 4)
@@ -92,6 +97,78 @@ def test_coset_masks_multiplies_each_coset_once(name, monkeypatch):
             assert len(calls) == len(cosets) == h.size // n.size
             naive = {real(g, 1 << a, n.members) for a in iter_bits(h.members)}
             assert cosets == sorted(naive)
+
+
+def _relabelled(name, seed):
+    g = group_from_name(name)
+    perm = list(range(g.order))
+    Random(seed).shuffle(perm)
+    table = [[0] * g.order for _ in range(g.order)]
+    for a in range(g.order):
+        for b in range(g.order):
+            table[perm[a]][perm[b]] = perm[g.table[a][b]]
+    return validate_cayley(table, name=f"{name}~{seed}")
+
+
+COSET_CARRIERS = [group_from_name(name) for name in THM2_GROUPS + ("S4", "D6")]
+COSET_CARRIERS.append(_relabelled("C2xC2xC2xC2", 7))
+
+
+def _outcome(build):
+    try:
+        return build()
+    except ValueError:
+        return "not closed"
+
+
+@pytest.mark.parametrize("g", COSET_CARRIERS, ids=lambda g: g.name)
+def test_coset_lookup_table_matches_subset_products(g):
+    # Every N <= H, normal or not: the lookup table must equal the table
+    # power_group_family multiplies out, and both must refuse the left cosets
+    # of a non-normal N, which are not closed.
+    built = 0
+    subs = all_subgroups(g)
+    for h in subs:
+        for n in subs:
+            if n.members & ~h.members:
+                continue
+            got = _outcome(lambda: _coset_family(g, _translates(g, h.members, n.members)))
+            want = _outcome(lambda: power_group_family(g, _coset_masks(g, h.members, n.members)))
+            assert got == want, (h, n)
+            if got != "not closed":
+                assert got.abstract_table == want.abstract_table
+                assert got.abstract.table == want.abstract.table
+                built += 1
+    assert built == len(enumerate_subquotients(g))
+
+
+def test_coset_lookup_rejects_corrupted_translate_maps():
+    good = _translates(C4, C4.full_mask, 0b0101)  # x -> x + {0, 2}
+    assert good == {0: 0b0101, 2: 0b0101, 1: 0b1010, 3: 0b1010}
+    assert _coset_family(C4, good).masks() == (0b0101, 0b1010)
+    dropped = {x: m for x, m in good.items() if x != 3}
+    no_identity = {x: m for x, m in good.items() if x != 0}
+    moved = dict(good)
+    moved[1] = 0b0101  # 1 is not in the block it is sent to
+    overlapping = dict(good)
+    overlapping[1] = overlapping[3] = 0b1110
+    # Every key sent to N: the lookup alone returns the one-member family {N}.
+    collapsed = dict.fromkeys(good, 0b0101)
+    # Blocks that hold their keys but whose identity block {0, 1} is not a
+    # subgroup: the lookup alone gives a group table (Z2), though
+    # {0, 1} + {0, 1} = {0, 1, 2} is not a member.
+    repartitioned = {0: 0b0011, 1: 0b0011, 2: 0b1100, 3: 0b1100}
+    unclosed = {0: 0b01, 1: 0b10}  # the carrier {0, 1} of C4 is not closed
+    for bad in (dropped, no_identity, moved, overlapping, collapsed, repartitioned, unclosed):
+        with pytest.raises(ValueError):
+            _coset_family(C4, bad)
+    # The right cosets Nx of the non-normal N = {0, 4} in D4: the lookup
+    # alone gives a group table here too.
+    n = 0b00010001
+    right = {x: D4.product_mask(n, 1 << x) for x in range(8)}
+    assert right[0] == n and len(set(right.values())) == 4
+    with pytest.raises(ValueError):
+        _coset_family(D4, right)
 
 
 def test_partition_union_check_negatives():

@@ -125,6 +125,60 @@ def test_validate_rejects_non_associative_with_witness():
     assert table[table[a][b]][c] != table[a][table[b][c]]
 
 
+def _associative_by_full_scan(t):
+    n = len(t)
+    return all(
+        t[t[a][b]][c] == t[a][t[b][c]] for a in range(n) for b in range(n) for c in range(n)
+    )
+
+
+def _associative_by_validator(t):
+    try:
+        validate_cayley(t)
+    except NotAssociativeError as exc:
+        a, b, c = exc.witness
+        assert t[t[a][b]][c] != t[a][t[b][c]]
+        return False
+    except NoInverseError:
+        pass  # raised after the associativity check passed
+    return True
+
+
+def _swapped_group_tables(rng, names, per_group):
+    # Two entries off the identity's row and column swapped: the identity
+    # survives, associativity usually does not.
+    out = []
+    for name in names:
+        g = group_from_name(name)
+        cells = [(a, b) for a in range(1, g.order) for b in range(1, g.order)]
+        for _ in range(per_group):
+            (a, b), (c, d) = rng.sample(cells, 2)
+            t = [list(row) for row in g.table]
+            t[a][b], t[c][d] = t[c][d], t[a][b]
+            out.append(t)
+    return out
+
+
+def test_light_associativity_test_matches_full_scan():
+    # Light's test checks (a*b)*c = a*(b*c) only for b in a generating set.
+    # Random tables with an identity at a random index, orders 1-5, plus
+    # group tables up to order 24 with two entries swapped.
+    rng = Random(5)
+    tables = []
+    for _ in range(3000):
+        n = rng.randint(1, 5)
+        e = rng.randrange(n)
+        t = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            t[e][i] = t[i][e] = i
+        tables.append(t)
+    names = ["C3", "V4", "S3", "Q8", "D4", "C2xC6", "D6", "C4xC4", "S4", "D12"]
+    tables += _swapped_group_tables(rng, names, 6)
+    verdicts = [_associative_by_full_scan(t) for t in tables]
+    assert [_associative_by_validator(t) for t in tables] == verdicts
+    assert 1000 < verdicts.count(False) < len(tables) - 500
+
+
 def test_validate_respects_order_cap():
     with pytest.raises(CapExceededError):
         validate_cayley(cyclic_table(3), max_order=2)
@@ -248,19 +302,59 @@ def test_subgroup_detection_matches_naive_definition(g):
         assert is_subgroup_mask(g, mask) == naive_is_subgroup(g, mask)
 
 
+def _relabelled(g, seed):
+    # The same group under a seeded permutation of its element indices.
+    perm = list(range(g.order))
+    Random(seed).shuffle(perm)
+    table = [[0] * g.order for _ in range(g.order)]
+    for a in range(g.order):
+        for b in range(g.order):
+            table[perm[a]][perm[b]] = perm[g.table[a][b]]
+    return validate_cayley(table, name=f"{g.name}~{seed}")
+
+
+SUBGROUP_COUNTS = {
+    "C6": 4, "C8": 4, "klein4": 5, "S3": 6, "D4": 10, "Q8": 6,
+    "D6": 16, "C2xC6": 10, "S4": 30, "C2xC2xC2xC2": 67,
+}
+
+
 def test_all_subgroups_counts_and_order():
     # Classical counts: cyclic groups have one subgroup per divisor; V4 has
-    # trivial + three C2 + itself; D4 has 10; Q8 has 1 + 1 + 3 + 1.
-    counts = {"C6": 4, "C8": 4, "klein4": 5, "S3": 6, "D4": 10, "Q8": 6}
-    for name, expected in counts.items():
-        g = group_from_name(name)
-        subs = all_subgroups(g)
-        assert len(subs) == expected, name
-        keys = [(s.size, s.members) for s in subs]
-        assert keys == sorted(keys)
-        assert {s.members for s in subs} == {
-            m for m in range(1, 1 << g.order) if naive_is_subgroup(g, m)
-        }
+    # trivial + three C2 + itself; D4 has 10; Q8 has 1 + 1 + 3 + 1; D6 has
+    # 16, C2xC6 10, S4 30 and C2^4 67 (1 + 15 + 35 + 15 + 1).  The naive
+    # 2^n scan, independent of the lattice, runs up to order 12.
+    for name, expected in SUBGROUP_COUNTS.items():
+        base = group_from_name(name)
+        for g in (base, _relabelled(base, 1), _relabelled(base, 2)):
+            subs = all_subgroups(g)
+            assert len(subs) == expected, g.name
+            keys = [(s.size, s.members) for s in subs]
+            assert keys == sorted(keys)
+            if g.order <= 12:
+                assert {s.members for s in subs} == {
+                    m for m in range(1, 1 << g.order) if naive_is_subgroup(g, m)
+                }
+
+
+@pytest.mark.parametrize("name", ["S4", "D6", "C2xC2xC2xC2", "Q8"])
+def test_subgroup_lattice_closes_once_per_coset(name, monkeypatch):
+    # <H, gh> = <H, g>, so extending H takes one closure per left coset
+    # gH != H: at most [G:H] - 1 closures per subgroup.
+    import powergroups.groups as groups_module
+
+    g = _relabelled(group_from_name(name), 3)
+    seeds = []
+    real = groups_module.closure_mask
+
+    def counting(table, seed):
+        seeds.append(seed)
+        return real(table, seed)
+
+    monkeypatch.setattr(groups_module, "closure_mask", counting)
+    subs = groups_module.subgroup_lattice(g.table, g.identity)
+    assert len(subs) == SUBGROUP_COUNTS[name]
+    assert len(seeds) <= sum(g.order // m.bit_count() - 1 for m in subs)
 
 
 def test_subgroup_mask_validation():
