@@ -19,13 +19,16 @@ from .errors import (
     CommutationFailsError,
     HomomorphismFailsError,
     InternalFaultError,
+    NotASubgroupError,
     NotIdempotentError,
 )
 from .groups import (
     DEFAULT_SEARCH_CAP,
     FiniteGroup,
     SubgroupMask,
+    _normalized_by,
     all_subgroups,
+    generating_set,
     is_subgroup_mask,
     iter_bits,
     normal_subgroups_of,
@@ -191,18 +194,20 @@ def match_subquotient(
     hmask = 0
     for a in f.elements:
         hmask |= a.members
-    if not is_subgroup_mask(g, nmask):
+    try:
+        kernel = SubgroupMask(g, nmask)
+    except NotASubgroupError:
         return NotSubquotient("identity_not_subgroup", f"identity mask {nmask:#x} is not a subgroup")
-    if not is_subgroup_mask(g, hmask):
+    try:
+        carrier = SubgroupMask(g, hmask)
+    except NotASubgroupError:
         return NotSubquotient("union_not_subgroup", f"union mask {hmask:#x} is not a subgroup")
-    if any(g.conjugate_mask(nmask, h) != nmask for h in iter_bits(hmask)):
+    if not _normalized_by(g, nmask, generating_set(g, hmask)):
         return NotSubquotient("identity_not_normal_in_union", f"{nmask:#x} not normal in {hmask:#x}")
     cosets = _coset_masks(g, hmask, nmask)
     if cosets != sorted(f.masks()):
         return NotSubquotient("family_not_coset_set", "family differs from the coset set of N in H")
-    return SubquotientDescriptor(
-        carrier=SubgroupMask(g, hmask), kernel=SubgroupMask(g, nmask)
-    )
+    return SubquotientDescriptor(carrier=carrier, kernel=kernel)
 
 
 def enumerate_subquotients(

@@ -12,6 +12,7 @@ never leaves a truncated file behind.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -89,15 +90,19 @@ def _load_group(args: argparse.Namespace) -> tuple[FiniteGroup, str]:
     return g, label
 
 
-def _emit(out: Optional[str], text: str, summary: str) -> None:
-    """Write text to ``out`` atomically and print the summary, or, without
-    ``out``, write text to stdout and the summary to stderr."""
+def _write(out: Optional[str], text: str) -> None:
+    """Write text to ``out`` atomically, or to stdout without ``out``."""
     if out:
         write_text_atomic(out, (text,))
-        print(summary)
     else:
         sys.stdout.write(text)
-        print(summary, file=sys.stderr)
+
+
+def _emit(out: Optional[str], text: str, summary: str) -> None:
+    """_write the text, then print the summary: to stdout when the text went
+    to ``out``, else to stderr."""
+    _write(out, text)
+    print(summary, file=sys.stdout if out else sys.stderr)
 
 
 def cmd_enum(args: argparse.Namespace) -> int:
@@ -138,10 +143,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         window=args.window,
         witness_trials=min(args.trials, 100),
     )
-    for c in checks:
-        print(_dumps({"suite": c.suite, "check": c.name, "ok": c.ok, "detail": c.detail}))
+    text = "".join(
+        _dumps({"suite": c.suite, "check": c.name, "ok": c.ok, "detail": c.detail}) + "\n"
+        for c in checks
+    )
     failed = [c for c in checks if not c.ok]
-    print(f"suite={args.suite} checks={len(checks)} failed={len(failed)}", file=sys.stderr)
+    _emit(args.out, text, f"suite={args.suite} checks={len(checks)} failed={len(failed)}")
     return 1 if failed else 0
 
 
@@ -154,11 +161,7 @@ def cmd_underlies(args: argparse.Namespace) -> int:
         if any(g.order > args.max_order for g in groups):
             raise CapExceededError(f"catalog exceeds cap {args.max_order}")
         matrix = underlies_matrix(groups, max_order=args.max_order)
-        csv = matrix_to_csv(names, matrix)
-        if args.out:
-            write_text_atomic(args.out, (csv,))
-        else:
-            sys.stdout.write(csv)
+        _write(args.out, matrix_to_csv(names, matrix))
         transitive = matrix_is_transitive(matrix)
         print(f"transitive: {str(transitive).lower()}")
         return 0 if transitive else 1
@@ -169,18 +172,15 @@ def cmd_underlies(args: argparse.Namespace) -> int:
         raise CapExceededError(f"order exceeds cap {args.max_order}")
     w = underlies(g1, g2, max_order=args.max_order)
     if w is None:
-        print("no")
+        text = "no\n"
     else:
-        print("yes")
-        print(
-            _dumps(
-                {
-                    "family": [list(iter_bits(m)) for m in w.family.masks()],
-                    "identity": list(iter_bits(w.family.identity.members)),
-                    "mapping": list(w.mapping),
-                }
-            )
-        )
+        witness = {
+            "family": [list(iter_bits(m)) for m in w.family.masks()],
+            "identity": list(iter_bits(w.family.identity.members)),
+            "mapping": list(w.mapping),
+        }
+        text = "yes\n" + _dumps(witness) + "\n"
+    _write(args.out, text)
     return 0
 
 
@@ -276,7 +276,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write results here (atomic rename)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (main may run many times)."""
     parser = argparse.ArgumentParser(
         prog="powergroups",
         description="Enumerate and classify groups made of subsets of a group.",

@@ -33,6 +33,7 @@ from .errors import (
 # to 64.  Both are per-call overridable.
 DEFAULT_SEARCH_CAP = 16
 DEFAULT_CONSTRUCTION_CAP = 64
+MAX_SYMMETRIC_DEGREE = 4  # catalog("symmetric", n) builds S1 .. S4
 
 __all__ = [
     "DEFAULT_CONSTRUCTION_CAP",
@@ -99,9 +100,9 @@ class FiniteGroup:
         return (1 << self.order) - 1
 
     @cached_property
-    def subgroup_masks(self) -> tuple[int, ...]:
-        """Every subgroup mask, sorted by (size, mask); built once per group."""
-        return tuple(subgroup_lattice(self.table, self.identity))
+    def subgroups(self) -> tuple[SubgroupMask, ...]:
+        """Every subgroup, sorted by (size, mask); built and validated once per group."""
+        return tuple(SubgroupMask(self, m) for m in subgroup_lattice(self.table, self.identity))
 
     def product_mask(self, amask: int, bmask: int) -> int:
         """Subset product {a*b} as a mask: OR of 1 << table[a][b] over a in A, b in B."""
@@ -182,13 +183,7 @@ def validate_cayley(
 
     # Light's test (see the docstring): check the middle element b over a
     # generating set only.
-    gens = 0
-    span = 1 << identity
-    for b in range(n):
-        if not span >> b & 1:
-            gens |= 1 << b
-            span |= closure_mask(t, gens)
-    for b in iter_bits(gens):
+    for b in _greedy_generators(t, identity, (1 << n) - 1):
         tb = t[b]
         for a in range(n):
             ta = t[a]
@@ -324,40 +319,51 @@ def subgroup_lattice(table: Sequence[Sequence[int]], identity: int) -> list[int]
     return sorted(found, key=lambda m: (m.bit_count(), m))
 
 
-def generating_set(g: FiniteGroup, mask: int) -> list[int]:
-    """Greedy generators of a subgroup mask: ascending members, each kept
-    whenever it enlarges the subgroup the kept ones generate."""
+def _greedy_generators(table: Sequence[Sequence[int]], identity: int, mask: int) -> list[int]:
+    """Ascending members of mask, each kept when the identity and the
+    closure_mask of the kept ones miss it.  On a group table and a subgroup
+    mask the kept members generate the subgroup."""
     gens: list[int] = []
-    span = 1 << g.identity
+    kept = 0
+    span = 1 << identity
     for a in iter_bits(mask):
         if span == mask:
             break
-        if span >> a & 1:
-            continue
-        gens.append(a)
-        span = closure_mask(g.table, span | (1 << a))
+        if not span >> a & 1:
+            gens.append(a)
+            kept |= 1 << a
+            span |= closure_mask(table, kept)
     return gens
 
 
+def generating_set(g: FiniteGroup, mask: int) -> list[int]:
+    """Greedy generators of a subgroup mask: ascending members, each kept
+    whenever it enlarges the subgroup the kept ones generate."""
+    return _greedy_generators(g.table, g.identity, mask)
+
+
+def _normalized_by(g: FiniteGroup, nmask: int, gens: Iterable[int]) -> bool:
+    """Does conjugation by every element of gens fix the subset nmask?
+
+    The elements whose conjugation fixes N form a subgroup, so with gens a
+    generating set of H this is "N is normal in H".
+    """
+    return all(g.conjugate_mask(nmask, x) == nmask for x in gens)
+
+
 def all_subgroups(g: FiniteGroup) -> list[SubgroupMask]:
-    """Every subgroup of g, sorted by (size, mask)."""
-    return [SubgroupMask(g, m) for m in g.subgroup_masks]
+    """Every subgroup of g, sorted by (size, mask); the objects of g.subgroups."""
+    return list(g.subgroups)
 
 
 def normal_subgroups_of(g: FiniteGroup, h: SubgroupMask) -> list[SubgroupMask]:
-    """Subgroups N <= H with hNh^-1 = N for every h in H (normal in H, not in g).
-
-    The elements of H whose conjugation fixes N form a subgroup, so testing
-    a generating set of H is enough.
-    """
+    """Subgroups N <= H with hNh^-1 = N for every h in H (normal in H, not in g)."""
     if h.parent != g:
         raise NotASubgroupError("subgroup belongs to a different parent group")
     hmask = h.members
     gens = generating_set(g, hmask)
     return [
-        SubgroupMask(g, m)
-        for m in g.subgroup_masks
-        if not m & ~hmask and all(g.conjugate_mask(m, x) == m for x in gens)
+        n for n in g.subgroups if not n.members & ~hmask and _normalized_by(g, n.members, gens)
     ]
 
 
@@ -439,7 +445,6 @@ def catalog(
     family: str,
     *params: int,
     max_order: int = DEFAULT_CONSTRUCTION_CAP,
-    max_symmetric_degree: int = 4,
 ) -> FiniteGroup:
     """Construct a named group.
 
@@ -461,9 +466,9 @@ def catalog(
         _check_cap(2 * n, max_order)
         return validate_cayley(_dihedral_table(n), name=f"D{n}", max_order=max_order)
     if fam == "symmetric":
-        if len(params) != 1 or not 1 <= params[0] <= max_symmetric_degree:
+        if len(params) != 1 or not 1 <= params[0] <= MAX_SYMMETRIC_DEGREE:
             raise ParamOutOfRangeError(
-                f"symmetric degree must be in [1, {max_symmetric_degree}], got {params}"
+                f"symmetric degree must be in [1, {MAX_SYMMETRIC_DEGREE}], got {params}"
             )
         (n,) = params
         return validate_cayley(_symmetric_table(n), name=f"S{n}", max_order=max_order)

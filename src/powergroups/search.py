@@ -72,9 +72,6 @@ class PowerGroupFamily:
     def identity(self) -> GroupSubset:
         return self.elements[self.identity_index]
 
-    def canonical_key(self) -> tuple[int, ...]:
-        return self.masks()
-
     def abstract_group(self) -> FiniteGroup:
         """The family as an abstract group (relabeled so its identity is 0)."""
         return self.abstract

@@ -75,6 +75,31 @@ def _check_bits(bits: Sequence[int], label: str) -> tuple[int, ...]:
     return out
 
 
+def _least_period(word: Sequence[int]) -> int:
+    """Least d >= 1 with the cyclic word invariant under rotation by d.
+
+    d is the first position at which the word reoccurs inside word + word;
+    it divides len(word), and it is len(word) when no shorter period exists.
+    """
+    b = bytes(word)
+    return (b + b).find(b, 1)
+
+
+def _least_modulus(modulus: int, residues: frozenset[int]) -> int:
+    """Least d dividing modulus with residues + d = residues (mod modulus).
+
+    The shifts fixing the set form the subgroup dZ/modulus, and each carries
+    the least residue r0 onto a residue, so d is among the differences
+    r - r0 (and modulus itself); only those dividing modulus are tested, in
+    ascending order, each in one pass over the residues.
+    """
+    r0 = min(residues)
+    for d in sorted({r - r0 for r in residues if r > r0}):
+        if modulus % d == 0 and all((r + d) % modulus in residues for r in residues):
+            return d
+    return modulus
+
+
 @dataclass(frozen=True)
 class BoundedBelow:
     """offset is the least element; bit i of transient answers offset+i; the
@@ -90,14 +115,13 @@ class BoundedBelow:
         t, w, p = self.transient, self.word, self.period
         if p < 1 or len(w) != p:
             raise ValueError("word length must equal period >= 1")
-        _check_bits(t, "transient")
-        _check_bits(w, "word")
+        t = _check_bits(t, "transient")
+        w = _check_bits(w, "word")
         first = t[0] if t else w[0]
         if first != 1:
             raise ValueError("offset must be a member; use bounded_below() to canonicalize")
-        for d in range(1, p):
-            if p % d == 0 and all(w[i] == w[i % d] for i in range(p)):
-                raise ValueError("word period is not minimal; use bounded_below()")
+        if _least_period(w) != p:
+            raise ValueError("word period is not minimal; use bounded_below()")
         if t and t[-1] == w[-1]:
             raise ValueError("transient not minimal; use bounded_below()")
 
@@ -124,9 +148,8 @@ class TwoSidedPeriodic:
         m, rs = self.modulus, self.residues
         if m < 1 or not rs or any(not 0 <= r < m for r in rs):
             raise ValueError("need modulus >= 1 and nonempty residues in range")
-        for d in range(1, m):
-            if m % d == 0 and rs == frozenset((r + d) % m for r in rs):
-                raise ValueError("modulus is not minimal; use two_sided()")
+        if _least_modulus(m, rs) != m:
+            raise ValueError("modulus is not minimal; use two_sided()")
 
 
 ZSet = Union[BoundedBelow, BoundedAbove, TwoSidedPeriodic]
@@ -141,27 +164,28 @@ def bounded_below(
     and trailing transient bits that already match the periodic continuation
     are absorbed into the word's phase.  Raises ValueError on the empty set.
     """
-    bits = list(_check_bits(transient, "transient"))
-    w = list(_check_bits(word, "word"))
+    bits = _check_bits(transient, "transient")
+    w = _check_bits(word, "word")
     if period < 1 or len(w) != period:
         raise ValueError("word length must equal period >= 1")
-    while bits and bits[0] == 0:
-        bits.pop(0)
-        offset += 1
+    lead = bits.index(1) if 1 in bits else len(bits)
+    bits = bits[lead:]
+    offset += lead
     if not bits and 1 not in w:
         raise ValueError("empty set is not representable")
     if not bits and w[0] == 0:
         k = w.index(1)
         w = w[k:] + w[:k]
         offset += k
-    for d in range(1, len(w) + 1):
-        if len(w) % d == 0 and all(w[i] == w[i % d] for i in range(len(w))):
-            w = w[:d]
-            break
-    while bits and bits[-1] == w[-1]:
-        bits.pop()
-        w = [w[-1]] + w[:-1]
-    return BoundedBelow(offset, tuple(bits), len(w), tuple(w))
+    p = _least_period(w)
+    w = w[:p]
+    # Absorb the trailing transient bits that continue the word backwards.
+    j = 0
+    while j < len(bits) and bits[-1 - j] == w[(-1 - j) % p]:
+        j += 1
+    r = j % p
+    w = w[p - r :] + w[: p - r]
+    return BoundedBelow(offset, bits[: len(bits) - j], p, w)
 
 
 def finite_zset(elements: Iterable[int]) -> BoundedBelow:
@@ -187,12 +211,7 @@ def two_sided(modulus: int, residues: Iterable[int]) -> TwoSidedPeriodic:
     rs = frozenset(r % modulus for r in residues)
     if not rs:
         raise ValueError("empty set is not representable")
-    # d = modulus always qualifies, so the least qualifying divisor exists.
-    d = next(
-        d
-        for d in range(1, modulus + 1)
-        if modulus % d == 0 and rs == frozenset((r + d) % modulus for r in rs)
-    )
+    d = _least_modulus(modulus, rs)
     return TwoSidedPeriodic(d, frozenset(r % d for r in rs))
 
 

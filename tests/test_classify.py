@@ -25,6 +25,7 @@ from powergroups.classify import (
 from powergroups.errors import CommutationFailsError, NotIdempotentError
 from powergroups.groups import (
     FiniteGroup,
+    SubgroupMask,
     all_subgroups,
     catalog,
     group_from_name,
@@ -201,6 +202,61 @@ def test_match_subquotient_failure_conditions():
     not_cosets = fabricate(S3, [a3, full])
     got = match_subquotient(not_cosets)
     assert isinstance(got, NotSubquotient) and got.condition == "family_not_coset_set"
+
+
+@pytest.mark.parametrize("name", THM2_GROUPS + ("S4", "D6"))
+def test_match_subquotient_normality_matches_conjugation_by_every_element(name):
+    # Every N <= H, normal or not, as the family of left cosets of N in H: the
+    # verdict must be the one conjugation by every element of H gives.
+    g = group_from_name(name)
+    subs = all_subgroups(g)
+    for h in subs:
+        for n in subs:
+            if n.members & ~h.members:
+                continue
+            masks = _coset_masks(g, h.members, n.members)
+            got = match_subquotient(fabricate(g, masks, masks.index(n.members)))
+            normal = all(
+                g.conjugate_mask(n.members, x) == n.members for x in iter_bits(h.members)
+            )
+            if normal:
+                assert isinstance(got, SubquotientDescriptor)
+                assert (got.carrier, got.kernel) == (h, n)
+            else:
+                assert got.condition == "identity_not_normal_in_union"
+
+
+def test_subgroups_are_validated_once(monkeypatch):
+    import powergroups.classify as classify_module
+    import powergroups.groups as groups_module
+
+    inits, checks = [], []
+    real_init = SubgroupMask.__post_init__
+    real_check = groups_module.is_subgroup_mask
+
+    def counting_init(self):
+        inits.append(self.members)
+        real_init(self)
+
+    def counting_check(g, mask):
+        checks.append(mask)
+        return real_check(g, mask)
+
+    monkeypatch.setattr(SubgroupMask, "__post_init__", counting_init)
+    g = group_from_name("S4")
+    pairs = enumerate_subquotients(g)
+    subs = all_subgroups(g)
+    assert len(subs) == 30
+    assert sorted(inits) == sorted(h.members for h in subs)
+    assert all(a is b for a, b in zip(all_subgroups(g), subs))
+    handed_out = {id(h) for h in subs}
+    assert all({id(d.carrier), id(d.kernel)} <= handed_out for d, _ in pairs)
+    # match_subquotient validates N and H once each.
+    monkeypatch.setattr(groups_module, "is_subgroup_mask", counting_check)
+    monkeypatch.setattr(classify_module, "is_subgroup_mask", counting_check)
+    fam = pairs[-1][1]
+    assert isinstance(match_subquotient(fam), SubquotientDescriptor)
+    assert sorted(checks) == sorted([fam.identity.members, pairs[-1][0].carrier.members])
 
 
 def test_build_coset_group_over_klein4():

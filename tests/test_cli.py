@@ -112,6 +112,15 @@ def test_verify_reduced_randomized_suites(capsys):
     assert code == 0 and all(line["ok"] for line in json_lines(out))
 
 
+def test_verify_out_file_holds_stdout(capsys, tmp_path):
+    code, out, err = run(capsys, "verify", "oracle-equivalence")
+    path = tmp_path / "verify.jsonl"
+    code_out, out_out, err_out = run(capsys, "verify", "oracle-equivalence", "--out", str(path))
+    assert code == code_out == 0
+    assert path.read_text() == out
+    assert (out_out, err_out) == (err, "")  # the summary moves to stdout
+
+
 def test_verify_unknown_suite_is_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["verify", "no-such-suite"])
@@ -230,6 +239,14 @@ def test_underlies_pair_yes_and_no(capsys):
     assert len(doc["family"]) == 2 and doc["identity"]
     code, out, _ = run(capsys, "underlies", "--g1", "C3", "--g2", "C2")
     assert code == 0 and out.strip() == "no"
+
+
+@pytest.mark.parametrize("g1, g2", [("S3", "C2"), ("C3", "C2")])
+def test_underlies_pair_out_file_holds_stdout(capsys, tmp_path, g1, g2):
+    code, out, err = run(capsys, "underlies", "--g1", g1, "--g2", g2)
+    path = tmp_path / "pair.txt"
+    assert run(capsys, "underlies", "--g1", g1, "--g2", g2, "--out", str(path)) == (code, "", err)
+    assert path.read_text() == out
 
 
 def test_underlies_requires_arguments(capsys):
@@ -367,6 +384,24 @@ def test_qcuts_witness(capsys):
 
 # ---------------------------------------------------------------------------
 # plumbing
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    import argparse
+
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert run(capsys, "catalog", "list")[0] == 0
+    after_first = len(built)
+    assert run(capsys, "enum", "--group", "C2")[0] == 0
+    assert len(built) == after_first
+    assert built.count("powergroups") <= 1
 
 
 def test_help_and_missing_verb():

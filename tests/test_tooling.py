@@ -1,6 +1,8 @@
-"""Repository-level checks: every demo runs, and the package holds no assert."""
+"""Repository-level checks: every demo runs, every exported name exists, and
+the package holds no assert."""
 
 import ast
+import importlib
 import pathlib
 import runpy
 
@@ -26,3 +28,12 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_every_all_entry_resolves():
+    missing = []
+    for path in sorted((ROOT / "src" / "powergroups").glob("*.py")):
+        name = "powergroups" if path.stem == "__init__" else f"powergroups.{path.stem}"
+        module = importlib.import_module(name)
+        missing += [f"{name}.{n}" for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert missing == []

@@ -1,5 +1,8 @@
 """Exact integer-set algebra: canonical forms, sums, residuals, coset windows."""
 
+import json
+import subprocess
+import sys
 from random import Random
 
 import pytest
@@ -15,6 +18,8 @@ from powergroups.zsets import (
     BoundedAbove,
     BoundedBelow,
     TwoSidedPeriodic,
+    _least_modulus,
+    _least_period,
     additive_closure,
     bounded_below,
     build_z_coset_group,
@@ -119,6 +124,99 @@ def test_canonicalization_preserves_membership(offset, transient, word):
     hi = offset + len(transient) + 3 * len(word) + 4
     for x in range(offset - 3, hi):
         assert zset_contains(s, x) == raw_member(offset, transient, word, x)
+
+
+# The divisor scans that canonicalized before _least_period and
+# _least_modulus existed, kept as the reference for both.
+
+
+def scan_least_period(w):
+    return next(
+        d for d in range(1, len(w) + 1)
+        if len(w) % d == 0 and all(w[i] == w[i % d] for i in range(len(w)))
+    )
+
+
+def scan_least_modulus(m, rs):
+    return next(
+        d for d in range(1, m + 1) if m % d == 0 and rs == frozenset((r + d) % m for r in rs)
+    )
+
+
+def scan_bounded_below(offset, transient, period, word):
+    bits, w = list(transient), list(word)
+    while bits and bits[0] == 0:
+        bits.pop(0)
+        offset += 1
+    if not bits and w[0] == 0:
+        k = w.index(1)
+        w = w[k:] + w[:k]
+        offset += k
+    w = w[: scan_least_period(w)]
+    while bits and bits[-1] == w[-1]:
+        bits.pop()
+        w = [w[-1]] + w[:-1]
+    return offset, tuple(bits), len(w), tuple(w)
+
+
+@given(
+    offset=st.integers(-20, 20),
+    transient=st.lists(st.integers(0, 1), max_size=64),
+    unit=st.lists(st.integers(0, 1), min_size=1, max_size=16),
+    repeats=st.integers(1, 4),
+    rotate=st.integers(0, 63),
+)
+def test_least_period_matches_divisor_scan(offset, transient, unit, repeats, rotate):
+    # Words built as a repeated unit, so non-minimal periods come up often.
+    word = (unit * repeats)[:64]
+    word = word[rotate % len(word):] + word[: rotate % len(word)]
+    assert _least_period(word) == scan_least_period(word)
+    if word[0] == 1 and scan_least_period(word) < len(word):
+        with pytest.raises(ValueError, match="period is not minimal"):
+            BoundedBelow(offset, (), len(word), tuple(word))
+    elif word[0] == 1:
+        BoundedBelow(offset, (), len(word), tuple(word))
+    if 1 not in transient and 1 not in word:
+        word[-1] = 1
+    s = bounded_below(offset, transient, len(word), word)
+    assert (s.offset, s.transient, s.period, s.word) == scan_bounded_below(
+        offset, transient, len(word), word
+    )
+
+
+def divisors(m):
+    return [d for d in range(1, m + 1) if m % d == 0]
+
+
+@given(modulus=st.integers(1, 200), data=st.data())
+def test_least_modulus_matches_divisor_scan(modulus, data):
+    # Residue sets lifted from a divisor's residues, sometimes with noise
+    # added, so that both minimal and non-minimal moduli come up.
+    d = data.draw(st.sampled_from(divisors(modulus)))
+    base = data.draw(st.frozensets(st.integers(0, d - 1), min_size=1))
+    rs = {r + k * d for r in base for k in range(modulus // d)}
+    rs ^= data.draw(st.frozensets(st.integers(0, modulus - 1), max_size=3))
+    rs = frozenset(rs) or frozenset({0})
+    want = scan_least_modulus(modulus, rs)
+    assert _least_modulus(modulus, rs) == want
+    assert two_sided(modulus, rs) == TwoSidedPeriodic(want, frozenset(r % want for r in rs))
+    if want < modulus:
+        with pytest.raises(ValueError, match="modulus is not minimal"):
+            TwoSidedPeriodic(modulus, rs)
+    else:
+        assert TwoSidedPeriodic(modulus, rs).residues == rs
+
+
+def test_huge_two_sided_modulus_returns_promptly():
+    # The modulus is never scanned: only differences of residues are tried.
+    proc = subprocess.run(
+        [sys.executable, "-m", "powergroups.cli", "zset", "idempotent", "TS(1000000000000;0)"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout) == {"idempotent": True, "set": "TS(1000000000000;0)"}
 
 
 # ---------------------------------------------------------------------------
