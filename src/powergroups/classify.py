@@ -15,15 +15,15 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .errors import (
-    CapExceededError,
     CommutationFailsError,
     HomomorphismFailsError,
     InternalFaultError,
     NotASubgroupError,
     NotIdempotentError,
+    check_cap,
 )
 from .groups import (
-    DEFAULT_SEARCH_CAP,
+    SEARCH_CAP,
     FiniteGroup,
     SubgroupMask,
     _normalized_by,
@@ -231,7 +231,7 @@ def enumerate_subquotients(
 
 
 def lattice_power_groups(
-    g: FiniteGroup, *, max_order: int = DEFAULT_SEARCH_CAP
+    g: FiniteGroup, *, max_order: int = SEARCH_CAP
 ) -> list[PowerGroupFamily]:
     """Every subset family over g forming a group, sorted by (order, masks).
 
@@ -239,8 +239,7 @@ def lattice_power_groups(
     give distinct families, since H is a family's union and N its identity.
     This is the order all_power_groups returns the same families in.
     """
-    if g.order > max_order:
-        raise CapExceededError(f"census of order {g.order} exceeds cap {max_order}")
+    check_cap(g.order, max_order, "census at order")
     fams = [fam for _, fam in enumerate_subquotients(g)]
     fams.sort(key=lambda f: (f.order, f.masks()))
     return fams

@@ -16,14 +16,14 @@ import functools
 import json
 import os
 import sys
-from dataclasses import asdict, is_dataclass
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from typing import Any, Optional, Sequence
 
 from . import qcuts as qc
 from . import zsets as zs
 from .classify import enumerate_subquotients
-from .errors import CapExceededError, InternalFaultError, ParamOutOfRangeError
+from .errors import InternalFaultError, ParamOutOfRangeError, check_cap
 from .groups import (
     FiniteGroup,
     all_subgroups,
@@ -66,7 +66,8 @@ def _jsonify(value: Any) -> Any:
     if isinstance(value, (qc.QuadExt, qc.CutElement, Fraction)):
         return str(value)
     if is_dataclass(value) and not isinstance(value, type):
-        return asdict(value)
+        # One level only: nested sets and cuts come back through _jsonify.
+        return {f.name: getattr(value, f.name) for f in fields(value)}
     raise TypeError(f"not JSON serializable: {value!r}")
 
 
@@ -83,10 +84,7 @@ def _load_group(args: argparse.Namespace) -> tuple[FiniteGroup, str]:
         label = g.name or os.path.basename(args.table)
     else:
         raise ParamOutOfRangeError("need --group NAME or --table PATH")
-    if g.order > args.max_order:
-        raise CapExceededError(
-            f"group order {g.order} exceeds cap {args.max_order}; raise --max-order explicitly"
-        )
+    check_cap(g.order, args.max_order, "--max-order: group order")
     return g, label
 
 
@@ -158,8 +156,6 @@ def cmd_underlies(args: argparse.Namespace) -> int:
             raise ParamOutOfRangeError(f"unknown matrix catalog {args.matrix!r}; only 'default'")
         names = list(UNDERLIES_CATALOG)
         groups = [group_from_name(n) for n in names]
-        if any(g.order > args.max_order for g in groups):
-            raise CapExceededError(f"catalog exceeds cap {args.max_order}")
         matrix = underlies_matrix(groups, max_order=args.max_order)
         _write(args.out, matrix_to_csv(names, matrix))
         transitive = matrix_is_transitive(matrix)
@@ -168,8 +164,6 @@ def cmd_underlies(args: argparse.Namespace) -> int:
     if not (args.g1 and args.g2):
         raise ParamOutOfRangeError("need --g1 and --g2, or --matrix default")
     g1, g2 = group_from_name(args.g1), group_from_name(args.g2)
-    if max(g1.order, g2.order) > args.max_order:
-        raise CapExceededError(f"order exceeds cap {args.max_order}")
     w = underlies(g1, g2, max_order=args.max_order)
     if w is None:
         text = "no\n"

@@ -36,7 +36,17 @@ class ParamOutOfRangeError(ValueError):
 
 
 class CapExceededError(ValueError):
-    """A construction, census or subset search would exceed its order cap."""
+    """A construction, census, subset scan or residue set would exceed its cap."""
+
+
+def check_cap(n: int, cap: int, what: str) -> None:
+    """Raise CapExceededError when n exceeds cap; call before any work starts.
+
+    The one place a size cap is checked, so every cap reads the same:
+    "<what> <n> exceeds cap <cap>".
+    """
+    if n > cap:
+        raise CapExceededError(f"{what} {n} exceeds cap {cap}")
 
 
 class NotASubgroupError(ValueError):

@@ -18,7 +18,6 @@ from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
-    CapExceededError,
     NoIdentityError,
     NoInverseError,
     NotAssociativeError,
@@ -26,18 +25,21 @@ from .errors import (
     NotClosedError,
     ParamOutOfRangeError,
     UnknownFamilyError,
+    check_cap,
 )
 
-# Order caps.  The census (listed from the subgroup lattice) and the oracle
-# subset searches (2^n masks) default to 16; plain group construction defaults
-# to 64.  Both are per-call overridable.
-DEFAULT_SEARCH_CAP = 16
-DEFAULT_CONSTRUCTION_CAP = 64
+# Order caps, each checked with errors.check_cap before any work starts: group
+# tables (built or validated) at CONSTRUCTION_CAP, and the 2^n subset scans of
+# the test oracles in search and subsets at SEARCH_CAP.  SEARCH_CAP is also the
+# default max_order of the census functions, the one cap a caller sets (the
+# CLI passes --max-order).
+SEARCH_CAP = 16
+CONSTRUCTION_CAP = 64
 MAX_SYMMETRIC_DEGREE = 4  # catalog("symmetric", n) builds S1 .. S4
 
 __all__ = [
-    "DEFAULT_CONSTRUCTION_CAP",
-    "DEFAULT_SEARCH_CAP",
+    "CONSTRUCTION_CAP",
+    "SEARCH_CAP",
     "FiniteGroup",
     "SubgroupMask",
     "all_subgroups",
@@ -132,24 +134,15 @@ class FiniteGroup:
         return f"<FiniteGroup {self.name} order={self.order}>"
 
 
-def _check_cap(n: int, max_order: int) -> None:
-    if n > max_order:
-        raise CapExceededError(f"order {n} exceeds construction cap {max_order}")
-
-
-def validate_cayley(
-    table: Sequence[Sequence[int]],
-    *,
-    name: str = "G",
-    max_order: int = DEFAULT_CONSTRUCTION_CAP,
-) -> FiniteGroup:
+def validate_cayley(table: Sequence[Sequence[int]], *, name: str = "G") -> FiniteGroup:
     """Check the group axioms on a raw table and return the validated group.
 
-    The table must be square with entries in range (else NotClosedError),
-    have a two-sided identity (NoIdentityError), be associative
-    (NotAssociativeError with a witness triple), and every row must reach
-    the identity (NoInverseError).  If the identity is not element 0 the
-    group is relabeled, preserving the relative order of the other elements.
+    The table must have at most CONSTRUCTION_CAP rows (else CapExceededError),
+    be square with entries in range (NotClosedError), have a two-sided
+    identity (NoIdentityError), be associative (NotAssociativeError with a
+    witness triple), and every row must reach the identity (NoInverseError).
+    If the identity is not element 0 the group is relabeled, preserving the
+    relative order of the other elements.
 
     Associativity is Light's test (Clifford & Preston, *The Algebraic Theory
     of Semigroups* I, 1961, 1.2): if (a*x)*c = a*(x*c) and (a*y)*c = a*(y*c)
@@ -162,7 +155,7 @@ def validate_cayley(
     n = len(table)
     if n == 0:
         raise NoIdentityError("empty table has no identity")
-    _check_cap(n, max_order)
+    check_cap(n, CONSTRUCTION_CAP, "group order")
     rows: list[tuple[int, ...]] = []
     for i, row in enumerate(table):
         row = tuple(row)
@@ -367,24 +360,17 @@ def normal_subgroups_of(g: FiniteGroup, h: SubgroupMask) -> list[SubgroupMask]:
     ]
 
 
-def direct_product(
-    g1: FiniteGroup,
-    g2: FiniteGroup,
-    *,
-    max_order: int = DEFAULT_CONSTRUCTION_CAP,
-) -> FiniteGroup:
+def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     """Componentwise product; pair (i1, i2) gets index i1 * g2.order + i2."""
     n1, n2 = g1.order, g2.order
-    n = n1 * n2
-    if n > max_order:
-        raise CapExceededError(f"product order {n} exceeds cap {max_order}")
+    check_cap(n1 * n2, CONSTRUCTION_CAP, "product order")  # before building the table
     t1, t2 = g1.table, g2.table
     table = [
         [t1[i1][j1] * n2 + t2[i2][j2] for j1 in range(n1) for j2 in range(n2)]
         for i1 in range(n1)
         for i2 in range(n2)
     ]
-    return validate_cayley(table, name=f"{g1.name}x{g2.name}", max_order=max_order)
+    return validate_cayley(table, name=f"{g1.name}x{g2.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -441,11 +427,7 @@ def _quaternion8_table() -> list[list[int]]:
     return [[mul(a, b) for b in range(8)] for a in range(8)]
 
 
-def catalog(
-    family: str,
-    *params: int,
-    max_order: int = DEFAULT_CONSTRUCTION_CAP,
-) -> FiniteGroup:
+def catalog(family: str, *params: int) -> FiniteGroup:
     """Construct a named group.
 
     Families: cyclic(n), dihedral(n) of order 2n, symmetric(degree),
@@ -457,37 +439,35 @@ def catalog(
         if len(params) != 1 or params[0] < 1:
             raise ParamOutOfRangeError(f"cyclic needs one parameter >= 1, got {params}")
         (n,) = params
-        _check_cap(n, max_order)  # before building the n x n table
-        return validate_cayley(_cyclic_table(n), name=f"C{n}", max_order=max_order)
+        check_cap(n, CONSTRUCTION_CAP, "group order")  # before building the n x n table
+        return validate_cayley(_cyclic_table(n), name=f"C{n}")
     if fam == "dihedral":
         if len(params) != 1 or params[0] < 1:
             raise ParamOutOfRangeError(f"dihedral needs one parameter >= 1, got {params}")
         (n,) = params
-        _check_cap(2 * n, max_order)
-        return validate_cayley(_dihedral_table(n), name=f"D{n}", max_order=max_order)
+        check_cap(2 * n, CONSTRUCTION_CAP, "group order")
+        return validate_cayley(_dihedral_table(n), name=f"D{n}")
     if fam == "symmetric":
         if len(params) != 1 or not 1 <= params[0] <= MAX_SYMMETRIC_DEGREE:
             raise ParamOutOfRangeError(
                 f"symmetric degree must be in [1, {MAX_SYMMETRIC_DEGREE}], got {params}"
             )
         (n,) = params
-        return validate_cayley(_symmetric_table(n), name=f"S{n}", max_order=max_order)
+        return validate_cayley(_symmetric_table(n), name=f"S{n}")
     if fam == "quaternion8":
         if params:
             raise ParamOutOfRangeError("quaternion8 takes no parameters")
-        return validate_cayley(_quaternion8_table(), name="Q8", max_order=max_order)
+        return validate_cayley(_quaternion8_table(), name="Q8")
     if fam == "klein4":
         if params:
             raise ParamOutOfRangeError("klein4 takes no parameters")
-        return validate_cayley(
-            [[i ^ j for j in range(4)] for i in range(4)], name="V4", max_order=max_order
-        )
+        return validate_cayley([[i ^ j for j in range(4)] for i in range(4)], name="V4")
     if fam == "direct_product":
         if not params or any(p < 1 for p in params):
             raise ParamOutOfRangeError(f"direct_product needs factors >= 1, got {params}")
-        g = catalog("cyclic", params[0], max_order=max_order)
+        g = catalog("cyclic", params[0])
         for p in params[1:]:
-            g = direct_product(g, catalog("cyclic", p, max_order=max_order), max_order=max_order)
+            g = direct_product(g, catalog("cyclic", p))
         return g
     raise UnknownFamilyError(f"unknown catalog family {family!r}")
 
@@ -495,38 +475,38 @@ def catalog(
 _ATOM_RE = re.compile(r"^([CDS])(\d+)$", re.IGNORECASE)
 
 
-def _group_atom(token: str, max_order: int) -> FiniteGroup:
+def _group_atom(token: str) -> FiniteGroup:
     t = token.strip()
     low = t.lower()
     if low in ("trivial", "1", "c1"):
-        return catalog("cyclic", 1, max_order=max_order)
+        return catalog("cyclic", 1)
     if low in ("v4", "klein4"):
-        return catalog("klein4", max_order=max_order)
+        return catalog("klein4")
     if low == "q8":
-        return catalog("quaternion8", max_order=max_order)
+        return catalog("quaternion8")
     m = _ATOM_RE.match(t)
     if m:
         kind, n = m.group(1).upper(), int(m.group(2))
         if kind == "C":
-            return catalog("cyclic", n, max_order=max_order)
+            return catalog("cyclic", n)
         if kind == "D":
-            return catalog("dihedral", n, max_order=max_order)
-        return catalog("symmetric", n, max_order=max_order)
+            return catalog("dihedral", n)
+        return catalog("symmetric", n)
     raise UnknownFamilyError(f"unknown group name {token!r}")
 
 
-def group_from_name(name: str, *, max_order: int = DEFAULT_CONSTRUCTION_CAP) -> FiniteGroup:
+def group_from_name(name: str) -> FiniteGroup:
     """Parse names like C6, D4, S3, Q8, V4, trivial, and products like C2xC2xC2."""
     tokens = [t for t in name.replace("*", "x").split("x") if t.strip()]
     if not tokens:
         raise UnknownFamilyError(f"empty group name {name!r}")
-    g = _group_atom(tokens[0], max_order)
+    g = _group_atom(tokens[0])
     for t in tokens[1:]:
-        g = direct_product(g, _group_atom(t, max_order), max_order=max_order)
+        g = direct_product(g, _group_atom(t))
     return g
 
 
-def load_table_file(path: str, *, max_order: int = DEFAULT_CONSTRUCTION_CAP) -> FiniteGroup:
+def load_table_file(path: str) -> FiniteGroup:
     """Read a Cayley table from a JSON document with fields ``order`` and ``table``.
 
     ``table`` is row-major with 0-based indices.  The result is validated.
@@ -541,7 +521,7 @@ def load_table_file(path: str, *, max_order: int = DEFAULT_CONSTRUCTION_CAP) -> 
     import os
 
     name = os.path.splitext(os.path.basename(path))[0]
-    return validate_cayley(table, name=name, max_order=max_order)
+    return validate_cayley(table, name=name)
 
 
 def exponent(g: FiniteGroup) -> int:

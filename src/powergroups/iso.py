@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from .classify import lattice_power_groups
 from .errors import InternalFaultError
-from .groups import DEFAULT_SEARCH_CAP, FiniteGroup, generating_set
+from .groups import SEARCH_CAP, FiniteGroup, generating_set
 from .search import PowerGroupFamily
 
 __all__ = [
@@ -154,7 +154,7 @@ class UnderliesWitness:
 
 
 def underlies(
-    g1: FiniteGroup, g2: FiniteGroup, *, max_order: int = DEFAULT_SEARCH_CAP
+    g1: FiniteGroup, g2: FiniteGroup, *, max_order: int = SEARCH_CAP
 ) -> Optional[UnderliesWitness]:
     """Does g1 carry a subset family forming a group isomorphic to g2?
 
@@ -169,7 +169,7 @@ def underlies(
 
 
 def underlies_matrix(
-    groups: Sequence[FiniteGroup], *, max_order: int = DEFAULT_SEARCH_CAP
+    groups: Sequence[FiniteGroup], *, max_order: int = SEARCH_CAP
 ) -> list[list[bool]]:
     """matrix[i][j] = groups[j] underlies groups[i]."""
     fams = [

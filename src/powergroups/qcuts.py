@@ -299,9 +299,14 @@ class CutFamilyReport:
         )
 
 
-def _span_endpoints(gens: Sequence[QuadExt], box: int) -> list[QuadExt]:
+# verify_cut_power_group samples the endpoints c1*g1 + ... + ck*gk with every
+# |ci| <= SPAN_BOX, (2*SPAN_BOX + 1)^k combinations for k generators.
+SPAN_BOX = 2
+
+
+def _span_endpoints(gens: Sequence[QuadExt]) -> list[QuadExt]:
     seen: dict[tuple[Fraction, Fraction], QuadExt] = {}
-    for coeffs in product(range(-box, box + 1), repeat=len(gens)):
+    for coeffs in product(range(-SPAN_BOX, SPAN_BOX + 1), repeat=len(gens)):
         total = QuadExt.of(0)
         for c, g in zip(coeffs, gens):
             total = total + QuadExt(g.p * c, g.q * c)
@@ -313,7 +318,6 @@ def verify_cut_power_group(
     generators: Iterable[Union[QuadExt, RationalLike]] = (1, QuadExt(Fraction(0), Fraction(1))),
     trials: int = 500,
     seed: int = 0,
-    box: int = 2,
 ) -> CutFamilyReport:
     """Certify the cut family over the endpoint subgroup the generators span.
 
@@ -324,7 +328,7 @@ def verify_cut_power_group(
     """
     gens = [g if isinstance(g, QuadExt) else QuadExt.of(g) for g in generators]
     rng = Random(seed)
-    cuts = [cut(e) for e in _span_endpoints(gens, box)]
+    cuts = [cut(e) for e in _span_endpoints(gens)]
     e = identity_cut()
     identity_ok = cut(QuadExt.of(0)) in cuts and all(
         cut_sum(c, e) == c and cut_sum(e, c) == c for c in cuts

@@ -16,7 +16,7 @@ from .classify import (
     lattice_power_groups,
     match_subquotient,
 )
-from .groups import DEFAULT_SEARCH_CAP, FiniteGroup, iter_bits
+from .groups import SEARCH_CAP, FiniteGroup, iter_bits
 from .iso import GroupFingerprint, fingerprint
 from .search import PowerGroupFamily
 
@@ -86,7 +86,7 @@ def census_record(fam: PowerGroupFamily, label: str) -> CensusRecord:
 
 
 def build_census(
-    g: FiniteGroup, label: str, *, max_order: int = DEFAULT_SEARCH_CAP
+    g: FiniteGroup, label: str, *, max_order: int = SEARCH_CAP
 ) -> list[CensusRecord]:
     """One record per subset family over g forming a group, sorted by canonical_key.
 

@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .errors import CapExceededError, CayleyTableError, InternalFaultError, NotIdempotentError
+from .errors import CayleyTableError, InternalFaultError, NotIdempotentError, check_cap
 from .groups import (
-    DEFAULT_SEARCH_CAP,
+    SEARCH_CAP,
     FiniteGroup,
     iter_bits,
     subgroup_lattice,
@@ -40,7 +40,7 @@ __all__ = [
     "unit_group",
 ]
 
-BRUTE_FORCE_CAP = 4
+BRUTE_FORCE_CAP = 4  # brute_force_power_groups scans 2^(2^n - 1) families
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ def _family_from_table(
     compute it, and this raises the table validator's errors when it is not
     a group table.
     """
-    abstract = validate_cayley(table, name="F", max_order=max(64, len(table)))
+    abstract = validate_cayley(table, name="F")
     # validate_cayley may relabel; recover the identity's position in family order.
     k = len(sorted_masks)
     identity_index = next(
@@ -150,15 +150,12 @@ class LocalMonoid:
         return len(self.members)
 
 
-def local_monoid(
-    g: FiniteGroup, e: GroupSubset, *, max_order: int = DEFAULT_SEARCH_CAP
-) -> LocalMonoid:
+def local_monoid(g: FiniteGroup, e: GroupSubset) -> LocalMonoid:
     """Scan all nonempty masks for EA = AE = A.  Requires EE = E."""
+    n = g.order
+    check_cap(n, SEARCH_CAP, "2^n local monoid scan at order")
     if not is_idempotent(e):
         raise NotIdempotentError(f"EE != E for mask {e.members:#x}")
-    n = g.order
-    if n > max_order:
-        raise CapExceededError(f"local monoid scan needs 2^{n} masks, cap is order {max_order}")
     emask = e.members
     pm = g.product_mask
     members = tuple(
@@ -169,16 +166,14 @@ def local_monoid(
     return LocalMonoid(idempotent=e, members=members)
 
 
-def unit_group(
-    g: FiniteGroup, e: GroupSubset, *, max_order: int = DEFAULT_SEARCH_CAP
-) -> PowerGroupFamily:
+def unit_group(g: FiniteGroup, e: GroupSubset) -> PowerGroupFamily:
     """The invertible elements of the local monoid at E, as a family.
 
     A unit A has some B in the monoid with AB = BA = E.  Since |XY| >= |X| and
     |XY| >= |Y|, every unit (and every usable B) has exactly |E| elements, so
     the pairwise inverse search only scans monoid members of that size.
     """
-    monoid = local_monoid(g, e, max_order=max_order)
+    monoid = local_monoid(g, e)
     emask = e.members
     target = emask.bit_count()
     pm = g.product_mask
@@ -191,9 +186,9 @@ def unit_group(
     return power_group_family(g, units)
 
 
-def _families_at_idempotent(g: FiniteGroup, emask: int, max_order: int) -> list[tuple[int, ...]]:
+def _families_at_idempotent(g: FiniteGroup, emask: int) -> list[tuple[int, ...]]:
     """All subset families with identity E that form groups, as mask tuples."""
-    u = unit_group(g, GroupSubset(g, emask), max_order=max_order)
+    u = unit_group(g, GroupSubset(g, emask))
     unit_masks = u.masks()
     out = []
     for sub in subgroup_lattice(u.abstract_table, u.identity_index):
@@ -201,9 +196,7 @@ def _families_at_idempotent(g: FiniteGroup, emask: int, max_order: int) -> list[
     return out
 
 
-def all_power_groups(
-    g: FiniteGroup, *, max_order: int = DEFAULT_SEARCH_CAP
-) -> list[PowerGroupFamily]:
+def all_power_groups(g: FiniteGroup) -> list[PowerGroupFamily]:
     """Every family of nonempty subsets of g forming a group under the subset product.
 
     A test oracle: the census itself comes from the subgroup lattice
@@ -215,22 +208,19 @@ def all_power_groups(
     deduplicated by canonical key and sorted deterministically.
     """
     n = g.order
-    if n > max_order:
-        raise CapExceededError(f"power group search needs 2^{n} masks, cap is order {max_order}")
+    check_cap(n, SEARCH_CAP, "2^n power group search at order")
     pm = g.product_mask
     idempotent_masks = [m for m in range(1, 1 << n) if pm(m, m) == m]
     family_keys = {
         key
         for em in idempotent_masks
-        for key in _families_at_idempotent(g, em, max_order)
+        for key in _families_at_idempotent(g, em)
     }
     ordered = sorted(family_keys, key=lambda ms: (len(ms), ms))
     return [power_group_family(g, ms) for ms in ordered]
 
 
-def brute_force_power_groups(
-    g: FiniteGroup, *, max_order: int = BRUTE_FORCE_CAP
-) -> list[PowerGroupFamily]:
+def brute_force_power_groups(g: FiniteGroup) -> list[PowerGroupFamily]:
     """Independent oracle: try every family of nonempty subsets (orders <= 4).
 
     Iterates all 2^(2^n - 1) - 1 candidate families, keeps the ones closed
@@ -238,10 +228,7 @@ def brute_force_power_groups(
     No reliance on idempotents, monoids, or unit groups.
     """
     n = g.order
-    if n > max_order:
-        raise CapExceededError(
-            f"brute force needs 2^(2^{n}-1) candidates, cap is order {max_order}"
-        )
+    check_cap(n, BRUTE_FORCE_CAP, "2^(2^n-1) brute force scan at order")
     m = (1 << n) - 1
     masks = list(range(1, 1 << n))
     pm = g.product_mask
@@ -261,11 +248,10 @@ def brute_force_power_groups(
                 break
         if not closed:
             continue
-        k = len(idxs)
         pos = {x: t for t, x in enumerate(idxs)}
         table = [[pos[prod_pos[i][j]] for j in idxs] for i in idxs]
         try:
-            validate_cayley(table, max_order=max(64, k))
+            validate_cayley(table)
         except CayleyTableError:
             continue
         results.append(tuple(masks[i] for i in idxs))

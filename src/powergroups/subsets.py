@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import CapExceededError, ParentMismatchError
-from .groups import DEFAULT_SEARCH_CAP, FiniteGroup, _mask_of, is_subgroup_mask, iter_bits
+from .errors import ParentMismatchError, check_cap
+from .groups import SEARCH_CAP, FiniteGroup, _mask_of, is_subgroup_mask, iter_bits
 
 __all__ = [
     "GroupSubset",
@@ -73,15 +73,14 @@ def is_idempotent(e: GroupSubset) -> bool:
     return e.parent.product_mask(e.members, e.members) == e.members
 
 
-def all_idempotents(g: FiniteGroup, *, max_order: int = DEFAULT_SEARCH_CAP) -> list[GroupSubset]:
+def all_idempotents(g: FiniteGroup) -> list[GroupSubset]:
     """All nonempty E with EE = E, scanning every mask in ascending order.
 
     In a finite group these are exactly the subgroup masks (a nonempty finite
     product-closed subset contains inverses), which tests assert.
     """
     n = g.order
-    if n > max_order:
-        raise CapExceededError(f"idempotent scan needs 2^{n} masks, cap is order {max_order}")
+    check_cap(n, SEARCH_CAP, "2^n idempotent scan at order")
     pm = g.product_mask
     return [GroupSubset(g, m) for m in range(1, 1 << n) if pm(m, m) == m]
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import qcuts as qc
 from . import zsets as zs
@@ -25,7 +25,7 @@ from .classify import (
     match_subquotient,
 )
 from .errors import CommutationFailsError, NotRepresentableError
-from .groups import all_subgroups, group_from_name, normal_subgroups_of
+from .groups import FiniteGroup, all_subgroups, group_from_name, normal_subgroups_of
 from .search import all_power_groups, brute_force_power_groups
 from .subsets import all_idempotents
 
@@ -98,13 +98,18 @@ def suite_oracle_equivalence(**_: object) -> list[SuiteCheck]:
     return checks
 
 
+def _carriers(cap: int) -> Iterator[tuple[str, FiniteGroup]]:
+    """(name, group) for each THM2_GROUPS carrier of order at most cap."""
+    for name in THM2_GROUPS:
+        g = group_from_name(name)
+        if g.order <= cap:
+            yield name, g
+
+
 def suite_thm2_finite(*, max_order: int = 8, **_: object) -> list[SuiteCheck]:
     """On finite carriers every family is a subquotient, counted two ways."""
     checks = []
-    for name in THM2_GROUPS:
-        g = group_from_name(name)
-        if g.order > max_order:
-            continue
+    for name, g in _carriers(max_order):
         fams = all_power_groups(g)
         every = all(not isinstance(match_subquotient(f), NotSubquotient) for f in fams)
         expected = sum(len(normal_subgroups_of(g, h)) for h in all_subgroups(g))
@@ -133,10 +138,7 @@ def suite_thm1_equivalence(*, max_order: int = 8, seed: int = 0, **_: object) ->
     """The four finite-carrier conditions hold together, and all fail together
     on the two genuinely infinite instances."""
     checks = []
-    for name in THM2_GROUPS:
-        g = group_from_name(name)
-        if g.order > max_order:
-            continue
+    for name, g in _carriers(max_order):
         fams = all_power_groups(g)
         four = all(
             not isinstance(match_subquotient(f), NotSubquotient)
@@ -310,10 +312,7 @@ def suite_remark1_cosets(*, max_order: int = 8, **_: object) -> list[SuiteCheck]
     """phi(a) = aE is an epimorphism for every commuting (E, H) pair, and the
     windowed coset families over the integers obey the same law."""
     checks = []
-    for name in THM2_GROUPS:
-        g = group_from_name(name)
-        if g.order > max_order:
-            continue
+    for name, g in _carriers(max_order):
         built = 0
         all_ok = True
         for e in all_idempotents(g):

@@ -30,7 +30,11 @@ from .errors import (
     NotIdempotentError,
     NotRepresentableError,
     ParamOutOfRangeError,
+    check_cap,
 )
+
+# _residues_mod refuses to build more residues than this (errors.check_cap).
+MAX_RESIDUES = 10**6
 
 __all__ = [
     "BoundedAbove",
@@ -277,15 +281,22 @@ def zset_translate(s: ZSet, t: int) -> ZSet:
 
 
 def _residues_mod(s: ZSet, d: int) -> frozenset[int]:
-    """The exact set {x mod d | x in s}."""
+    """The exact set {x mod d | x in s}.
+
+    Each residue mod the set's own period or modulus p stands for d // gcd(p, d)
+    residues mod d, so the count is known, and checked against MAX_RESIDUES,
+    before any residue is built.
+    """
     if isinstance(s, TwoSidedPeriodic):
         g = gcd(s.modulus, d)
+        check_cap(len(s.residues) * (d // g), MAX_RESIDUES, "residue count")
         return frozenset((r + k * g) % d for r in s.residues for k in range(d // g))
     if isinstance(s, BoundedAbove):
         return frozenset((-r) % d for r in _residues_mod(s.mirror, d))
+    g = gcd(s.period, d)
+    check_cap(sum(s.transient) + sum(s.word) * (d // g), MAX_RESIDUES, "residue count")
     out = {(s.offset + i) % d for i, b in enumerate(s.transient) if b}
     base = s.offset + len(s.transient)
-    g = gcd(s.period, d)
     for j, b in enumerate(s.word):
         if b:
             out.update((base + j + k * g) % d for k in range(d // g))
@@ -671,9 +682,10 @@ def additive_closure(generators: Sequence[int]) -> BoundedBelow:
     return bounded_below(0, scaled, g, word)
 
 
-def random_idempotent(rng: Random, *, max_generator: int = 10, max_count: int = 3) -> BoundedBelow:
-    count = rng.randint(1, max_count)
-    return additive_closure([rng.randint(1, max_generator) for _ in range(count)])
+def random_idempotent(rng: Random) -> BoundedBelow:
+    """The additive closure of 1 to 3 generators drawn from 1 .. 10."""
+    count = rng.randint(1, 3)
+    return additive_closure([rng.randint(1, 10) for _ in range(count)])
 
 
 def random_bounded_below(rng: Random, *, span: int = 16, max_period: int = 8) -> BoundedBelow:

@@ -249,6 +249,17 @@ def test_underlies_pair_out_file_holds_stdout(capsys, tmp_path, g1, g2):
     assert path.read_text() == out
 
 
+def test_underlies_caps_only_the_enumerated_group(capsys):
+    # The census of each enumerated group checks --max-order; g2 is only
+    # compared with g1's families, so its order is never capped.
+    code, out, err = run(capsys, "underlies", "--matrix", "default", "--max-order", "4")
+    assert code == 2 and out == "" and "exceeds cap 4" in err
+    code, out, err = run(capsys, "underlies", "--g1", "S3", "--g2", "C2", "--max-order", "4")
+    assert code == 2 and out == "" and "order 6 exceeds cap 4" in err
+    code, out, err = run(capsys, "underlies", "--g1", "C2", "--g2", "S3", "--max-order", "2")
+    assert (code, out, err) == (0, "no\n", "")
+
+
 def test_underlies_requires_arguments(capsys):
     code, _, err = run(capsys, "underlies")
     assert code == 2 and "--matrix" in err
@@ -302,7 +313,7 @@ def test_catalog_show_huge_group_is_usage_error(capsys, monkeypatch):
     monkeypatch.setattr(groups, "_cyclic_table", lambda n: pytest.fail(f"built C{n}"))
     code, out, err = run(capsys, "catalog", "show", "--group", "C100000")
     assert code == 2 and out == ""
-    assert err == "error: order 100000 exceeds construction cap 64\n"
+    assert err == "error: group order 100000 exceeds cap 64\n"
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +353,16 @@ def test_zset_coset_group(capsys):
     assert doc["product_law_ok"] is True and doc["structure"] == "Z"
     code, _, err = run(capsys, "zset", "coset-group", "--identity", "BB(1;;1;1)")
     assert code == 2 and "E + E != E" in err
+
+
+def test_zset_coset_group_prints_set_texts(capsys):
+    code, out, err = run(capsys, "zset", "coset-group", "--identity", "TS(4;0,2)", "--step", "3")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["idempotent"] == "TS(2;0)" and doc["structure"] == "C2"
+    assert '"idempotent":"TS(2;0)"' in out and '"structure":"C2"' in out
+    code, out, _ = run(capsys, "zset", "coset-group", "--identity", "BB(0;;1;1)")
+    assert code == 0 and '"idempotent":"BB(0;;1;1)"' in out
 
 
 def test_zset_thm3(capsys):

@@ -2,6 +2,7 @@
 
 import json
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -18,6 +19,7 @@ from powergroups.errors import (
     UnknownFamilyError,
 )
 from powergroups.groups import (
+    CONSTRUCTION_CAP,
     all_subgroups,
     catalog,
     closure_mask,
@@ -181,7 +183,31 @@ def test_light_associativity_test_matches_full_scan():
 
 def test_validate_respects_order_cap():
     with pytest.raises(CapExceededError):
-        validate_cayley(cyclic_table(3), max_order=2)
+        validate_cayley(cyclic_table(65))
+
+
+class _UnreadableRows:
+    """A table of n rows that fails the test when any row is read."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __len__(self):
+        return self.n
+
+    def __iter__(self):
+        pytest.fail("read a row of a table over the cap")
+
+
+def test_construction_cap_is_checked_before_any_work():
+    assert CONSTRUCTION_CAP == 64
+    assert validate_cayley(cyclic_table(64)).order == 64
+    with pytest.raises(CapExceededError, match="^group order 65 exceeds cap 64$"):
+        validate_cayley(_UnreadableRows(65))
+    assert direct_product(C8, C8).order == 64
+    c16 = SimpleNamespace(name="C16", order=16)  # no table to build a product from
+    with pytest.raises(CapExceededError, match="^product order 128 exceeds cap 64$"):
+        direct_product(C8, c16)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +315,7 @@ def test_direct_product_structure():
                     got = g.mul(i1 * 3 + i2, j1 * 3 + j2)
                     assert got == c2.mul(i1, j1) * 3 + c3.mul(i2, j2)
     with pytest.raises(CapExceededError):
-        direct_product(C8, C8, max_order=32)
+        direct_product(C8, catalog("cyclic", 16))
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,16 @@ import pytest
 
 from powergroups.classify import lattice_power_groups
 from powergroups.errors import CapExceededError, CayleyTableError, NotIdempotentError
-from powergroups.groups import catalog, group_from_name
+from powergroups.groups import SEARCH_CAP, FiniteGroup, catalog, group_from_name
 from powergroups.search import (
+    BRUTE_FORCE_CAP,
     all_power_groups,
     brute_force_power_groups,
     local_monoid,
     power_group_family,
     unit_group,
 )
-from powergroups.subsets import subset
+from powergroups.subsets import all_idempotents, subset
 
 S3 = catalog("symmetric", 3)
 D4 = catalog("dihedral", 4)
@@ -133,6 +134,39 @@ def test_parallel_search_matches_serial():
     first = [f.masks() for f in all_power_groups(S3)]
     again = [f.masks() for f in all_power_groups(S3)]
     assert first == again == [f.masks() for f in lattice_power_groups(S3)]
+
+
+@pytest.fixture
+def no_subset_products(monkeypatch):
+    def fail(self, a, b):
+        pytest.fail("multiplied subsets before checking the cap")
+
+    monkeypatch.setattr(FiniteGroup, "product_mask", fail)
+
+
+C17 = catalog("cyclic", 17)
+
+
+@pytest.mark.parametrize(
+    "scan",
+    [
+        all_power_groups,
+        all_idempotents,
+        lambda g: local_monoid(g, subset(g, [0])),
+        lambda g: unit_group(g, subset(g, [0])),
+    ],
+    ids=["all_power_groups", "all_idempotents", "local_monoid", "unit_group"],
+)
+def test_subset_scans_refuse_cap_plus_one_before_any_work(scan, no_subset_products):
+    assert SEARCH_CAP == 16 == C17.order - 1
+    with pytest.raises(CapExceededError, match="at order 17 exceeds cap 16$"):
+        scan(C17)
+
+
+def test_brute_force_refuses_cap_plus_one_before_any_work(no_subset_products):
+    assert BRUTE_FORCE_CAP == 4
+    with pytest.raises(CapExceededError, match="at order 5 exceeds cap 4$"):
+        brute_force_power_groups(catalog("cyclic", 5))
 
 
 def test_search_caps():

@@ -82,4 +82,4 @@ def test_idempotents_are_exactly_the_subgroups(name):
 
 def test_all_idempotents_respects_cap():
     with pytest.raises(CapExceededError):
-        all_idempotents(S3, max_order=4)
+        all_idempotents(catalog("cyclic", 17))

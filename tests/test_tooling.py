@@ -37,3 +37,36 @@ def test_every_all_entry_resolves():
         module = importlib.import_module(name)
         missing += [f"{name}.{n}" for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+
+def _cap_error_calls(source):
+    """(enclosing function or None, line) of each CapExceededError(...) call."""
+    calls = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "id", getattr(child.func, "attr", None))
+                if name == "CapExceededError":
+                    calls.append((func, child.lineno))
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return calls
+
+
+def test_only_check_cap_raises_cap_exceeded():
+    # Every size cap goes through errors.check_cap, so each one is checked
+    # and worded the same way.
+    mutant = "def f(n):\n    if n > 3:\n        raise errors.CapExceededError(n)\n"
+    assert _cap_error_calls(mutant) == [("f", 3)]
+    found = [
+        (path.name, func)
+        for path in sorted((ROOT / "src" / "powergroups").glob("*.py"))
+        for func, _ in _cap_error_calls(path.read_text(encoding="utf-8"))
+    ]
+    assert found == [("errors.py", "check_cap")]

@@ -1,6 +1,7 @@
 """Exact integer-set algebra: canonical forms, sums, residuals, coset windows."""
 
 import json
+import resource
 import subprocess
 import sys
 from random import Random
@@ -9,7 +10,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import powergroups.zsets as zsets_module
 from powergroups.errors import (
+    CapExceededError,
     NotIdempotentError,
     NotRepresentableError,
     ParamOutOfRangeError,
@@ -20,6 +23,7 @@ from powergroups.zsets import (
     TwoSidedPeriodic,
     _least_modulus,
     _least_period,
+    _residues_mod,
     additive_closure,
     bounded_below,
     build_z_coset_group,
@@ -217,6 +221,38 @@ def test_huge_two_sided_modulus_returns_promptly():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"idempotent": True, "set": "TS(1000000000000;0)"}
+
+
+def test_residues_are_counted_before_they_are_built(monkeypatch):
+    monkeypatch.setattr(zsets_module, "MAX_RESIDUES", 10)
+    # One word bit of period 1 stands for d residues mod d; transient bits for one each.
+    assert _residues_mod(naturals(), 10) == frozenset(range(10))
+    with pytest.raises(CapExceededError, match="^residue count 11 exceeds cap 10$"):
+        _residues_mod(naturals(), 11)
+    with pytest.raises(CapExceededError, match="^residue count 11 exceeds cap 10$"):
+        _residues_mod(bounded_below(0, [1], 2, [1, 0]), 20)  # {0} plus the odds from 1
+    with pytest.raises(CapExceededError, match="^residue count 12 exceeds cap 10$"):
+        _residues_mod(zset_negate(naturals()), 12)
+    # Two residues mod 4, each standing for 24 / gcd(4, 24) = 6 residues mod 24.
+    with pytest.raises(CapExceededError, match="^residue count 12 exceeds cap 10$"):
+        _residues_mod(two_sided(4, [0, 1]), 24)
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_huge_residue_set_is_refused_promptly():
+    # Summing with TS(10^12;0) would list 10^12 residues of the naturals.
+    proc = subprocess.run(
+        [sys.executable, "-m", "powergroups.cli", "zset", "sum", "TS(1000000000000;0)", "BB(0;;1;1)"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        preexec_fn=_limit_memory,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: residue count 1000000000000 exceeds cap 1000000\n"
 
 
 # ---------------------------------------------------------------------------
