@@ -130,48 +130,55 @@ def _translates(g: FiniteGroup, hmask: int, emask: int) -> dict[int, int]:
 def _coset_family(g: FiniteGroup, translate_of: dict[int, int]) -> PowerGroupFamily:
     """The family {xN | x in H} from the map {x: xN for x in H} of _translates.
 
-    A(bN) is the union of (xb)N over x in A, which needs only that N is a
-    subgroup and H is closed, not normality: |A| map reads per product
-    instead of the |A||B| table reads of power_group_family.  Raises
-    ValueError unless N = translate_of[identity] is a subgroup, every key
-    lies in the block it maps to, and each block is rN for its least member
-    r; then every key x maps to xN.  Also raises ValueError when a product
-    leaves the keys (the N column reads every block member) or the family.
-    The table is validated once, by _family_from_table.
+    Raises ValueError unless N = translate_of[identity] is a subgroup, every
+    key lies in the block it maps to, the blocks cover exactly the keys, and
+    each block is rN for its least member r; then the blocks are the left
+    cosets of N that partition the keys, and every key x maps to xN.  Raises
+    ValueError("family not closed: ...") unless each block is also Nr (with
+    the blocks left cosets, this is N normal in the union H; the left cosets
+    of N are closed under the subset product exactly when N is normal) and
+    every product of two representatives is a key (then H is closed).  With
+    both, (rN)(sN) = rsN, so entry (i, j) of the table is the block of
+    r_i r_j: one map read per entry instead of the |A||B| table reads of
+    power_group_family.  The table is validated by _family_from_table.
     """
     t = g.table
     nmask = translate_of.get(g.identity, 0)
     if not is_subgroup_mask(g, nmask):
         raise ValueError(f"translate map's identity block {nmask:#x} is not a subgroup")
+    keys = 0
     for x, m in translate_of.items():
         if not m >> x & 1:
             raise ValueError(f"translate map sends {x} to a block without it")
-    ns = tuple(iter_bits(nmask))
+        keys |= 1 << x
     masks = sorted(set(translate_of.values()))
+    union = 0
+    for m in masks:
+        union |= m
+    if union != keys:
+        raise ValueError(f"translate map's blocks cover {union:#x}, not its keys {keys:#x}")
+    ns = tuple(iter_bits(nmask))
     reps = [(m & -m).bit_length() - 1 for m in masks]
     for m, r in zip(masks, reps):
         row = t[r]
-        coset = 0
+        left = right = 0
         for y in ns:
-            coset |= 1 << row[y]
-        if coset != m:
+            left |= 1 << row[y]
+            right |= 1 << t[y][r]
+        if left != m:
             raise ValueError(f"translate map block {m:#x} is not a left coset of {nmask:#x}")
+        if right != m:
+            raise ValueError(
+                f"family not closed: {nmask:#x} is not normal (block {m:#x} is no right coset)"
+            )
     pos = {m: i for i, m in enumerate(masks)}
     table = []
-    for a in masks:
-        rows = [t[x] for x in iter_bits(a)]
-        out = []
-        for bmask, b in zip(masks, reps):
-            p = 0
-            for row in rows:
-                try:
-                    p |= translate_of[row[b]]
-                except KeyError:
-                    raise ValueError(f"family not closed: {row[b]} is outside the carrier") from None
-            if p not in pos:
-                raise ValueError(f"family not closed: product of {a:#x} and {bmask:#x} is {p:#x}")
-            out.append(pos[p])
-        table.append(tuple(out))
+    for r in reps:
+        row = t[r]
+        try:
+            table.append(tuple([pos[translate_of[row[s]]] for s in reps]))
+        except KeyError as exc:
+            raise ValueError(f"family not closed: {exc.args[0]} is outside the carrier") from None
     return _family_from_table(g, masks, table)
 
 

@@ -56,6 +56,9 @@ __all__ = [
 ]
 
 
+_Table = tuple[tuple[int, ...], ...]  # a Cayley table as validation returns it
+
+
 def iter_bits(mask: int) -> Iterator[int]:
     """Yield set bit positions of mask in ascending order."""
     while mask:
@@ -106,6 +109,13 @@ class FiniteGroup:
         """Every subgroup, sorted by (size, mask); built and validated once per group."""
         return tuple(SubgroupMask(self, m) for m in subgroup_lattice(self.table, self.identity))
 
+    @cached_property
+    def family_tables(self) -> dict[_Table, tuple[FiniteGroup, int, tuple[int, ...]]]:
+        """Family table -> (validated abstract group, identity index, inverse
+        map), filled by search._family_from_table so that each distinct table
+        of a family over this group is validated once."""
+        return {}
+
     def product_mask(self, amask: int, bmask: int) -> int:
         """Subset product {a*b} as a mask: OR of 1 << table[a][b] over a in A, b in B."""
         bs = tuple(iter_bits(bmask))
@@ -142,7 +152,38 @@ def validate_cayley(table: Sequence[Sequence[int]], *, name: str = "G") -> Finit
     identity (NoIdentityError), be associative (NotAssociativeError with a
     witness triple), and every row must reach the identity (NoInverseError).
     If the identity is not element 0 the group is relabeled, preserving the
-    relative order of the other elements.
+    relative order of the other elements.  This is _sanitize_table followed
+    by _group_of_table.
+    """
+    return _group_of_table(_sanitize_table(table), name=name)
+
+
+def _sanitize_table(table: Sequence[Sequence[int]]) -> _Table:
+    """The input half of validate_cayley: the cap, the shape, and the entry
+    types and ranges, returning the table as a tuple of tuples."""
+    n = len(table)
+    if n == 0:
+        raise NoIdentityError("empty table has no identity")
+    check_cap(n, CONSTRUCTION_CAP, "group order")
+    rows: list[tuple[int, ...]] = []
+    for i, row in enumerate(table):
+        try:
+            row = tuple(row)
+        except TypeError:
+            raise NotClosedError(f"row {i} is not a sequence") from None
+        if len(row) != n:
+            raise NotClosedError(f"row {i} has length {len(row)}, expected {n}")
+        for j, v in enumerate(row):
+            if not isinstance(v, int) or not 0 <= v < n:
+                raise NotClosedError(f"entry ({i},{j}) = {v!r} is not an element index")
+        rows.append(row)
+    return tuple(rows)
+
+
+def _group_of_table(t: _Table, *, name: str) -> FiniteGroup:
+    """The axiom half of validate_cayley, for a square tuple-of-tuples table
+    with entries in range(len(t)): identity, associativity, inverses, then
+    the relabel that puts the identity at 0.
 
     Associativity is Light's test (Clifford & Preston, *The Algebraic Theory
     of Semigroups* I, 1961, 1.2): if (a*x)*c = a*(x*c) and (a*y)*c = a*(y*c)
@@ -152,21 +193,7 @@ def validate_cayley(table: Sequence[Sequence[int]], *, name: str = "G") -> Finit
     ones miss it) therefore gives the verdict of the full n^3 scan in n^2
     products per generator.
     """
-    n = len(table)
-    if n == 0:
-        raise NoIdentityError("empty table has no identity")
-    check_cap(n, CONSTRUCTION_CAP, "group order")
-    rows: list[tuple[int, ...]] = []
-    for i, row in enumerate(table):
-        row = tuple(row)
-        if len(row) != n:
-            raise NotClosedError(f"row {i} has length {len(row)}, expected {n}")
-        for j, v in enumerate(row):
-            if not isinstance(v, int) or not 0 <= v < n:
-                raise NotClosedError(f"entry ({i},{j}) = {v!r} is not an element index")
-        rows.append(row)
-    t = tuple(rows)
-
+    n = len(t)
     identity = next(
         (e for e in range(n) if all(t[e][i] == i and t[i][e] == i for i in range(n))),
         None,
@@ -512,7 +539,10 @@ def load_table_file(path: str) -> FiniteGroup:
     ``table`` is row-major with 0-based indices.  The result is validated.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise NotClosedError("table file nests too deeply to be a table") from None
     if not isinstance(doc, dict) or "order" not in doc or "table" not in doc:
         raise NotClosedError("table file must be an object with fields 'order' and 'table'")
     order, table = doc["order"], doc["table"]

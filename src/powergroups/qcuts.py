@@ -20,6 +20,8 @@ from itertools import product
 from random import Random
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
+from .errors import check_cap
+
 __all__ = [
     "CutElement",
     "CutFamilyReport",
@@ -136,14 +138,22 @@ def parse_endpoint(text: str) -> QuadExt:
     if not t.endswith("sqrt2"):
         if rat is None or sign or coef:
             raise ValueError(f"cannot parse endpoint {text!r}")
-        return QuadExt.of(Fraction(rat))
-    q = Fraction(coef) if coef else Fraction(1)
+        return QuadExt.of(_fraction(rat, text))
+    q = _fraction(coef, text) if coef else Fraction(1)
     if sign == "-":
         q = -q
     if rat is not None and sign is None:
         raise ValueError(f"need an explicit + or - before the root in {text!r}")
-    p = Fraction(rat) if rat is not None else Fraction(0)
+    p = _fraction(rat, text) if rat is not None else Fraction(0)
     return QuadExt(p, q)
+
+
+def _fraction(part: str, text: str) -> Fraction:
+    """Fraction(part) for a part of endpoint text, refusing a zero denominator."""
+    try:
+        return Fraction(part)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in endpoint {text!r}") from None
 
 
 def sqrt2_convergents(count: int) -> Iterator[Fraction]:
@@ -300,8 +310,13 @@ class CutFamilyReport:
 
 
 # verify_cut_power_group samples the endpoints c1*g1 + ... + ck*gk with every
-# |ci| <= SPAN_BOX, (2*SPAN_BOX + 1)^k combinations for k generators.
+# |ci| <= SPAN_BOX, (2*SPAN_BOX + 1)^k combinations for k generators, and
+# compares every pair of them: k = 3 takes about 0.6 s, k = 4 about 5 s.
 SPAN_BOX = 2
+MAX_GENERATORS = 3
+# Trial cap of verify_cut_power_group and not_coset_group_witness, checked
+# before any work: 5000 trials take about 2 s and 1 s.
+MAX_TRIALS = 5000
 
 
 def _span_endpoints(gens: Sequence[QuadExt]) -> list[QuadExt]:
@@ -327,6 +342,8 @@ def verify_cut_power_group(
     Minkowski sum, by decomposing sampled rationals near the boundary.
     """
     gens = [g if isinstance(g, QuadExt) else QuadExt.of(g) for g in generators]
+    check_cap(len(gens), MAX_GENERATORS, "generator count")
+    check_cap(trials, MAX_TRIALS, "trials")
     rng = Random(seed)
     cuts = [cut(e) for e in _span_endpoints(gens)]
     e = identity_cut()
@@ -430,6 +447,7 @@ class NotCosetWitness:
 
 
 def not_coset_group_witness(trials: int = 100, seed: int = 0) -> NotCosetWitness:
+    check_cap(trials, MAX_TRIALS, "trials")
     rng = Random(seed)
     e = identity_cut()
     idem_ok = cut_sum(e, e) == e

@@ -67,6 +67,10 @@ def _indices(mask: int) -> tuple[int, ...]:
 
 def census_record(fam: PowerGroupFamily, label: str) -> CensusRecord:
     """Classify one family into its record; ``label`` names the carrier."""
+    return _record(fam, label, fingerprint(fam.abstract_group()))
+
+
+def _record(fam: PowerGroupFamily, label: str, fp: GroupFingerprint) -> CensusRecord:
     verdict = match_subquotient(fam)
     missed = isinstance(verdict, NotSubquotient)
     return CensusRecord(
@@ -78,7 +82,7 @@ def census_record(fam: PowerGroupFamily, label: str) -> CensusRecord:
         identity_subgroup=check_identity_subgroup(fam),
         inverse_closed=check_inverse_closure(fam),
         partition_union_subgroup=check_partition_union_subgroup(fam),
-        fingerprint=fingerprint(fam.abstract_group()),
+        fingerprint=fp,
         carrier=None if missed else _indices(verdict.carrier.members),
         kernel=None if missed else _indices(verdict.kernel.members),
         witness=verdict.condition if missed else None,
@@ -96,7 +100,14 @@ def build_census(
     idempotent search (all_power_groups) is the oracle for this list.
     Raises CapExceededError when g's order exceeds ``max_order``.
     """
-    out = [census_record(fam, label) for fam in lattice_power_groups(g, max_order=max_order)]
+    # Families with equal tables share one abstract group, fingerprinted once.
+    fps: dict[tuple[tuple[int, ...], ...], GroupFingerprint] = {}
+    out = []
+    for fam in lattice_power_groups(g, max_order=max_order):
+        fp = fps.get(fam.abstract_table)
+        if fp is None:
+            fp = fps[fam.abstract_table] = fingerprint(fam.abstract_group())
+        out.append(_record(fam, label, fp))
     out.sort(key=lambda r: r.canonical_key)
     return out
 

@@ -22,8 +22,10 @@ from typing import Iterable, Sequence
 
 from .errors import CayleyTableError, InternalFaultError, NotIdempotentError, check_cap
 from .groups import (
+    CONSTRUCTION_CAP,
     SEARCH_CAP,
     FiniteGroup,
+    _group_of_table,
     iter_bits,
     subgroup_lattice,
     validate_cayley,
@@ -111,29 +113,38 @@ def power_group_family(parent: FiniteGroup, masks: Iterable[int]) -> PowerGroupF
 def _family_from_table(
     parent: FiniteGroup, sorted_masks: Sequence[int], table: Sequence[tuple[int, ...]]
 ) -> PowerGroupFamily:
-    """Package ascending masks with their product table, validated once.
+    """Package ascending masks with their product table.
 
     ``table[i][j]`` must be the position of sorted_masks[i] * sorted_masks[j];
     the builders (power_group_family and the coset builder in classify)
-    compute it, and this raises the table validator's errors when it is not
-    a group table.
+    compute it from positions, so it needs the group axioms checked but no
+    input sanitation, and this raises the axiom checker's errors when it is
+    not a group table.  Each distinct table is checked once per parent: the
+    result is kept in parent.family_tables.
     """
-    abstract = validate_cayley(table, name="F")
-    # validate_cayley may relabel; recover the identity's position in family order.
-    k = len(sorted_masks)
-    identity_index = next(
-        i for i in range(k) if all(table[i][j] == j and table[j][i] == j for j in range(k))
-    )
-    inverse_map = tuple(table[i].index(identity_index) for i in range(k))
-    if abstract.order != k:
-        raise InternalFaultError(f"family of {k} masks validated as order {abstract.order}")
-    elements = tuple(GroupSubset(parent, m) for m in sorted_masks)
+    table = tuple(table)
+    known = parent.family_tables.get(table)
+    if known is None:
+        k = len(sorted_masks)
+        # A group of subsets has disjoint members, so it has at most |G| <=
+        # CONSTRUCTION_CAP of them; refuse a larger family like any table.
+        check_cap(k, CONSTRUCTION_CAP, "group order")
+        abstract = _group_of_table(table, name="F")
+        # The axiom check may relabel; recover the identity's position in family order.
+        identity_index = next(
+            i for i in range(k) if all(table[i][j] == j and table[j][i] == j for j in range(k))
+        )
+        inverse_map = tuple(table[i].index(identity_index) for i in range(k))
+        if abstract.order != k:
+            raise InternalFaultError(f"family of {k} masks validated as order {abstract.order}")
+        known = parent.family_tables[table] = (abstract, identity_index, inverse_map)
+    abstract, identity_index, inverse_map = known
     return PowerGroupFamily(
         parent=parent,
-        elements=elements,
+        elements=tuple(GroupSubset(parent, m) for m in sorted_masks),
         identity_index=identity_index,
         inverse_map=inverse_map,
-        abstract_table=tuple(table),
+        abstract_table=table,
         abstract=abstract,
     )
 

@@ -24,7 +24,7 @@ from .classify import (
     enumerate_subquotients,
     match_subquotient,
 )
-from .errors import CommutationFailsError, NotRepresentableError
+from .errors import CommutationFailsError, NotRepresentableError, check_cap
 from .groups import FiniteGroup, all_subgroups, group_from_name, normal_subgroups_of
 from .search import all_power_groups, brute_force_power_groups
 from .subsets import all_idempotents
@@ -43,6 +43,10 @@ __all__ = [
     "suite_thm2_finite",
     "suite_zsets_thm3",
 ]
+
+# Cap on the trials of one suite run (verify --trials), checked by run_suite
+# before any work: zsets-thm3 takes about 3 s at the cap.
+MAX_TRIALS = 3000
 
 ORACLE_GROUPS = ("trivial", "C2", "C3", "C4", "klein4")
 THM2_GROUPS = (
@@ -373,4 +377,5 @@ SUITES: dict[str, Callable[..., list[SuiteCheck]]] = {
 def run_suite(name: str, **caps: object) -> list[SuiteCheck]:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
+    check_cap(caps.get("trials", 0), MAX_TRIALS, "trials")
     return SUITES[name](**caps)

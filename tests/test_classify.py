@@ -3,6 +3,8 @@
 from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from powergroups.classify import (
     CosetGroupDescriptor,
@@ -20,6 +22,7 @@ from powergroups.classify import (
     coset_group_epimorphism_check,
     enumerate_subquotients,
     is_group_of_cosets,
+    lattice_power_groups,
     match_subquotient,
 )
 from powergroups.errors import CommutationFailsError, NotIdempotentError
@@ -100,26 +103,29 @@ def test_coset_masks_multiplies_each_coset_once(name, monkeypatch):
             assert cosets == sorted(naive)
 
 
-def _relabelled(name, seed):
-    g = group_from_name(name)
+def _relabelled(g, seed):
     perm = list(range(g.order))
     Random(seed).shuffle(perm)
     table = [[0] * g.order for _ in range(g.order)]
     for a in range(g.order):
         for b in range(g.order):
             table[perm[a]][perm[b]] = perm[g.table[a][b]]
-    return validate_cayley(table, name=f"{name}~{seed}")
+    return validate_cayley(table, name=f"{g.name}~{seed}")
 
 
 COSET_CARRIERS = [group_from_name(name) for name in THM2_GROUPS + ("S4", "D6")]
-COSET_CARRIERS.append(_relabelled("C2xC2xC2xC2", 7))
+COSET_CARRIERS.append(_relabelled(group_from_name("C2xC2xC2xC2"), 7))
 
 
 def _outcome(build):
+    # The family built, or "not closed" when the family is refused as not
+    # closed under the subset product; any other refusal propagates.
     try:
         return build()
-    except ValueError:
-        return "not closed"
+    except ValueError as exc:
+        if str(exc).startswith("family not closed"):
+            return "not closed"
+        raise
 
 
 @pytest.mark.parametrize("g", COSET_CARRIERS, ids=lambda g: g.name)
@@ -141,6 +147,47 @@ def test_coset_lookup_table_matches_subset_products(g):
                 assert got.abstract.table == want.abstract.table
                 built += 1
     assert built == len(enumerate_subquotients(g))
+
+
+@given(carrier=st.sampled_from(COSET_CARRIERS), seed=st.integers(0, 2**32 - 1))
+def test_coset_lookup_matches_subset_products_under_relabelling(carrier, seed):
+    # The table read from representatives must be the table power_group_family
+    # multiplies out, under any labelling; the left cosets of a non-normal N
+    # are not closed under the subset product, and both constructions refuse them.
+    g = _relabelled(carrier, seed)
+    subs = all_subgroups(g)
+    for h in subs:
+        for n in subs:
+            if n.members & ~h.members:
+                continue
+            translate_of = _translates(g, h.members, n.members)
+            got = _outcome(lambda: _coset_family(g, translate_of))
+            want = _outcome(lambda: power_group_family(g, translate_of.values()))
+            assert got == want
+            if all(g.conjugate_mask(n.members, x) == n.members for x in iter_bits(h.members)):
+                assert got.abstract_table == want.abstract_table
+                assert got.abstract == validate_cayley(got.abstract_table, name="F")
+            else:
+                assert got == "not closed"
+
+
+@pytest.mark.parametrize("name", ("D4", "Q8", "S4", "D6", "C2xC2xC2xC2"))
+def test_census_families_hold_freshly_validated_groups(name):
+    # Families with byte-equal tables share one validated group per carrier;
+    # each must be the group a fresh validation of its own table gives.
+    g = group_from_name(name)
+    fams = lattice_power_groups(g, max_order=g.order)
+    for f in fams:
+        fresh = validate_cayley(f.abstract_table, name="F")
+        assert f.abstract == fresh
+        assert f.identity_index == next(
+            i for i in range(f.order) if f.abstract_table[i][i] == i
+        )
+        assert all(
+            f.abstract_table[i][f.inverse_map[i]] == f.identity_index for i in range(f.order)
+        )
+    assert len({f.abstract_table for f in fams}) < len(fams)
+    assert len({id(f.abstract) for f in fams}) == len({f.abstract_table for f in fams})
 
 
 def test_coset_lookup_rejects_corrupted_translate_maps():
@@ -170,6 +217,20 @@ def test_coset_lookup_rejects_corrupted_translate_maps():
     assert right[0] == n and len(set(right.values())) == 4
     with pytest.raises(ValueError):
         _coset_family(D4, right)
+
+
+def test_coset_lookup_names_each_added_refusal():
+    good = _translates(C4, C4.full_mask, 0b0101)
+    dropped = {x: m for x, m in good.items() if x != 3}  # block {1, 3} covers 3
+    with pytest.raises(ValueError, match="cover 0xf, not its keys 0x7"):
+        _coset_family(C4, dropped)
+    # The left cosets of the non-normal N = {0, 4} in D4 are genuine, but not
+    # right cosets, so not closed under the subset product.
+    left = _translates(D4, D4.full_mask, 0b00010001)
+    with pytest.raises(ValueError, match="^family not closed: 0x11 is not normal"):
+        _coset_family(D4, left)
+    with pytest.raises(ValueError, match="^family not closed"):
+        power_group_family(D4, left.values())
 
 
 def test_partition_union_check_negatives():

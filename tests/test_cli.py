@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from powergroups.cli import main
+from powergroups import qcuts, suites
+from powergroups.cli import build_parser, main
 from powergroups.errors import InternalFaultError
 from powergroups.groups import group_from_name, subgroup_mask
 from powergroups.subsets import subset
@@ -162,8 +163,10 @@ def _flatten_family_tables(monkeypatch, module):
 def test_power_group_family_fault_exits_1(capsys, monkeypatch):
     import powergroups.search as search
 
-    real = search.validate_cayley
-    monkeypatch.setattr(search, "validate_cayley", lambda table, **kw: real([[0]], **kw))
+    # Family tables are built from positions, so only the group axioms are
+    # checked on them, not validate_cayley's input sanitation.
+    real = search._group_of_table
+    monkeypatch.setattr(search, "_group_of_table", lambda table, **kw: real(((0,),), **kw))
     with pytest.raises(InternalFaultError, match="validated as order 1"):
         search.power_group_family(group_from_name("C2"), [0b01, 0b10])
     code, out, err = run(capsys, "enum", "--group", "C2")
@@ -401,6 +404,71 @@ def test_qcuts_witness(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["separated"] == 20 and doc["idempotent_unique_ok"] is True
+
+
+@pytest.mark.parametrize("endpoint", ["1/0", "0/0", "1+1/0*sqrt2", "-1/00-sqrt2"])
+def test_qcuts_zero_denominator_is_usage_error(capsys, endpoint):
+    code, out, err = run(capsys, "qcuts", "verify", "--generators", f"1,{endpoint}")
+    assert (code, out) == (2, "")
+    assert err == f"error: zero denominator in endpoint {endpoint!r}\n"
+
+
+def _defaults(*argv):
+    return vars(build_parser().parse_args(list(argv)))
+
+
+_CAPPED = [
+    # argv at cap + 1, expected message, the option's default under its cap
+    (
+        ["verify", "zsets-thm3", "--trials", str(suites.MAX_TRIALS + 1)],
+        f"trials {suites.MAX_TRIALS + 1} exceeds cap {suites.MAX_TRIALS}",
+        _defaults("verify", "zsets-thm3")["trials"] < suites.MAX_TRIALS,
+    ),
+    (
+        ["verify", "qcuts-thm4", "--trials", str(suites.MAX_TRIALS + 1)],
+        f"trials {suites.MAX_TRIALS + 1} exceeds cap {suites.MAX_TRIALS}",
+        _defaults("verify", "qcuts-thm4")["trials"] < suites.MAX_TRIALS,
+    ),
+    (
+        ["qcuts", "verify", "--trials", str(qcuts.MAX_TRIALS + 1)],
+        f"trials {qcuts.MAX_TRIALS + 1} exceeds cap {qcuts.MAX_TRIALS}",
+        _defaults("qcuts", "verify")["trials"] < qcuts.MAX_TRIALS,
+    ),
+    (
+        ["qcuts", "witness", "--trials", str(qcuts.MAX_TRIALS + 1)],
+        f"trials {qcuts.MAX_TRIALS + 1} exceeds cap {qcuts.MAX_TRIALS}",
+        _defaults("qcuts", "witness")["trials"] < qcuts.MAX_TRIALS,
+    ),
+    (
+        ["qcuts", "verify", "--generators", ",".join(["1"] * (qcuts.MAX_GENERATORS + 1))],
+        f"generator count {qcuts.MAX_GENERATORS + 1} exceeds cap {qcuts.MAX_GENERATORS}",
+        len(_defaults("qcuts", "verify")["generators"].split(",")) < qcuts.MAX_GENERATORS,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message, default_below_cap",
+    _CAPPED,
+    ids=["verify-zsets", "verify-qcuts", "qcuts-verify", "qcuts-witness", "generators"],
+)
+def test_trial_and_generator_caps_refuse_promptly(argv, message, default_below_cap):
+    # In a subprocess with a timeout, so a regression fails instead of hanging;
+    # main itself is timed, without the interpreter's start-up.
+    code = (
+        "import sys, time\n"
+        "from powergroups.cli import main\n"
+        "start = time.perf_counter()\n"
+        f"code = main({argv!r})\n"
+        "print(time.perf_counter() - start)\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=20
+    )
+    assert proc.returncode == 2 and proc.stderr == f"error: {message}\n"
+    assert float(proc.stdout) < 1.0
+    assert default_below_cap
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from powergroups.groups import (
     subgroup_mask,
     validate_cayley,
 )
+from powergroups.classify import lattice_power_groups
 from powergroups.records import build_census
 
 S3 = catalog("symmetric", 3)
@@ -454,20 +455,29 @@ def test_subgroup_lattice_runs_once_per_group(monkeypatch):
 
 
 def test_census_validates_each_family_once(monkeypatch):
+    # Each distinct family table is checked once per carrier: families with
+    # byte-equal tables share the validated group kept in g.family_tables.
     import powergroups.search as search
 
     calls = []
-    real = search.validate_cayley
+    real = search._group_of_table
 
     def counting(table, **kw):
-        calls.append(len(table))
+        calls.append(table)
         return real(table, **kw)
 
+    monkeypatch.setattr(search, "_group_of_table", counting)
     g = group_from_name("D4")
-    monkeypatch.setattr(search, "validate_cayley", counting)
     records = build_census(g, "D4")
     assert len(records) == 30
-    assert sorted(calls) == sorted(r.order for r in records)
+    fams = lattice_power_groups(g)
+    distinct = {f.abstract_table for f in fams}
+    assert sorted(calls) == sorted(distinct) and len(calls) < len(records)
+    assert all(g.family_tables[f.abstract_table][0] is f.abstract for f in fams)
+    # The memo belongs to the carrier: a fresh D4 checks its tables again.
+    calls.clear()
+    build_census(group_from_name("D4"), "D4")
+    assert sorted(calls) == sorted(distinct)
 
 
 # ---------------------------------------------------------------------------

@@ -118,3 +118,25 @@ def test_write_text_atomic_syncs_before_rename(tmp_path, monkeypatch):
     assert events == ["fsync", "replace"]
     assert path.read_text() == "first second\n"
     assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def test_census_fingerprints_each_distinct_table_once(monkeypatch):
+    import powergroups.records as records_module
+    from powergroups.classify import lattice_power_groups
+
+    calls = []
+    real = records_module.fingerprint
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(records_module, "fingerprint", counting)
+    g = group_from_name("D6")
+    records = build_census(g, "D6", max_order=12)
+    distinct = {f.abstract_table: f.abstract for f in lattice_power_groups(g, max_order=12)}
+    assert len(records) == 49 and len(calls) == len(distinct) < len(records)
+    assert sorted(map(id, calls)) == sorted(map(id, distinct.values()))
+    # Each record still carries its own family's fingerprint.
+    fresh = [census_record(f, "D6") for f in lattice_power_groups(g, max_order=12)]
+    assert records == sorted(fresh, key=lambda r: r.canonical_key)
