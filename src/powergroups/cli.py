@@ -211,19 +211,9 @@ def cmd_zset(args: argparse.Namespace) -> int:
         b = zs.zset_from_text(args.b)
         c = zs.zset_sum(a, b, verify=True)
         half = args.window // 2
-        print(
-            _dumps(
-                {
-                    "a": a,
-                    "b": b,
-                    "sum": c,
-                    "window": [-half, half],
-                    "window_members": [
-                        x for x in range(-half, half + 1) if zs.zset_contains(c, x)
-                    ],
-                }
-            )
-        )
+        window = zs.zset_window_mask(c, -half, half + 1)
+        members = [i - half for i in iter_bits(window)]
+        print(_dumps({"a": a, "b": b, "sum": c, "window": [-half, half], "window_members": members}))
         return 0
     if args.zset_cmd == "idempotent":
         s = zs.zset_from_text(args.set)

@@ -36,17 +36,19 @@ class ParamOutOfRangeError(ValueError):
 
 
 class CapExceededError(ValueError):
-    """A construction, census, subset scan or residue set would exceed its cap."""
+    """A size (an order, a residue or window count, trials) exceeds its cap or is negative."""
 
 
 def check_cap(n: int, cap: int, what: str) -> None:
-    """Raise CapExceededError when n exceeds cap; call before any work starts.
+    """Raise CapExceededError when n exceeds cap or is negative; call before
+    any work starts.
 
     The one place a size cap is checked, so every cap reads the same:
-    "<what> <n> exceeds cap <cap>".
+    "<what> <n> exceeds cap <cap>", or "<what> <n> is negative".
     """
-    if n > cap:
-        raise CapExceededError(f"{what} {n} exceeds cap {cap}")
+    if n < 0 or n > cap:
+        problem = "is negative" if n < 0 else f"exceeds cap {cap}"
+        raise CapExceededError(f"{what} {n} {problem}")
 
 
 class NotASubgroupError(ValueError):

@@ -160,7 +160,7 @@ def validate_cayley(table: Sequence[Sequence[int]], *, name: str = "G") -> Finit
 
 def _sanitize_table(table: Sequence[Sequence[int]]) -> _Table:
     """The input half of validate_cayley: the cap, the shape, and the entry
-    types and ranges, returning the table as a tuple of tuples."""
+    types (int, not bool) and ranges, returning the table as a tuple of tuples."""
     n = len(table)
     if n == 0:
         raise NoIdentityError("empty table has no identity")
@@ -174,7 +174,7 @@ def _sanitize_table(table: Sequence[Sequence[int]]) -> _Table:
         if len(row) != n:
             raise NotClosedError(f"row {i} has length {len(row)}, expected {n}")
         for j, v in enumerate(row):
-            if not isinstance(v, int) or not 0 <= v < n:
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
                 raise NotClosedError(f"entry ({i},{j}) = {v!r} is not an element index")
         rows.append(row)
     return tuple(rows)
@@ -546,6 +546,8 @@ def load_table_file(path: str) -> FiniteGroup:
     if not isinstance(doc, dict) or "order" not in doc or "table" not in doc:
         raise NotClosedError("table file must be an object with fields 'order' and 'table'")
     order, table = doc["order"], doc["table"]
+    if not isinstance(order, int) or isinstance(order, bool):
+        raise NotClosedError(f"'order' must be an integer, got {order!r}")
     if not isinstance(table, list) or len(table) != order:
         raise NotClosedError(f"'table' must be a list of {order} rows")
     import os

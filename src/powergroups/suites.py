@@ -44,9 +44,11 @@ __all__ = [
     "suite_zsets_thm3",
 ]
 
-# Cap on the trials of one suite run (verify --trials), checked by run_suite
-# before any work: zsets-thm3 takes about 3 s at the cap.
+# Caps on the trials and the window of one suite run (verify --trials and
+# --window), checked by run_suite before any work: zsets-thm3 takes about 3 s
+# at either cap with the other at its default.
 MAX_TRIALS = 3000
+MAX_WINDOW = 1024
 
 ORACLE_GROUPS = ("trivial", "C2", "C3", "C4", "klein4")
 THM2_GROUPS = (
@@ -378,4 +380,5 @@ def run_suite(name: str, **caps: object) -> list[SuiteCheck]:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
     check_cap(caps.get("trials", 0), MAX_TRIALS, "trials")
+    check_cap(caps.get("window", 0), MAX_WINDOW, "window")
     return SUITES[name](**caps)

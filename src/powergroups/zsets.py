@@ -35,6 +35,12 @@ from .errors import (
 
 # _residues_mod refuses to build more residues than this (errors.check_cap).
 MAX_RESIDUES = 10**6
+# zset_window_mask refuses wider windows than this (errors.check_cap).  The
+# widest window the benchmark's sums build is 58,786 bits.
+MAX_WINDOW_BITS = 2**17
+# build_z_coset_group refuses more representatives than this (errors.check_cap);
+# it sums every pair of them.
+MAX_REPRESENTATIVES = 256
 
 __all__ = [
     "BoundedAbove",
@@ -237,12 +243,25 @@ def zset_contains(s: ZSet, x: int) -> bool:
 
 
 def zset_window_mask(s: ZSet, lo: int, hi: int) -> int:
-    """Bitmask of the window [lo, hi): bit i answers membership of lo + i."""
+    """Bitmask of the window [lo, hi): bit i answers membership of lo + i.
+
+    The only code that turns a set into membership bits (sums, residuals,
+    overlaps, self-checks and --window listings all read windows), so its
+    width check against MAX_WINDOW_BITS bounds every materialization.
+    """
+    check_cap(hi - lo, MAX_WINDOW_BITS, "window bits")
     out = 0
     for i in range(hi - lo):
         if zset_contains(s, lo + i):
             out |= 1 << i
     return out
+
+
+def _bits(mask: int, n: int) -> tuple[int, ...]:
+    """Bits 0 .. n-1 of mask as a 0/1 tuple, low bit first, in one format pass
+    (a sentinel bit n keeps the leading zeros; the reversed digits drop it)."""
+    digits = format(mask & ((1 << n) - 1) | (1 << n), "b")
+    return tuple(map(int, digits[:0:-1]))
 
 
 def zset_is_finite(s: ZSet) -> bool:
@@ -321,9 +340,8 @@ def _sum_bounded_below(a: BoundedBelow, b: BoundedBelow) -> BoundedBelow:
         low = m & -m
         conv |= bmask << (low.bit_length() - 1)
         m ^= low
-    bits = [(conv >> i) & 1 for i in range(gamma - o)]
-    word = [(conv >> (gamma - o + i)) & 1 for i in range(lam)]
-    return bounded_below(o, bits, lam, word)
+    bits = _bits(conv, gamma - o + lam)
+    return bounded_below(o, bits[: gamma - o], lam, bits[gamma - o :])
 
 
 def zset_sum(a: ZSet, b: ZSet, *, verify: bool = False) -> ZSet:
@@ -338,15 +356,12 @@ def zset_sum(a: ZSet, b: ZSet, *, verify: bool = False) -> ZSet:
     With ``verify`` the result is re-checked against the windowed brute-force
     oracle (minkowski_window_sum); a mismatch raises InternalFaultError.
     """
-    if isinstance(a, TwoSidedPeriodic) and isinstance(b, TwoSidedPeriodic):
-        g = gcd(a.modulus, b.modulus)
-        out: ZSet = two_sided(
-            g, ((r + s) % g for r in _residues_mod(a, g) for s in _residues_mod(b, g))
-        )
-    elif isinstance(a, TwoSidedPeriodic) or isinstance(b, TwoSidedPeriodic):
-        ts, other = (a, b) if isinstance(a, TwoSidedPeriodic) else (b, a)
-        m = ts.modulus
-        out = two_sided(m, ((r + s) % m for r in ts.residues for s in _residues_mod(other, m)))
+    if isinstance(a, TwoSidedPeriodic) or isinstance(b, TwoSidedPeriodic):
+        # Residues modulo the two-sided modulus (their gcd when both are).
+        m = gcd(*(s.modulus for s in (a, b) if isinstance(s, TwoSidedPeriodic)))
+        rs, ss = _residues_mod(a, m), _residues_mod(b, m)
+        check_cap(len(rs) * len(ss), MAX_RESIDUES, "residue pair count")
+        out: ZSet = two_sided(m, ((r + s) % m for r in rs for s in ss))
     elif isinstance(a, BoundedBelow) and isinstance(b, BoundedBelow):
         out = _sum_bounded_below(a, b)
     elif isinstance(a, BoundedAbove) and isinstance(b, BoundedAbove):
@@ -381,7 +396,7 @@ def _verify_sum(a: ZSet, b: ZSet, c: ZSet) -> None:
         raise InternalFaultError(f"sum failed windowed self-check: {a!r} + {b!r}")
 
 
-def minkowski_window_sum(a: ZSet, b: ZSet, lo: int, hi: int, pad: Optional[int] = None) -> int:
+def minkowski_window_sum(a: ZSet, b: ZSet, lo: int, hi: int, pad: int) -> int:
     """Brute-force oracle: sum bits on [lo, hi) from operand windows.
 
     Operands are materialized on [lo - pad, hi + pad); the result window is
@@ -389,8 +404,6 @@ def minkowski_window_sum(a: ZSet, b: ZSet, lo: int, hi: int, pad: Optional[int] 
     the padded windows, which holds when offsets, transients, periods, and
     moduli are all small relative to pad.
     """
-    if pad is None:
-        pad = (hi - lo) // 2
     olo, ohi = lo - pad, hi + pad
     amask = zset_window_mask(a, olo, ohi)
     bmask = zset_window_mask(b, olo, ohi)
@@ -437,34 +450,26 @@ def zset_residual(e: BoundedBelow, a: BoundedBelow) -> Optional[BoundedBelow]:
     Membership of x reduces to finitely many checks: beyond
     max(stab_A, stab_E - x) + lcm(p_A, p_E) every element of A repeats an
     already-checked element modulo p_E, so the conjunction over all of A is
-    decided by the window.  Q is exactly p_E-periodic from stab_E - min(A) on.
+    decided by the window.  That bound is largest at the least candidate
+    x = min(E) - min(A), so the members of A below it decide every x at once.
+    Q is exactly p_E-periodic from stab_E - min(A) on, so its transient and
+    one word are the AND, over those members v, of E's window from min(E)
+    shifted down by v - min(A).
     """
     stab_a = a.offset + len(a.transient)
     stab_e = e.offset + len(e.transient)
-    lam = lcm(a.period, e.period)
     lo = e.offset - a.offset
-    cut = stab_e - a.offset
-    bound = max(stab_a, stab_e - lo) + lam
-    a_elems = [v for v in range(a.offset, bound) if zset_contains(a, v)]
-    e_lo = lo + a.offset  # = e.offset; e-window covers all x + v queried below
-    e_hi = cut + e.period + bound
-    e_bits = [1 if zset_contains(e, v) else 0 for v in range(e_lo, e_hi)]
-
-    def cond(x: int) -> int:
-        m = max(stab_a, stab_e - x) + lam
-        for v in a_elems:
-            if v >= m:
-                break
-            idx = x + v - e_lo
-            if idx < 0 or not e_bits[idx]:
-                return 0
-        return 1
-
-    bits = [cond(lo + i) for i in range(cut - lo)]
-    word = [cond(cut + i) for i in range(e.period)]
-    if 1 not in bits and 1 not in word:
+    bound = max(stab_a, stab_e - lo) + lcm(a.period, e.period)
+    n = len(e.transient) + e.period  # Q's transient and one word, from lo
+    emask = zset_window_mask(e, e.offset, e.offset + n + bound - a.offset)
+    q = (1 << n) - 1
+    for i, bit in enumerate(_bits(zset_window_mask(a, a.offset, bound), bound - a.offset)):
+        if bit:
+            q &= emask >> i
+    if not q:
         return None
-    return bounded_below(lo, bits, e.period, word)
+    bits = _bits(q, n)
+    return bounded_below(lo, bits[: len(e.transient)], e.period, bits[len(e.transient) :])
 
 
 @dataclass(frozen=True)
@@ -530,7 +535,8 @@ def _first_overlap(e: ZSet, a: int, b: int) -> Optional[int]:
 
     For bounded-below E both translates are exactly periodic past
     max(a, b) + stab, so their intersection, if nonempty, shows up by one
-    period later.  The bounded-above case is the mirror image.
+    period later: the answer is the lowest set bit of E's windows read at
+    offsets -a and -b, ANDed.  The bounded-above case is the mirror image.
     """
     if isinstance(e, BoundedAbove):
         y = _first_overlap(e.mirror, -a, -b)
@@ -538,15 +544,10 @@ def _first_overlap(e: ZSet, a: int, b: int) -> Optional[int]:
     if isinstance(e, TwoSidedPeriodic):
         lo, hi = -e.modulus, e.modulus
     else:
-        stab = e.offset + len(e.transient)
         lo = min(a, b) + e.offset
-        hi = max(a, b) + stab + e.period
-    sa = zset_translate(e, a)
-    sb = zset_translate(e, b)
-    for x in range(lo, hi):
-        if zset_contains(sa, x) and zset_contains(sb, x):
-            return x
-    return None
+        hi = max(a, b) + e.offset + len(e.transient) + e.period
+    both = zset_window_mask(e, lo - a, hi - a) & zset_window_mask(e, lo - b, hi - b)
+    return lo + (both & -both).bit_length() - 1 if both else None
 
 
 def build_z_coset_group(e: ZSet, step: int, lo: int = -8, hi: int = 8) -> ZCosetGroupReport:
@@ -558,9 +559,10 @@ def build_z_coset_group(e: ZSet, step: int, lo: int = -8, hi: int = 8) -> ZCoset
     """
     if step < 1:
         raise ParamOutOfRangeError("step must be >= 1")
+    check_cap((hi - lo) // step + 1, MAX_REPRESENTATIVES, "representative count")
     if not zset_is_idempotent(e):
         raise NotIdempotentError("E + E != E")
-    start = -((-lo) // step) * step if lo <= 0 else ((lo + step - 1) // step) * step
+    start = -(-lo // step) * step  # the least multiple of step >= lo
     reps = tuple(range(start, hi + 1, step))
     translates = {a: zset_translate(e, a) for a in reps}
     law_ok, witness = True, None

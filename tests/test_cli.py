@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from powergroups import qcuts, suites
+from powergroups import qcuts, suites, zsets
 from powergroups.cli import build_parser, main
 from powergroups.errors import InternalFaultError
 from powergroups.groups import group_from_name, subgroup_mask
@@ -417,6 +417,23 @@ def _defaults(*argv):
     return vars(build_parser().parse_args(list(argv)))
 
 
+def _timed_main(argv):
+    """main(argv) in a subprocess with a timeout, so a regression fails instead
+    of hanging; stdout is the run time of main alone, without the interpreter's
+    start-up."""
+    code = (
+        "import sys, time\n"
+        "from powergroups.cli import main\n"
+        "start = time.perf_counter()\n"
+        f"code = main({argv!r})\n"
+        "print(time.perf_counter() - start)\n"
+        "sys.exit(code)\n"
+    )
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=20)
+
+
+_W = zsets.MAX_WINDOW_BITS
+_R = zsets.MAX_REPRESENTATIVES
 _CAPPED = [
     # argv at cap + 1, expected message, the option's default under its cap
     (
@@ -444,31 +461,101 @@ _CAPPED = [
         f"generator count {qcuts.MAX_GENERATORS + 1} exceeds cap {qcuts.MAX_GENERATORS}",
         len(_defaults("qcuts", "verify")["generators"].split(",")) < qcuts.MAX_GENERATORS,
     ),
+    (
+        ["verify", "zsets-thm3", "--window", str(suites.MAX_WINDOW + 1)],
+        f"window {suites.MAX_WINDOW + 1} exceeds cap {suites.MAX_WINDOW}",
+        _defaults("verify", "zsets-thm3")["window"] < suites.MAX_WINDOW,
+    ),
+    (
+        # A window of w lists w // 2 * 2 + 1 members.
+        ["zset", "sum", "BB(0;;1;1)", "BB(0;;1;1)", "--window", str(_W)],
+        f"window bits {_W + 1} exceeds cap {_W}",
+        _defaults("zset", "sum", "a", "b")["window"] < _W,
+    ),
+    (
+        ["zset", "coset-group", "--identity", "BB(0;;1;1)", "--window", str(_R)],
+        f"representative count {_R + 1} exceeds cap {_R}",
+        _defaults("zset", "coset-group", "--identity", "e")["window"] < _R,
+    ),
+    (
+        # 101 residues mod the prime 10007 against the 9901 of {0, ..., 9900}.
+        ["zset", "sum", f"TS(10007;{','.join(map(str, range(101)))})", f"BB(0;{'1' * 9901};1;0)"],
+        f"residue pair count {101 * 9901} exceeds cap {zsets.MAX_RESIDUES}",
+        101 * 9901 == zsets.MAX_RESIDUES + 1,
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "argv, message, default_below_cap",
     _CAPPED,
-    ids=["verify-zsets", "verify-qcuts", "qcuts-verify", "qcuts-witness", "generators"],
+    ids=[
+        "verify-zsets", "verify-qcuts", "qcuts-verify", "qcuts-witness", "generators",
+        "verify-window", "zset-sum-window", "coset-representatives", "residue-pairs",
+    ],
 )
 def test_trial_and_generator_caps_refuse_promptly(argv, message, default_below_cap):
-    # In a subprocess with a timeout, so a regression fails instead of hanging;
-    # main itself is timed, without the interpreter's start-up.
-    code = (
-        "import sys, time\n"
-        "from powergroups.cli import main\n"
-        "start = time.perf_counter()\n"
-        f"code = main({argv!r})\n"
-        "print(time.perf_counter() - start)\n"
-        "sys.exit(code)\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=20
-    )
+    proc = _timed_main(argv)
     assert proc.returncode == 2 and proc.stderr == f"error: {message}\n"
     assert float(proc.stdout) < 1.0
     assert default_below_cap
+
+
+_PERIODS_2999_3001 = ["zset", "sum", f"BB(0;;2999;1{'0' * 2998})", f"BB(0;;3001;1{'0' * 3000})"]
+_PROBES = [
+    # Each once ran for minutes or more; now each is refused before the work.
+    (_PERIODS_2999_3001, f"window bits {2 * 2999 * 3001} exceeds cap {_W}"),
+    (
+        ["zset", "sum", "BB(0;;1;1)", "BB(0;;1;1)", "--window", "100000000"],
+        f"window bits 100000001 exceeds cap {_W}",
+    ),
+    (
+        ["zset", "coset-group", "--identity", "BB(0;;1;1)", "--window", "100000000"],
+        f"representative count 100000001 exceeds cap {_R}",
+    ),
+    (
+        ["verify", "zsets-thm3", "--trials", "100000000", "--window", "100000000"],
+        f"trials 100000000 exceeds cap {suites.MAX_TRIALS}",
+    ),
+    (
+        ["verify", "zsets-thm3", "--window", "100000000"],
+        f"window 100000000 exceeds cap {suites.MAX_WINDOW}",
+    ),
+    (["qcuts", "verify", "--trials", "100000000"], f"trials 100000000 exceeds cap {qcuts.MAX_TRIALS}"),
+    # The sum is TS(1;0) at once; its self-check window spans 4 * 1024155 bits.
+    (["zset", "sum", "TS(1009;0)", "TS(1013;0)"], f"window bits 4096620 exceeds cap {_W}"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    _PROBES,
+    ids=["periods-2999-3001", "sum-window", "coset-window", "verify-both", "verify-window",
+         "qcuts-trials", "sum-self-check"],
+)
+def test_size_probes_refuse_promptly(argv, message):
+    proc = _timed_main(argv)
+    assert proc.returncode == 2 and proc.stderr == f"error: {message}\n"
+    assert float(proc.stdout) < 1.0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "zsets-thm3", "--trials", "-5"], "trials -5 is negative"),
+        (["verify", "zsets-thm3", "--window", "-1"], "window -1 is negative"),
+        (["qcuts", "witness", "--trials", "-1"], "trials -1 is negative"),
+        (["qcuts", "verify", "--trials", "-1"], "trials -1 is negative"),
+        (["zset", "sum", "BB(0;;1;1)", "TS(2;0)", "--window", "-7"], "window bits -7 is negative"),
+        (
+            ["zset", "coset-group", "--identity", "BB(0;;1;1)", "--window", "-7"],
+            "representative count -7 is negative",
+        ),
+    ],
+    ids=["verify-trials", "verify-window", "qcuts-witness", "qcuts-verify", "zset-sum", "coset-group"],
+)
+def test_negative_sizes_are_usage_errors(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -567,3 +567,10 @@ def test_load_table_file_rejects_bad_documents(tmp_path):
     bad.write_text(json.dumps([1, 2, 3]))
     with pytest.raises(NotClosedError):
         load_table_file(str(bad))
+    # JSON booleans are not element indices, and the order is an integer.
+    bad.write_text(json.dumps({"order": 2, "table": [[False, True], [True, False]]}))
+    with pytest.raises(NotClosedError, match=r"entry \(0,0\) = False is not an element index"):
+        load_table_file(str(bad))
+    bad.write_text(json.dumps({"order": 2.0, "table": cyclic_table(2)}))
+    with pytest.raises(NotClosedError, match="'order' must be an integer, got 2.0"):
+        load_table_file(str(bad))

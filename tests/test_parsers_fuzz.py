@@ -8,7 +8,7 @@ typo into a crash report.  Each property runs under a deadline.
 import json
 from datetime import timedelta
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from powergroups.groups import FiniteGroup, load_table_file
@@ -106,11 +106,19 @@ def _load(tmp_path_factory, data: bytes):
     return _value_or_value_error(load_table_file, str(path))
 
 
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @FUZZ
 @given(doc=_TABLE_DOC)
+@example(doc={"order": 2, "table": [[False, True], [True, False]]})
+@example(doc={"order": 2.0, "table": [[0, 1], [1, 0]]})
 def test_load_table_file_on_json_returns_a_group_or_raises_value_error(tmp_path_factory, doc):
     g = _load(tmp_path_factory, json.dumps(doc).encode())
     assert g is None or isinstance(g, FiniteGroup)
+    if g is not None:  # only integer orders and entries make a table
+        assert _is_int(doc["order"]) and all(_is_int(v) for row in doc["table"] for v in row)
 
 
 @FUZZ

@@ -1,9 +1,10 @@
-"""Repository-level checks: every demo runs, every exported name exists, and
-the package holds no assert."""
+"""Repository-level checks: every demo and README example runs, every
+exported name exists, and the package holds no assert."""
 
 import ast
 import importlib
 import pathlib
+import re
 import runpy
 
 import pytest
@@ -16,6 +17,17 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 )
 def test_demo_runs(path, capsys):
     runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out
+
+
+def _readme_python_blocks():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return re.findall(r"^```python\n(.*?)^```$", text, flags=re.DOTALL | re.MULTILINE)
+
+
+@pytest.mark.parametrize("index", range(len(_readme_python_blocks())))
+def test_readme_python_block_runs(index, capsys):
+    exec(compile(_readme_python_blocks()[index], f"README.md python block {index}", "exec"), {})
     assert capsys.readouterr().out
 
 
@@ -40,8 +52,9 @@ def test_every_all_entry_resolves():
 
 
 
-def _cap_error_calls(source):
-    """(enclosing function or None, line) of each CapExceededError(...) call."""
+def _calls(source, callee):
+    """(enclosing function or None, line) of each call of callee, e.g.
+    CapExceededError(...)."""
     calls = []
 
     def visit(node, func):
@@ -51,7 +64,7 @@ def _cap_error_calls(source):
                 continue
             if isinstance(child, ast.Call):
                 name = getattr(child.func, "id", getattr(child.func, "attr", None))
-                if name == "CapExceededError":
+                if name == callee:
                     calls.append((func, child.lineno))
             visit(child, func)
 
@@ -63,10 +76,27 @@ def test_only_check_cap_raises_cap_exceeded():
     # Every size cap goes through errors.check_cap, so each one is checked
     # and worded the same way.
     mutant = "def f(n):\n    if n > 3:\n        raise errors.CapExceededError(n)\n"
-    assert _cap_error_calls(mutant) == [("f", 3)]
+    assert _calls(mutant, "CapExceededError") == [("f", 3)]
     found = [
         (path.name, func)
         for path in sorted((ROOT / "src" / "powergroups").glob("*.py"))
-        for func, _ in _cap_error_calls(path.read_text(encoding="utf-8"))
+        for func, _ in _calls(path.read_text(encoding="utf-8"), "CapExceededError")
     ]
     assert found == [("errors.py", "check_cap")]
+
+
+def test_membership_bits_are_read_through_one_window():
+    # zset_window_mask is the one reader of membership (and the one place its
+    # width is capped); zset_contains recurses once for a bounded-above set,
+    # and the {naturals} demo reads two single elements.
+    found = sorted(
+        (path.name, func)
+        for path in sorted((ROOT / "src" / "powergroups").glob("*.py"))
+        for func, _ in _calls(path.read_text(encoding="utf-8"), "zset_contains")
+    )
+    assert found == [
+        ("zsets.py", "power_group_of_naturals_demo"),
+        ("zsets.py", "power_group_of_naturals_demo"),
+        ("zsets.py", "zset_contains"),
+        ("zsets.py", "zset_window_mask"),
+    ]

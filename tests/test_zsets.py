@@ -7,7 +7,7 @@ import sys
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import powergroups.zsets as zsets_module
@@ -21,6 +21,8 @@ from powergroups.zsets import (
     BoundedAbove,
     BoundedBelow,
     TwoSidedPeriodic,
+    _bits,
+    _first_overlap,
     _least_modulus,
     _least_period,
     _residues_mod,
@@ -276,6 +278,38 @@ def test_window_mask():
     assert zset_window_mask(two_sided(2, [0]), -2, 3) == 0b10101
 
 
+@given(mask=st.integers(0, 2**300), n=st.integers(0, 320))
+def test_bits_matches_per_bit_reads(mask, n):
+    assert _bits(mask, n) == tuple((mask >> i) & 1 for i in range(n))
+
+
+def test_bits_of_nothing_is_empty():
+    assert _bits(0, 0) == _bits(0b1011, 0) == ()
+
+
+def _forbidden(*_):
+    raise AssertionError("work started past a refused cap")
+
+
+@given(
+    lo=st.integers(-10**9, 10**9),
+    width=st.one_of(
+        st.integers(zsets_module.MAX_WINDOW_BITS + 1, 10**12), st.integers(-10**12, -1)
+    ),
+)
+def test_window_cap_refuses_before_any_membership_read(lo, width):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zsets_module, "zset_contains", _forbidden)
+        with pytest.raises(CapExceededError, match="^window bits -?[0-9]+ (exceeds cap|is negative)"):
+            zset_window_mask(naturals(), lo, lo + width)
+
+
+def test_window_cap_admits_its_own_width():
+    cap = zsets_module.MAX_WINDOW_BITS
+    assert zset_window_mask(naturals(), -cap, 0) == 0
+    assert zset_window_mask(naturals(), 0, cap) == (1 << cap) - 1
+
+
 def test_min_max_finite():
     f = finite_zset([3, 5])
     assert zset_is_finite(f) and zset_min(f) == 3 and zset_max(f) == 5
@@ -378,6 +412,17 @@ def test_sum_agrees_with_windowed_oracle():
         assert got == minkowski_window_sum(a, b, -64, 65, pad=64)
 
 
+def test_two_sided_residue_pairs_are_counted_before_they_are_summed(monkeypatch):
+    monkeypatch.setattr(zsets_module, "MAX_RESIDUES", 12)
+    # 3 residues mod 4 against the 4 residues of {0, 1, 2, 3} mod 4.
+    assert zset_sum(two_sided(4, [0, 1, 2]), finite_zset(range(4))) == two_sided(1, [0])
+    with pytest.raises(CapExceededError, match="^residue pair count 15 exceeds cap 12$"):
+        zset_sum(two_sided(5, [0, 1, 2]), finite_zset(range(5)))
+    # Both two-sided: residues mod gcd(6, 12) = 6, 3 and 5 of them.
+    with pytest.raises(CapExceededError, match="^residue pair count 15 exceeds cap 12$"):
+        zset_sum(two_sided(6, [0, 1, 3]), two_sided(12, [0, 1, 2, 4, 5]))
+
+
 def test_sum_self_verification_hook():
     # verify=True re-checks through the windowed oracle inside zset_sum.
     assert zset_sum(GAPPED, zset_translate(GAPPED, -5), verify=True)
@@ -464,6 +509,30 @@ def test_residual_windowed_exactness():
             assert got == want, (e, a, x)
 
 
+def _bb(offset, transient, word):
+    if 1 not in transient and 1 not in word:
+        word = word[:-1] + [1]
+    return bounded_below(offset, transient, len(word), word)
+
+
+def bb_sets(max_transient=16, max_period=12):
+    return st.builds(
+        _bb,
+        st.integers(-16, 16),
+        st.lists(st.integers(0, 1), max_size=max_transient),
+        st.lists(st.integers(0, 1), min_size=1, max_size=max_period),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(e=bb_sets(), a=bb_sets())
+def test_residual_matches_oracle_on_wide_draws(e, a):
+    q = zset_residual(e, a)
+    lo = e.offset - a.offset
+    for x in range(lo - 4, lo + len(e.transient) + 2 * e.period + 4):
+        assert (q is not None and zset_contains(q, x)) == residual_oracle_contains(e, a, x)
+
+
 def test_theorem3_pinned_verdicts():
     nat = naturals()
     v = theorem3_unit_test(nat, zset_translate(nat, 5))
@@ -541,6 +610,55 @@ def test_coset_window_validation():
         build_z_coset_group(naturals(), 0)
     with pytest.raises(NotIdempotentError):
         build_z_coset_group(finite_zset([0, 1]), 1)
+
+
+def test_coset_window_counts_representatives_before_any_sum(monkeypatch):
+    cap = zsets_module.MAX_REPRESENTATIVES
+    monkeypatch.setattr(zsets_module, "zset_sum", _forbidden)
+    # (hi - lo) // step + 1 representatives; not even E + E is computed.
+    with pytest.raises(CapExceededError, match=f"^representative count {cap + 1} exceeds cap {cap}$"):
+        build_z_coset_group(naturals(), 1, 0, cap)
+    with pytest.raises(CapExceededError, match=f"^representative count {cap + 1} exceeds cap {cap}$"):
+        build_z_coset_group(naturals(), 3, -3 * cap, 0)
+    with pytest.raises(CapExceededError, match="^representative count -7 is negative$"):
+        build_z_coset_group(naturals(), 1, 4, -4)
+
+
+@pytest.mark.parametrize("lo", range(-7, 8))
+@pytest.mark.parametrize("step", [1, 2, 3, 5])
+def test_coset_window_starts_at_the_least_multiple_of_step(lo, step):
+    rep = build_z_coset_group(z_subgroup(1), step, lo, lo + 12)
+    assert rep.representatives == tuple(x for x in range(lo, lo + 13) if x % step == 0)
+
+
+def scan_first_overlap(e, a, b):
+    """Per-x membership scan of a+E and b+E over a wide range: the least
+    common element, the greatest for a bounded-above E, and for a two-sided E
+    the least one from -modulus on."""
+    sa, sb = zset_translate(e, a), zset_translate(e, b)
+    common = [x for x in range(-200, 200) if zset_contains(sa, x) and zset_contains(sb, x)]
+    if isinstance(e, TwoSidedPeriodic):
+        common = [x for x in common if x >= -e.modulus]
+    if not common:
+        return None
+    return max(common) if isinstance(e, BoundedAbove) else min(common)
+
+
+def _ts(modulus, residues):
+    return two_sided(modulus, [r % modulus for r in residues] or [0])
+
+
+_OVERLAP_IDENTITIES = st.one_of(
+    bb_sets(max_period=8),
+    bb_sets(max_period=8).map(lambda s: zset_negate(s) if not zset_is_finite(s) else s),
+    st.builds(_ts, st.integers(1, 12), st.lists(st.integers(0, 11), max_size=6)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(e=_OVERLAP_IDENTITIES, a=st.integers(-20, 20), b=st.integers(-20, 20))
+def test_first_overlap_matches_membership_scan(e, a, b):
+    assert _first_overlap(e, a, b) == scan_first_overlap(e, a, b)
 
 
 def test_naturals_demo_certifies():
