@@ -205,7 +205,7 @@ def suite_zsets_thm3(
             continue
         summed += 1
         got = zs.zset_window_mask(c, -half, half + 1)
-        want = zs.minkowski_window_sum(a, b, -half, half + 1, pad=half)
+        want = zs.minkowski_window_sum(a, b, -half, half + 1, pad=zs.minkowski_pad(a, b))
         if got != want:
             mismatches += 1
     checks.append(

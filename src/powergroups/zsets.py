@@ -41,6 +41,11 @@ MAX_WINDOW_BITS = 2**17
 # build_z_coset_group refuses more representatives than this (errors.check_cap);
 # it sums every pair of them.
 MAX_REPRESENTATIVES = 256
+# zset_from_text refuses a BB or BA text whose transient plus period is longer
+# than this (errors.check_cap).  Commands that sum many translates multiply a
+# set's cost: `zset coset-group` sums 289 pairs by default, about 1.2-1.8 s
+# (2 vCPUs, CPython 3.11) on an identity this long.
+MAX_TEXT_BITS = 3072
 
 __all__ = [
     "BoundedAbove",
@@ -54,6 +59,7 @@ __all__ = [
     "bounded_below",
     "build_z_coset_group",
     "finite_zset",
+    "minkowski_pad",
     "minkowski_window_sum",
     "naturals",
     "power_group_of_naturals_demo",
@@ -79,8 +85,8 @@ __all__ = [
 ]
 
 def _check_bits(bits: Sequence[int], label: str) -> tuple[int, ...]:
-    out = tuple(int(b) for b in bits)
-    if any(b not in (0, 1) for b in out):
+    out = tuple(map(int, bits))
+    if not set(out) <= {0, 1}:
         raise ValueError(f"{label} must be 0/1 bits, got {bits!r}")
     return out
 
@@ -178,35 +184,39 @@ def bounded_below(
     w = _check_bits(word, "word")
     if period < 1 or len(w) != period:
         raise ValueError("word length must equal period >= 1")
-    lead = bits.index(1) if 1 in bits else len(bits)
-    bits = bits[lead:]
+    return _canonical(offset, _mask(bits), len(bits), _mask(w), period)
+
+
+def _canonical(offset: int, trans: int, t: int, word: int, p: int) -> BoundedBelow:
+    """bounded_below on masks: bits 0 .. t-1 of trans are the transient from
+    offset on, then the p-bit word repeats.  Only the final transient and
+    word are read out as tuples.
+    """
+    lead = (trans & -trans).bit_length() - 1 if trans else t
+    trans >>= lead
+    t -= lead
     offset += lead
-    if not bits and 1 not in w:
-        raise ValueError("empty set is not representable")
-    if not bits and w[0] == 0:
-        k = w.index(1)
-        w = w[k:] + w[:k]
+    if not t:
+        if not word:
+            raise ValueError("empty set is not representable")
+        k = (word & -word).bit_length() - 1
+        word = _rotate(word, p, k)
         offset += k
-    p = _least_period(w)
-    w = w[:p]
-    # Absorb the trailing transient bits that continue the word backwards.
-    j = 0
-    while j < len(bits) and bits[-1 - j] == w[(-1 - j) % p]:
-        j += 1
-    r = j % p
-    w = w[p - r :] + w[: p - r]
-    return BoundedBelow(offset, bits[: len(bits) - j], p, w)
+    p = _least_period(format(word, f"0{p}b").encode())
+    word &= (1 << p) - 1
+    # The word run backwards over the transient: the transient bits that
+    # continue it are the top zeros of the XOR, and are absorbed.
+    keep = (trans ^ _repeat(_rotate(word, p, -t), p, t)).bit_length()
+    word = _rotate(word, p, keep - t)
+    return BoundedBelow(offset, _bits(trans, keep), p, _bits(word, p))
 
 
 def finite_zset(elements: Iterable[int]) -> BoundedBelow:
     elems = sorted(set(elements))
     if not elems:
         raise ValueError("empty set is not representable")
-    lo = elems[0]
-    bits = [0] * (elems[-1] - lo + 1)
-    for x in elems:
-        bits[x - lo] = 1
-    return bounded_below(lo, bits, 1, (0,))
+    lo, n = elems[0], elems[-1] - elems[0] + 1
+    return _canonical(lo, _ones((x - lo for x in elems), n), n, 0, 1)
 
 
 def naturals() -> BoundedBelow:
@@ -247,14 +257,61 @@ def zset_window_mask(s: ZSet, lo: int, hi: int) -> int:
 
     The only code that turns a set into membership bits (sums, residuals,
     overlaps, self-checks and --window listings all read windows), so its
-    width check against MAX_WINDOW_BITS bounds every materialization.
+    width check against MAX_WINDOW_BITS bounds every materialization.  The
+    periodic part is the word rotated to the window's phase and repeated by
+    doubling, so the cost depends on hi - lo and the set's own size only.
     """
-    check_cap(hi - lo, MAX_WINDOW_BITS, "window bits")
-    out = 0
-    for i in range(hi - lo):
-        if zset_contains(s, lo + i):
-            out |= 1 << i
-    return out
+    n = hi - lo
+    check_cap(n, MAX_WINDOW_BITS, "window bits")
+    if isinstance(s, TwoSidedPeriodic):
+        m = s.modulus
+        return _repeat(_ones(((r - lo) % m for r in s.residues), min(m, n)), m, n)
+    if isinstance(s, BoundedAbove):
+        # Bit i answers -(lo + i), which is bit n-1-i of the mirror's window.
+        mirrored = zset_window_mask(s.mirror, 1 - hi, 1 - lo)
+        return int(format(mirrored, f"0{n}b")[::-1], 2) if n else 0
+    start = s.offset - lo  # window bit of the least element
+    if start >= n:
+        return 0
+    trans = _mask(s.transient)
+    out = trans << start if start >= 0 else trans >> -start
+    ws = start + len(s.transient)  # window bit where the word starts
+    if ws < n:
+        word = _rotate(_mask(s.word), s.period, -min(ws, 0))
+        out |= _repeat(word, s.period, n - max(ws, 0)) << max(ws, 0)
+    return out & ((1 << n) - 1)
+
+
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _mask(bits: Sequence[int]) -> int:
+    """The int whose bit i is bits[i] (0/1 bits, as the dataclasses hold)."""
+    return int(bytes(reversed(bits)).translate(_DIGITS), 2) if bits else 0
+
+
+def _ones(positions: Iterable[int], n: int) -> int:
+    """The n-bit mask with the given positions set; positions >= n are dropped."""
+    digits = bytearray(b"0" * n)
+    for i in positions:
+        if i < n:
+            digits[n - 1 - i] = 49  # "1"
+    return int(digits, 2) if n else 0
+
+
+def _rotate(word: int, p: int, k: int) -> int:
+    """The p-bit word read from position k on: bit i is bit (i + k) mod p."""
+    k %= p
+    return (word >> k | word << (p - k)) & ((1 << p) - 1)
+
+
+def _repeat(word: int, p: int, n: int) -> int:
+    """Bits 0 .. n-1 of the p-bit word repeated forever, doubling the copy
+    each step (about log2(n/p) shifts)."""
+    while p < n:
+        word |= word << p
+        p *= 2
+    return word & ((1 << n) - 1)
 
 
 def _bits(mask: int, n: int) -> tuple[int, ...]:
@@ -340,8 +397,8 @@ def _sum_bounded_below(a: BoundedBelow, b: BoundedBelow) -> BoundedBelow:
         low = m & -m
         conv |= bmask << (low.bit_length() - 1)
         m ^= low
-    bits = _bits(conv, gamma - o + lam)
-    return bounded_below(o, bits[: gamma - o], lam, bits[gamma - o :])
+    n = gamma - o
+    return _canonical(o, conv & ((1 << n) - 1), n, conv >> n & ((1 << lam) - 1), lam)
 
 
 def zset_sum(a: ZSet, b: ZSet, *, verify: bool = False) -> ZSet:
@@ -402,7 +459,8 @@ def minkowski_window_sum(a: ZSet, b: ZSet, lo: int, hi: int, pad: int) -> int:
     Operands are materialized on [lo - pad, hi + pad); the result window is
     exact whenever every representable sum in it has a decomposition inside
     the padded windows, which holds when offsets, transients, periods, and
-    moduli are all small relative to pad.
+    moduli are all small relative to pad (minkowski_pad gives a large enough
+    pad for windows around 0).
     """
     olo, ohi = lo - pad, hi + pad
     amask = zset_window_mask(a, olo, ohi)
@@ -417,6 +475,32 @@ def minkowski_window_sum(a: ZSet, b: ZSet, lo: int, hi: int, pad: int) -> int:
     if shift < 0:
         raise ValueError(f"pad {pad} too small for the window [{lo}, {hi})")
     return (conv >> shift) & ((1 << (hi - lo)) - 1)
+
+
+def minkowski_pad(a: ZSet, b: ZSet) -> int:
+    """A pad that makes minkowski_window_sum exact on any window [lo, hi)
+    with lo <= 0 < hi: |offset| + transient length of each operand (a
+    bounded-above set read through its mirror, a two-sided set as offset 0
+    with no transient) plus the lcm of their periods or moduli.
+
+    Every x in the window that is a sum has a decomposition x = a + b inside
+    the padded windows.  If one operand is finite, or both are bounded on the
+    same side, every decomposition lies between an operand's extreme element
+    and x minus the other's.  Otherwise one operand is two-sided, and the
+    other meets each residue class mod the lcm, if at all, within one lcm
+    past its |offset| + transient (a periodic part shifts by the lcm and
+    stays in its class; a bounded-above set is the mirror case), so that
+    element and x minus it both lie in the padded windows.
+    """
+
+    def reach(s: ZSet) -> tuple[int, int]:
+        if isinstance(s, TwoSidedPeriodic):
+            return 0, s.modulus
+        m = s.mirror if isinstance(s, BoundedAbove) else s
+        return abs(m.offset) + len(m.transient), m.period
+
+    (ra, pa), (rb, pb) = reach(a), reach(b)
+    return ra + rb + lcm(pa, pb)
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +552,8 @@ def zset_residual(e: BoundedBelow, a: BoundedBelow) -> Optional[BoundedBelow]:
             q &= emask >> i
     if not q:
         return None
-    bits = _bits(q, n)
-    return bounded_below(lo, bits[: len(e.transient)], e.period, bits[len(e.transient) :])
+    t = len(e.transient)
+    return _canonical(lo, q & ((1 << t) - 1), t, q >> t, e.period)
 
 
 @dataclass(frozen=True)
@@ -748,13 +832,13 @@ def zset_from_text(text: str) -> ZSet:
     t = text.strip().replace(" ", "")
     m = _BB_RE.match(t)
     if m:
-        kind = m.group(1)
-        anchor = int(m.group(2))
-        bits = [int(c) for c in m.group(3)]
-        period = int(m.group(4))
-        word = [int(c) for c in m.group(5)]
-        if len(word) != period:
-            raise ValueError(f"word length {len(word)} != period {period} in {text!r}")
+        kind, anchor_text, bits_text, period_text, word_text = m.groups()
+        anchor, period = int(anchor_text), int(period_text)
+        if len(word_text) != period:
+            raise ValueError(f"word length {len(word_text)} != period {period} in {text!r}")
+        check_cap(len(bits_text) + period, MAX_TEXT_BITS, "transient plus period")
+        bits = [int(c) for c in bits_text]
+        word = [int(c) for c in word_text]
         if kind == "B":
             return bounded_below(anchor, bits, period, word)
         return zset_negate(bounded_below(-anchor, bits, period, word))

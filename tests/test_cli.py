@@ -113,6 +113,23 @@ def test_verify_reduced_randomized_suites(capsys):
     assert code == 0 and all(line["ok"] for line in json_lines(out))
 
 
+@pytest.mark.parametrize("window", [0, 1, 2, 8, 16, 40, 64])
+def test_verify_zsets_small_windows_pass(capsys, window):
+    # The sum oracle's pad follows the operands (zsets.minkowski_pad), not the
+    # window, so narrow windows agree as well as wide ones.
+    for seed in range(5):
+        argv = ["verify", "zsets-thm3", "--trials", "100", "--window", str(window), "--seed", str(seed)]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and all(line["ok"] for line in json_lines(out)), argv
+
+
+def test_verify_zsets_once_failing_windows_pass(capsys):
+    # Both exited 1 ("1 mismatches") while the oracle was padded by half the
+    # window only.
+    assert run(capsys, "verify", "zsets-thm3", "--window", "64")[0] == 0
+    assert run(capsys, "verify", "zsets-thm3", "--trials", "50", "--window", "40", "--seed", "3")[0] == 0
+
+
 def test_verify_out_file_holds_stdout(capsys, tmp_path):
     code, out, err = run(capsys, "verify", "oracle-equivalence")
     path = tmp_path / "verify.jsonl"
@@ -478,8 +495,8 @@ _CAPPED = [
         _defaults("zset", "coset-group", "--identity", "e")["window"] < _R,
     ),
     (
-        # 101 residues mod the prime 10007 against the 9901 of {0, ..., 9900}.
-        ["zset", "sum", f"TS(10007;{','.join(map(str, range(101)))})", f"BB(0;{'1' * 9901};1;0)"],
+        # 9901 residues mod the prime 10007 against the 101 of {0, ..., 100}.
+        ["zset", "sum", f"TS(10007;{','.join(map(str, range(9901)))})", f"BB(0;{'1' * 101};1;0)"],
         f"residue pair count {101 * 9901} exceeds cap {zsets.MAX_RESIDUES}",
         101 * 9901 == zsets.MAX_RESIDUES + 1,
     ),
@@ -524,6 +541,12 @@ _PROBES = [
     (["qcuts", "verify", "--trials", "100000000"], f"trials 100000000 exceeds cap {qcuts.MAX_TRIALS}"),
     # The sum is TS(1;0) at once; its self-check window spans 4 * 1024155 bits.
     (["zset", "sum", "TS(1009;0)", "TS(1013;0)"], f"window bits 4096620 exceeds cap {_W}"),
+    # {0} plus [k + 1, inf) one bit past the text cap; at the cap the default
+    # coset group (289 sums of translates) takes about 1-2 s.
+    (
+        ["zset", "coset-group", "--identity", f"BB(0;1{'0' * (zsets.MAX_TEXT_BITS - 1)};1;1)"],
+        f"transient plus period {zsets.MAX_TEXT_BITS + 1} exceeds cap {zsets.MAX_TEXT_BITS}",
+    ),
 ]
 
 
@@ -531,7 +554,7 @@ _PROBES = [
     "argv, message",
     _PROBES,
     ids=["periods-2999-3001", "sum-window", "coset-window", "verify-both", "verify-window",
-         "qcuts-trials", "sum-self-check"],
+         "qcuts-trials", "sum-self-check", "coset-identity-text"],
 )
 def test_size_probes_refuse_promptly(argv, message):
     proc = _timed_main(argv)

@@ -87,16 +87,24 @@ def test_only_check_cap_raises_cap_exceeded():
 
 def test_membership_bits_are_read_through_one_window():
     # zset_window_mask is the one reader of membership (and the one place its
-    # width is capped); zset_contains recurses once for a bounded-above set,
-    # and the {naturals} demo reads two single elements.
-    found = sorted(
-        (path.name, func)
-        for path in sorted((ROOT / "src" / "powergroups").glob("*.py"))
-        for func, _ in _calls(path.read_text(encoding="utf-8"), "zset_contains")
-    )
-    assert found == [
+    # width is capped): it builds windows from masks, and the word doubling
+    # behind it serves only the window and the canonical form.  zset_contains
+    # recurses once for a bounded-above set, and the {naturals} demo reads two
+    # single elements.
+    def calls(callee):
+        return sorted(
+            (path.name, func)
+            for path in sorted((ROOT / "src" / "powergroups").glob("*.py"))
+            for func, _ in _calls(path.read_text(encoding="utf-8"), callee)
+        )
+
+    assert calls("zset_contains") == [
         ("zsets.py", "power_group_of_naturals_demo"),
         ("zsets.py", "power_group_of_naturals_demo"),
         ("zsets.py", "zset_contains"),
+    ]
+    assert calls("_repeat") == [
+        ("zsets.py", "_canonical"),
+        ("zsets.py", "zset_window_mask"),
         ("zsets.py", "zset_window_mask"),
     ]

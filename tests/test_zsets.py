@@ -30,6 +30,7 @@ from powergroups.zsets import (
     bounded_below,
     build_z_coset_group,
     finite_zset,
+    minkowski_pad,
     minkowski_window_sum,
     naturals,
     power_group_of_naturals_demo,
@@ -190,6 +191,30 @@ def test_least_period_matches_divisor_scan(offset, transient, unit, repeats, rot
     )
 
 
+@given(
+    offset=st.integers(-20, 20),
+    lead=st.integers(0, 40),
+    transient=st.lists(st.integers(0, 1), max_size=300),
+    unit=st.lists(st.integers(0, 1), min_size=1, max_size=60),
+    repeats=st.integers(1, 5),
+    rotate=st.integers(0, 299),
+    tail=st.integers(0, 300),
+)
+def test_mask_canonical_form_matches_per_bit_scan(offset, lead, transient, unit, repeats, rotate, tail):
+    # Transients and words of a few hundred bits; the transient ends in `tail`
+    # bits that continue the word backwards, so long absorbed runs come up.
+    word = (unit * repeats)[:300]
+    word = word[rotate % len(word):] + word[: rotate % len(word)]
+    run = word * (tail // len(word) + 1)
+    transient = [0] * lead + transient + run[len(run) - tail:]
+    if 1 not in transient and 1 not in word:
+        word[-1] = 1
+    s = bounded_below(offset, transient, len(word), word)
+    assert (s.offset, s.transient, s.period, s.word) == scan_bounded_below(
+        offset, transient, len(word), word
+    )
+
+
 def divisors(m):
     return [d for d in range(1, m + 1) if m % d == 0]
 
@@ -276,6 +301,42 @@ def test_window_mask():
     # Window [-2, 3): bits for -2, -1, 0, 1, 2.
     assert zset_window_mask(naturals(), -2, 3) == 0b11100
     assert zset_window_mask(two_sided(2, [0]), -2, 3) == 0b10101
+    # Far from the offset the word is entered at the window's phase, so this
+    # costs 64 bits, not 10^12.
+    assert zset_window_mask(naturals(), 10**12, 10**12 + 64) == (1 << 64) - 1
+    assert zset_window_mask(zset_negate(naturals()), -(10**12), -(10**12) + 64) == (1 << 64) - 1
+    assert zset_window_mask(two_sided(10**12, [5]), 10**12 - 3, 10**12 + 61) == 1 << 8
+
+
+@st.composite
+def sets_and_windows(draw):
+    """A BB, BA or TS set and a window before, inside or after its transient,
+    or anywhere within 10^12 of it; widths include 0."""
+    kind = draw(st.sampled_from(["BB", "BA", "TS"]))
+    if kind == "TS":
+        modulus = draw(st.one_of(st.integers(1, 40), st.integers(1, 10**12)))
+        s = two_sided(modulus, draw(st.lists(st.integers(0, modulus - 1), min_size=1, max_size=6)))
+        anchor, t = draw(st.integers(-(10**12), 10**12)), 0
+    else:
+        transient = draw(st.lists(st.integers(0, 1), max_size=40))
+        word = draw(st.lists(st.integers(0, 1), min_size=1, max_size=12))
+        if kind == "BA" or 1 not in transient:
+            word[-1] = 1
+        s = bounded_below(draw(st.integers(-(10**12), 10**12)), transient, len(word), word)
+        anchor, t = s.offset, len(s.transient)
+        if kind == "BA":
+            s = zset_negate(s)
+            anchor = -anchor - t
+    shift = draw(st.one_of(st.integers(-60, t + 60), st.integers(-(10**12), 10**12)))
+    return s, anchor + shift, draw(st.integers(0, 150))
+
+
+@given(case=sets_and_windows())
+def test_window_mask_matches_membership(case):
+    s, lo, width = case
+    got = zset_window_mask(s, lo, lo + width)
+    assert got >> width == 0
+    assert [(got >> i) & 1 for i in range(width)] == [int(zset_contains(s, lo + i)) for i in range(width)]
 
 
 @given(mask=st.integers(0, 2**300), n=st.integers(0, 320))
@@ -300,6 +361,7 @@ def _forbidden(*_):
 def test_window_cap_refuses_before_any_membership_read(lo, width):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(zsets_module, "zset_contains", _forbidden)
+        mp.setattr(zsets_module, "_repeat", _forbidden)
         with pytest.raises(CapExceededError, match="^window bits -?[0-9]+ (exceeds cap|is negative)"):
             zset_window_mask(naturals(), lo, lo + width)
 
@@ -436,6 +498,31 @@ def test_bounded_below_sum_is_associative_on_samples():
         b = random_bounded_below(rng)
         c = random_bounded_below(rng)
         assert zset_sum(zset_sum(a, b), c) == zset_sum(a, zset_sum(b, c))
+
+
+def test_wide_coprime_sum_matches_oracle():
+    # Periods 31 and 37: the sum is read from 1147-bit words and canonicalized
+    # from masks to a 564-bit transient with period 1.
+    def word(p, ones):
+        return [int(i in ones) for i in range(p)]
+
+    a = bounded_below(-9, [1, 0, 1, 1, 0, 0, 1], 31, word(31, {0, 5, 17}))
+    b = bounded_below(14, [1, 1, 0, 1], 37, word(37, {0, 11}))
+    c = zset_sum(a, b)
+    assert (c.offset, len(c.transient), c.period) == (5, 564, 1)
+    lo, hi = -64, c.offset + len(c.transient) + 64
+    assert zset_window_mask(c, lo, hi) == minkowski_window_sum(a, b, lo, hi, pad=minkowski_pad(a, b))
+
+
+def test_minkowski_pad_makes_small_windows_exact():
+    # Padded by half the window only, this pair disagreed with the sum on
+    # [-32, 32]; the pad now follows offsets, transients and lcm(8, 6).
+    a, b = zset_from_text("BB(5;111110110010;8;10001001)"), two_sided(6, [1])
+    assert minkowski_pad(a, b) == 5 + 12 + 24
+    c = zset_sum(a, b)
+    for half in range(0, 40):
+        got = zset_window_mask(c, -half, half + 1)
+        assert got == minkowski_window_sum(a, b, -half, half + 1, pad=minkowski_pad(a, b))
 
 
 def test_minkowski_window_sum_rejects_insufficient_pad():
@@ -758,6 +845,15 @@ def test_text_rejects_malformed():
     for bad in ["BB(0;;2;1)", "XX(1)", "TS(0;0)", "BB(0;;1;)", "TS(3;)", ""]:
         with pytest.raises(ValueError):
             zset_from_text(bad)
+
+
+def test_text_cap_counts_transient_plus_period(monkeypatch):
+    cap = zsets_module.MAX_TEXT_BITS
+    assert zset_from_text(f"BB(0;1{'0' * (cap - 2)};1;1)").transient == (1,) + (0,) * (cap - 2)
+    monkeypatch.setattr(zsets_module, "bounded_below", _forbidden)
+    for text in (f"BB(0;1{'0' * (cap - 2)};2;10)", f"BA(0;;{cap + 1};1{'0' * cap})"):
+        with pytest.raises(CapExceededError, match=f"^transient plus period {cap + 1} exceeds cap {cap}$"):
+            zset_from_text(text)
 
 
 def test_text_round_trips_random():
