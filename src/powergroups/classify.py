@@ -31,7 +31,6 @@ from .groups import (
     generating_set,
     is_subgroup_mask,
     iter_bits,
-    normal_subgroups_of,
 )
 from .subsets import GroupSubset, is_idempotent
 from .search import PowerGroupFamily, _family_from_table, power_group_family
@@ -130,6 +129,11 @@ def _translates(g: FiniteGroup, hmask: int, emask: int) -> dict[int, int]:
 def _coset_family(g: FiniteGroup, translate_of: dict[int, int]) -> PowerGroupFamily:
     """The family {xN | x in H} from the map {x: xN for x in H} of _translates.
 
+    enumerate_subquotients calls this once per kernel N, on the map of the
+    normalizer H = N_G(N), and reads every other H/N off the result
+    (_restrict), so the refusals below and the table validation run once per
+    kernel, not once per pair.
+
     Raises ValueError unless N = translate_of[identity] is a subgroup, every
     key lies in the block it maps to, the blocks cover exactly the keys, and
     each block is rN for its least member r; then the blocks are the left
@@ -179,7 +183,30 @@ def _coset_family(g: FiniteGroup, translate_of: dict[int, int]) -> PowerGroupFam
             table.append(tuple([pos[translate_of[row[s]]] for s in reps]))
         except KeyError as exc:
             raise ValueError(f"family not closed: {exc.args[0]} is outside the carrier") from None
-    return _family_from_table(g, masks, table)
+    return _family_from_table(g, tuple(GroupSubset(g, m) for m in masks), table)
+
+
+def _restrict(q: PowerGroupFamily, hmask: int) -> PowerGroupFamily:
+    """The subfamily of the coset family q = M/N made of its blocks inside a
+    subgroup H with N <= H <= M: the family H/N.
+
+    Since N <= H, H is the union of the blocks inside it.  Its table is q's
+    table read at those blocks, renumbered; a product landing on a block
+    outside H raises ValueError("family not closed: ...").  The table is
+    validated by _family_from_table (once per distinct table), and the
+    subsets are q's own.
+    """
+    inside = [i for i, a in enumerate(q.elements) if not a.members & ~hmask]
+    if len(inside) == q.order:
+        return q
+    pos = {i: k for k, i in enumerate(inside)}
+    qt = q.abstract_table
+    try:
+        table = [tuple([pos[qt[i][j]] for j in inside]) for i in inside]
+    except KeyError as exc:
+        block = q.elements[exc.args[0]].members
+        raise ValueError(f"family not closed: block {block:#x} is outside {hmask:#x}") from None
+    return _family_from_table(q.parent, tuple(q.elements[i] for i in inside), table)
 
 
 def _coset_masks(g: FiniteGroup, hmask: int, nmask: int) -> list[int]:
@@ -220,7 +247,14 @@ def match_subquotient(
 def enumerate_subquotients(
     g: FiniteGroup,
 ) -> list[tuple[SubquotientDescriptor, PowerGroupFamily]]:
-    """All pairs (H, N normal in H) with the coset family each pair induces.
+    """All pairs (H, N normal in H) with the coset family each pair induces,
+    H in lattice order, then N in lattice order.
+
+    Kernel first: for each subgroup N, its normalizer M = N_G(N)
+    (g.normalizers), the map x -> xN on M (_translates) and the validated
+    quotient M/N (_coset_family) are built once.  N is normal in H exactly
+    when N <= H <= M, two int tests, and H/N is the quotient restricted to
+    the blocks inside H (_restrict), sharing its coset subsets.
 
     Over a finite carrier every subset family forming a group is one of these
     coset families, so this is the production census: ``enum`` and
@@ -229,11 +263,16 @@ def enumerate_subquotients(
     exhaustive scan are independent oracles for it, compared in the
     verification suites.
     """
+    kernels = [
+        (n, norm, _coset_family(g, _translates(g, norm, n.members)))
+        for n, norm in zip(g.subgroups, g.normalizers)
+    ]
     out = []
-    for h in all_subgroups(g):
-        for n in normal_subgroups_of(g, h):
-            fam = _coset_family(g, _translates(g, h.members, n.members))
-            out.append((SubquotientDescriptor(carrier=h, kernel=n), fam))
+    for h in g.subgroups:
+        hmask = h.members
+        for n, norm, q in kernels:
+            if not n.members & ~hmask and not hmask & ~norm:
+                out.append((SubquotientDescriptor(carrier=h, kernel=n), _restrict(q, hmask)))
     return out
 
 

@@ -114,16 +114,19 @@ def cmd_enum(args: argparse.Namespace) -> int:
 
 def cmd_subquotients(args: argparse.Namespace) -> int:
     g, label = _load_group(args)
+    # The families of one kernel share its cosets, and carriers and kernels
+    # recur from pair to pair: each mask's element list is read once.
+    elements = functools.cache(lambda mask: list(iter_bits(mask)))
     lines = []
     for desc, fam in enumerate_subquotients(g):
         lines.append(
             _dumps(
                 {
                     "group": label,
-                    "carrier": list(iter_bits(desc.carrier.members)),
-                    "kernel": list(iter_bits(desc.kernel.members)),
+                    "carrier": elements(desc.carrier.members),
+                    "kernel": elements(desc.kernel.members),
                     "order": fam.order,
-                    "family": [list(iter_bits(m)) for m in fam.masks()],
+                    "family": [elements(a.members) for a in fam.elements],
                 }
             )
         )

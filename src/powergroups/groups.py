@@ -110,6 +110,12 @@ class FiniteGroup:
         return tuple(SubgroupMask(self, m) for m in subgroup_lattice(self.table, self.identity))
 
     @cached_property
+    def normalizers(self) -> tuple[int, ...]:
+        """The normalizer mask of each of self.subgroups, in the same order.
+        N is normal in H exactly when N <= H <= normalizer(N)."""
+        return tuple(_normalizer(self, n.members) for n in self.subgroups)
+
+    @cached_property
     def family_tables(self) -> dict[_Table, tuple[FiniteGroup, int, tuple[int, ...]]]:
         """Family table -> (validated abstract group, identity index, inverse
         map), filled by search._family_from_table so that each distinct table
@@ -308,20 +314,51 @@ def closure_mask(table: Sequence[Sequence[int]], seed: int) -> int:
     return cur
 
 
+def _coset_grow(table: Sequence[Sequence[int]], hmask: int, gens: Sequence[int], g: int) -> int:
+    """<H, g> for a subgroup mask H generated by gens and an element g outside
+    it, on an associative table (Dimino's algorithm, as in G. Butler,
+    *Fundamental Algorithms for Permutation Groups*, LNCS 559, 1991).
+
+    <H, g> is a union of right cosets Hr.  Starting from r = g, each new
+    representative r adds its coset Hr and its products r*s for s in gens and
+    g; a product outside the cosets found so far is the next representative.
+    Since (Hr)s = H(rs), the union is then closed under right multiplication
+    by the generators, so it is the subgroup they generate: |<H, g>| table
+    reads for the cosets plus |gens| + 1 per representative, where a closure
+    reads |gens| + 1 per element.  Only for validated tables: without
+    associativity (Hr)s = H(rs) fails, so validation closes with closure_mask.
+    """
+    hs = tuple(iter_bits(hmask))
+    gs = (*gens, g)
+    k = hmask
+    for h in hs:
+        k |= 1 << table[h][g]
+    reps = [g]
+    for r in reps:
+        row = table[r]
+        for s in gs:
+            x = row[s]
+            if not k >> x & 1:
+                for h in hs:
+                    k |= 1 << table[h][x]
+                reps.append(x)
+    return k
+
+
 def subgroup_lattice(table: Sequence[Sequence[int]], identity: int) -> list[int]:
     """All subgroup masks of a validated table, grown by adding one generator.
 
-    Every subgroup is a closure of {identity, g1, ..., gk}, so repeatedly
-    extending each known subgroup H by one outside element reaches all of
-    them without scanning 2^n subsets.  Each subgroup keeps the generators it
-    was found with, and <H, g> is closed from those plus g.  Since
-    <H, gh> = <H, g> for h in H, one g per left coset gH != H is tried:
-    [G:H] - 1 closures per H.  Sorted by (size, mask).
+    Every subgroup is generated by {g1, ..., gk}, so repeatedly extending
+    each known subgroup H by one outside element reaches all of them without
+    scanning 2^n subsets.  Each subgroup keeps the generators it was found
+    with, and <H, g> is grown from H one right coset at a time (_coset_grow).
+    Since <H, gh> = <H, g> for h in H, one g per left coset gH != H is tried:
+    [G:H] - 1 extensions per H.  Sorted by (size, mask).
     """
     n = len(table)
     trivial = 1 << identity
     found = {trivial}
-    stack = [(trivial, 0)]
+    stack: list[tuple[int, tuple[int, ...]]] = [(trivial, ())]
     while stack:
         h, gens = stack.pop()
         hs = tuple(iter_bits(h))
@@ -332,10 +369,10 @@ def subgroup_lattice(table: Sequence[Sequence[int]], identity: int) -> list[int]
             row = table[g]
             for x in hs:
                 covered |= 1 << row[x]
-            k = closure_mask(table, gens | (1 << g))
+            k = _coset_grow(table, h, gens, g)
             if k not in found:
                 found.add(k)
-                stack.append((k, gens | (1 << g)))
+                stack.append((k, (*gens, g)))
     return sorted(found, key=lambda m: (m.bit_count(), m))
 
 
@@ -371,19 +408,47 @@ def _normalized_by(g: FiniteGroup, nmask: int, gens: Iterable[int]) -> bool:
     return all(g.conjugate_mask(nmask, x) == nmask for x in gens)
 
 
+def _normalizer(g: FiniteGroup, nmask: int) -> int:
+    """N_G(N) for a subgroup mask N, grown one left coset at a time.
+
+    The elements of N normalize N, so the growth starts from them.  After
+    that, each element x outside the normalizer M found so far and outside
+    the left cosets already refused takes one conjugation test: if x
+    normalizes N, M grows to <M, x> (_coset_grow); if not, neither does any
+    element of xM, and that coset is refused.
+    """
+    t = g.table
+    m = covered = 1 << g.identity
+    gens: list[int] = []
+    for x in (*iter_bits(nmask), *range(g.order)):
+        if covered >> x & 1:
+            continue
+        if nmask >> x & 1 or _normalized_by(g, nmask, (x,)):
+            m = _coset_grow(t, m, gens, x)
+            gens.append(x)
+            covered |= m
+        else:
+            row = t[x]
+            for y in iter_bits(m):
+                covered |= 1 << row[y]
+    return m
+
+
 def all_subgroups(g: FiniteGroup) -> list[SubgroupMask]:
     """Every subgroup of g, sorted by (size, mask); the objects of g.subgroups."""
     return list(g.subgroups)
 
 
 def normal_subgroups_of(g: FiniteGroup, h: SubgroupMask) -> list[SubgroupMask]:
-    """Subgroups N <= H with hNh^-1 = N for every h in H (normal in H, not in g)."""
+    """Subgroups N <= H with hNh^-1 = N for every h in H (normal in H, not in
+    g): those with N <= H <= N_G(N), read from g.normalizers."""
     if h.parent != g:
         raise NotASubgroupError("subgroup belongs to a different parent group")
     hmask = h.members
-    gens = generating_set(g, hmask)
     return [
-        n for n in g.subgroups if not n.members & ~hmask and _normalized_by(g, n.members, gens)
+        n
+        for n, norm in zip(g.subgroups, g.normalizers)
+        if not n.members & ~hmask and not hmask & ~norm
     ]
 
 

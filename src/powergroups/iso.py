@@ -2,9 +2,9 @@
 
 G2 "underlies" G1 when G1 carries a subset family forming a group isomorphic
 to G2.  Isomorphism itself runs a cheap invariant prefilter (order, abelian
-flag, element-order histogram, center size, conjugacy class sizes) followed by
-backtracking over images of a greedy generating chain; any mapping returned
-has been verified entry by entry.
+flag, element-order histogram, center size, conjugacy class sizes, square-root
+counts) followed by backtracking over images of a greedy generating chain; any
+mapping returned has been verified entry by entry.
 """
 
 from __future__ import annotations
@@ -107,6 +107,18 @@ def _extend_map(
     return phi
 
 
+def _square_roots(g: FiniteGroup) -> list[int]:
+    """The multiset {#x : x^2 = y} over y in g, sorted: an invariant the
+    fingerprint lacks.  It separates groups whose fingerprints agree but
+    whose generator search would otherwise run without bound, such as
+    (C4 x| C4) x C2^k and Q8 x C2^(k+1).  Kept out of GroupFingerprint, whose
+    fields census records serialise."""
+    counts = [0] * g.order
+    for x in range(g.order):
+        counts[g.table[x][x]] += 1
+    return sorted(counts)
+
+
 def are_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> Optional[tuple[int, ...]]:
     """An explicit isomorphism g1 -> g2 as an index mapping, or None.
 
@@ -115,7 +127,7 @@ def are_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> Optional[tuple[int, ...]
     """
     if g1.order != g2.order:
         return None
-    if fingerprint(g1) != fingerprint(g2):
+    if fingerprint(g1) != fingerprint(g2) or _square_roots(g1) != _square_roots(g2):
         return None
     gens = generating_set(g1, g1.full_mask)
     orders1 = [g1.element_order(a) for a in gens]

@@ -107,25 +107,30 @@ def power_group_family(parent: FiniteGroup, masks: Iterable[int]) -> PowerGroupF
                 )
             row.append(pos[p])
         table.append(tuple(row))
-    return _family_from_table(parent, sorted_masks, table)
+    return _family_from_table(
+        parent, tuple(GroupSubset(parent, m) for m in sorted_masks), table
+    )
 
 
 def _family_from_table(
-    parent: FiniteGroup, sorted_masks: Sequence[int], table: Sequence[tuple[int, ...]]
+    parent: FiniteGroup,
+    elements: tuple[GroupSubset, ...],
+    table: Sequence[tuple[int, ...]],
 ) -> PowerGroupFamily:
-    """Package ascending masks with their product table.
+    """Package subsets in ascending mask order with their product table.
 
-    ``table[i][j]`` must be the position of sorted_masks[i] * sorted_masks[j];
-    the builders (power_group_family and the coset builder in classify)
+    ``table[i][j]`` must be the position of elements[i] * elements[j]; the
+    builders (power_group_family and the coset builders in classify)
     compute it from positions, so it needs the group axioms checked but no
     input sanitation, and this raises the axiom checker's errors when it is
     not a group table.  Each distinct table is checked once per parent: the
-    result is kept in parent.family_tables.
+    result is kept in parent.family_tables.  The subsets are kept as given,
+    so families built from one quotient share them.
     """
     table = tuple(table)
     known = parent.family_tables.get(table)
     if known is None:
-        k = len(sorted_masks)
+        k = len(elements)
         # A group of subsets has disjoint members, so it has at most |G| <=
         # CONSTRUCTION_CAP of them; refuse a larger family like any table.
         check_cap(k, CONSTRUCTION_CAP, "group order")
@@ -141,7 +146,7 @@ def _family_from_table(
     abstract, identity_index, inverse_map = known
     return PowerGroupFamily(
         parent=parent,
-        elements=tuple(GroupSubset(parent, m) for m in sorted_masks),
+        elements=elements,
         identity_index=identity_index,
         inverse_map=inverse_map,
         abstract_table=table,

@@ -436,19 +436,20 @@ def zset_sum(a: ZSet, b: ZSet, *, verify: bool = False) -> ZSet:
     return out
 
 
-def _scale(s: ZSet) -> int:
-    if isinstance(s, BoundedBelow):
-        return abs(s.offset) + len(s.transient) + s.period
-    if isinstance(s, BoundedAbove):
-        return _scale(s.mirror)
-    return s.modulus
-
-
 def _verify_sum(a: ZSet, b: ZSet, c: ZSet) -> None:
-    sa, sb = _scale(a), _scale(b)
-    span = sa + sb + sa * sb + 16
-    got = zset_window_mask(c, -2 * span, 2 * span)
-    want = minkowski_window_sum(a, b, -2 * span, 2 * span, pad=4 * span)
+    """Compare c with the windowed oracle on [-2s, 2s), s = minkowski_pad(a,
+    b) plus c's extent (_reach: |offset| + transient + period, or modulus).
+
+    The true sum's least element and transient end lie within the pad of 0
+    and c's within its extent, so both are periodic on [s, 2s) and, mirrored,
+    on [-2s, -s), with periods at most the pad and the extent.  Agreement
+    there, s bits each, means agreement everywhere (Fine and Wilf's theorem),
+    so a passing check proves c is the sum, at a window linear in the inputs.
+    """
+    pad = minkowski_pad(a, b)
+    s = pad + sum(_reach(c))
+    got = zset_window_mask(c, -2 * s, 2 * s)
+    want = minkowski_window_sum(a, b, -2 * s, 2 * s, pad=pad)
     if got != want:
         raise InternalFaultError(f"sum failed windowed self-check: {a!r} + {b!r}")
 
@@ -493,14 +494,17 @@ def minkowski_pad(a: ZSet, b: ZSet) -> int:
     element and x minus it both lie in the padded windows.
     """
 
-    def reach(s: ZSet) -> tuple[int, int]:
-        if isinstance(s, TwoSidedPeriodic):
-            return 0, s.modulus
-        m = s.mirror if isinstance(s, BoundedAbove) else s
-        return abs(m.offset) + len(m.transient), m.period
-
-    (ra, pa), (rb, pb) = reach(a), reach(b)
+    (ra, pa), (rb, pb) = _reach(a), _reach(b)
     return ra + rb + lcm(pa, pb)
+
+
+def _reach(s: ZSet) -> tuple[int, int]:
+    """(|offset| + transient length, period) of a set, a bounded-above set
+    read through its mirror and a two-sided set as (0, modulus)."""
+    if isinstance(s, TwoSidedPeriodic):
+        return 0, s.modulus
+    m = s.mirror if isinstance(s, BoundedAbove) else s
+    return abs(m.offset) + len(m.transient), m.period
 
 
 # ---------------------------------------------------------------------------

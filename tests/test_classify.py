@@ -14,6 +14,7 @@ from powergroups.classify import (
     _coset_family,
     _coset_masks,
     _partition_union_check,
+    _restrict,
     _translates,
     build_coset_group,
     check_identity_subgroup,
@@ -29,8 +30,10 @@ from powergroups.errors import CommutationFailsError, NotIdempotentError
 from powergroups.groups import (
     FiniteGroup,
     SubgroupMask,
+    _normalized_by,
     all_subgroups,
     catalog,
+    generating_set,
     group_from_name,
     iter_bits,
     normal_subgroups_of,
@@ -171,6 +174,64 @@ def test_coset_lookup_matches_subset_products_under_relabelling(carrier, seed):
                 assert got == "not closed"
 
 
+def _per_pair_subquotients(g):
+    # enumerate_subquotients as a loop over pairs, without normalizers: N is
+    # normal in H when conjugation by H's generators fixes it, and every pair
+    # gets its own translate map and validated coset family.
+    out = []
+    for h in all_subgroups(g):
+        gens = generating_set(g, h.members)
+        for n in all_subgroups(g):
+            if n.members & ~h.members or not _normalized_by(g, n.members, gens):
+                continue
+            fam = _coset_family(g, _translates(g, h.members, n.members))
+            out.append((h.members, n.members, fam))
+    return out
+
+
+@given(carrier=st.sampled_from(COSET_CARRIERS), seed=st.integers(0, 2**32 - 1))
+def test_kernel_first_enumeration_matches_per_pair_reference(carrier, seed):
+    # Pair for pair, in the same order: the same carrier and kernel masks,
+    # family masks, table and validated group.  The reference runs on a
+    # fresh copy of the group, so it shares no cached lattice, normalizer or
+    # validated table with the enumeration.
+    g = _relabelled(carrier, seed)
+    fresh = validate_cayley(g.table, name=g.name)
+    got = [
+        (d.carrier.members, d.kernel.members, f.masks(), f.abstract_table, f.abstract)
+        for d, f in enumerate_subquotients(g)
+    ]
+    want = [
+        (h, n, f.masks(), f.abstract_table, f.abstract) for h, n, f in _per_pair_subquotients(fresh)
+    ]
+    assert got == want
+
+
+@pytest.mark.parametrize("name", ("S4", "D6", "Q8xC2", "C2xC2xC2xC2"))
+def test_coset_family_runs_once_per_kernel(name, monkeypatch):
+    # One translate map on the normalizer and one validated quotient per
+    # kernel N; every H/N shares the quotient's coset subsets.
+    import powergroups.classify as classify_module
+
+    g = _relabelled(group_from_name(name), 4)
+    maps = []
+    real = classify_module._coset_family
+
+    def counting(parent, translate_of):
+        maps.append(translate_of)
+        return real(parent, translate_of)
+
+    monkeypatch.setattr(classify_module, "_coset_family", counting)
+    pairs = enumerate_subquotients(g)
+    assert len(pairs) > len(maps)
+    assert [m[g.identity] for m in maps] == [n.members for n in g.subgroups]
+    assert [sum(1 << x for x in m) for m in maps] == list(g.normalizers)
+    shared = {}
+    for d, f in pairs:
+        for a in f.elements:
+            assert shared.setdefault(a.members, a) is a
+
+
 @pytest.mark.parametrize("name", ("D4", "Q8", "S4", "D6", "C2xC2xC2xC2"))
 def test_census_families_hold_freshly_validated_groups(name):
     # Families with byte-equal tables share one validated group per carrier;
@@ -231,6 +292,18 @@ def test_coset_lookup_names_each_added_refusal():
         _coset_family(D4, left)
     with pytest.raises(ValueError, match="^family not closed"):
         power_group_family(D4, left.values())
+
+
+def test_restriction_refuses_masks_whose_blocks_are_not_closed():
+    # _restrict reads H/N off the quotient N_G(N)/N; blocks that multiply out
+    # of the mask are refused.
+    q = _coset_family(S3, _translates(S3, S3.full_mask, 1))  # S3 / 1
+    a = next(x for x in S3.elements() if S3.element_order(x) == 3)
+    with pytest.raises(ValueError, match="^family not closed: block"):
+        _restrict(q, 1 | 1 << a)
+    q = _coset_family(D4, _translates(D4, D4.full_mask, 0b0101))  # D4 / center
+    assert _restrict(q, D4.full_mask) is q
+    assert _restrict(q, 0b1111).masks() == (0b0101, 0b1010)
 
 
 def test_partition_union_check_negatives():

@@ -247,6 +247,48 @@ def test_zset_sum_self_check_fault_exits_1(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "a, b, want",
+    [("BB(100;;1;1)", "BB(200;;1;1)", "BB(300;;1;1)"), ("BB(300;;1;1)", "BB(400;;1;1)", "BB(700;;1;1)")],
+)
+def test_zset_sum_of_far_translates_passes_its_self_check(capsys, a, b, want):
+    # The self-check window grows with the operands' pad and the result's
+    # extent, not with their product, so translates of the naturals pass.
+    code, out, err = run(capsys, "zset", "sum", a, b)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["sum"] == want
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ("BB(100;;1;1)", "BB(200;;1;1)"),
+        ("BB(3;101;4;1001)", "BB(-2;11;3;001)"),
+        ("BA(5;;3;101)", "BB(0;1;1;0)"),
+        ("BA(1;10;2;01)", "BA(0;;5;10001)"),
+    ],
+)
+def test_zset_sum_self_check_catches_a_flipped_bit(capsys, monkeypatch, a, b):
+    # A sum that is wrong in one element fails the self-check (exit 1).  The
+    # corrupted sum keeps the true one's offset and word, appends 4 * pad
+    # periods to its transient and flips the last bit: an element past three
+    # pads from 0, outside any window sized by the operands alone.
+    real = zsets._sum_bounded_below
+
+    def flipped(x, y):
+        r = real(x, y)
+        n = len(r.transient) + r.period * 4 * zsets.minkowski_pad(x, y)
+        window = zsets.zset_window_mask(r, r.offset, r.offset + n)
+        bits = [window >> i & 1 for i in range(n)]
+        bits[-1] ^= 1
+        return zsets.bounded_below(r.offset, bits, r.period, r.word)
+
+    monkeypatch.setattr(zsets, "_sum_bounded_below", flipped)
+    code, out, err = run(capsys, "zset", "sum", a, b)
+    assert code == 1 and out == ""
+    assert err.startswith("error: internal fault: sum failed windowed self-check")
+
+
 # ---------------------------------------------------------------------------
 # underlies
 
@@ -539,8 +581,9 @@ _PROBES = [
         f"window 100000000 exceeds cap {suites.MAX_WINDOW}",
     ),
     (["qcuts", "verify", "--trials", "100000000"], f"trials 100000000 exceeds cap {qcuts.MAX_TRIALS}"),
-    # The sum is TS(1;0) at once; its self-check window spans 4 * 1024155 bits.
-    (["zset", "sum", "TS(1009;0)", "TS(1013;0)"], f"window bits 4096620 exceeds cap {_W}"),
+    # The sum is TS(1;0) at once; its self-check window spans 4 * (1009 * 1013
+    # + 1) bits: the operands' pad is the lcm of their moduli.
+    (["zset", "sum", "TS(1009;0)", "TS(1013;0)"], f"window bits 4088472 exceeds cap {_W}"),
     # {0} plus [k + 1, inf) one bit past the text cap; at the cap the default
     # coset group (289 sums of translates) takes about 1-2 s.
     (

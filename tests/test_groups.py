@@ -366,22 +366,74 @@ def test_all_subgroups_counts_and_order():
 
 @pytest.mark.parametrize("name", ["S4", "D6", "C2xC2xC2xC2", "Q8"])
 def test_subgroup_lattice_closes_once_per_coset(name, monkeypatch):
-    # <H, gh> = <H, g>, so extending H takes one closure per left coset
-    # gH != H: at most [G:H] - 1 closures per subgroup.
+    # <H, gh> = <H, g>, so extending H takes one coset growth per left coset
+    # gH != H: at most [G:H] - 1 extensions per subgroup, and no closure.
     import powergroups.groups as groups_module
 
     g = _relabelled(group_from_name(name), 3)
     seeds = []
-    real = groups_module.closure_mask
+    real = groups_module._coset_grow
 
-    def counting(table, seed):
-        seeds.append(seed)
-        return real(table, seed)
+    def counting(table, hmask, gens, x):
+        seeds.append(x)
+        return real(table, hmask, gens, x)
 
-    monkeypatch.setattr(groups_module, "closure_mask", counting)
+    def no_closure(table, seed):
+        raise AssertionError("the lattice grows subgroups by cosets")
+
+    monkeypatch.setattr(groups_module, "_coset_grow", counting)
+    monkeypatch.setattr(groups_module, "closure_mask", no_closure)
     subs = groups_module.subgroup_lattice(g.table, g.identity)
     assert len(subs) == SUBGROUP_COUNTS[name]
-    assert len(seeds) <= sum(g.order // m.bit_count() - 1 for m in subs)
+    assert 0 < len(seeds) <= sum(g.order // m.bit_count() - 1 for m in subs)
+
+
+def _closure_lattice(table, identity):
+    # Reference lattice grown by closures: <H, g> closed from H's generators
+    # plus g with closure_mask, one g per left coset gH != H.
+    found = {1 << identity}
+    stack = [(1 << identity, 0)]
+    while stack:
+        h, gens = stack.pop()
+        covered = h
+        for g in range(len(table)):
+            if covered >> g & 1:
+                continue
+            for x in iter_bits(h):
+                covered |= 1 << table[g][x]
+            k = closure_mask(table, gens | 1 << g)
+            if k not in found:
+                found.add(k)
+                stack.append((k, gens | 1 << g))
+    return sorted(found, key=lambda m: (m.bit_count(), m))
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["S4", "D6", "Q8xC2", "C2xC2xC2xC2", "D4xC3", "Q8xC4", "D4xC2xC2", "D8xC2", "C2xC2xC2xC2xC2"],
+)
+def test_coset_grown_lattice_matches_closure_lattice(name):
+    # Growing <H, g> by right cosets of H must give the subgroups closure
+    # gives, mask for mask, under relabelling, up to order 32.
+    import powergroups.groups as groups_module
+
+    for seed in (0, 5):
+        g = _relabelled(group_from_name(name), seed)
+        assert groups_module.subgroup_lattice(g.table, g.identity) == _closure_lattice(
+            g.table, g.identity
+        )
+
+
+@pytest.mark.parametrize("name", ["S4", "D6", "Q8xC2", "D4xC3", "S3xC4"])
+def test_normalizers_match_conjugation_by_every_element(name):
+    # g.normalizers[i] = {x : x N x^-1 = N} for N = g.subgroups[i], on a
+    # relabelled table; normal_subgroups_of reads its verdicts from them.
+    g = _relabelled(group_from_name(name), 11)
+    want = tuple(
+        sum(1 << x for x in range(g.order) if g.conjugate_mask(n.members, x) == n.members)
+        for n in g.subgroups
+    )
+    assert g.normalizers == want
 
 
 def test_subgroup_mask_validation():

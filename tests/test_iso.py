@@ -1,5 +1,7 @@
 """Isomorphism testing and the subset-family reachability relation."""
 
+import time
+
 import pytest
 
 from powergroups.errors import CapExceededError
@@ -66,6 +68,32 @@ def test_isomorphic_pairs(g1, g2):
 )
 def test_non_isomorphic_pairs(g1, g2):
     assert are_isomorphic(g1, g2) is None
+
+
+def _c4_semidirect_c4():
+    # a^i b^j with b a b^-1 = a^-1: (a^i b^j)(a^k b^l) = a^(i +- k) b^(j + l).
+    def mul(x, y):
+        (i, j), (k, l) = divmod(x, 4), divmod(y, 4)
+        return (i + (-k if j % 2 else k)) % 4 * 4 + (j + l) % 4
+
+    return validate_cayley([[mul(x, y) for y in range(16)] for x in range(16)], name="C4:C4")
+
+
+@pytest.mark.parametrize("k", [0, 1, 2], ids=["order16", "order32", "order64"])
+def test_equal_fingerprints_of_different_groups_are_refused_promptly(k):
+    # (C4 x| C4) x C2^k and Q8 x C2^(k+1) share every fingerprint field; the
+    # generator search alone took seconds at order 64.  Their square-root
+    # counts differ, so are_isomorphic refuses them before searching.
+    g1 = _c4_semidirect_c4()
+    for _ in range(k):
+        g1 = direct_product(g1, catalog("cyclic", 2))
+    g2 = group_from_name("Q8" + "xC2" * (k + 1))
+    assert fingerprint(g1) == fingerprint(g2)
+    start = time.perf_counter()
+    assert are_isomorphic(g1, g2) is None
+    assert time.perf_counter() - start < 0.5
+    phi = are_isomorphic(g1, relabel(g1, list(reversed(range(g1.order)))))
+    assert phi is not None
 
 
 def test_fingerprint_invariants():

@@ -108,3 +108,61 @@ def test_membership_bits_are_read_through_one_window():
         ("zsets.py", "zset_window_mask"),
         ("zsets.py", "zset_window_mask"),
     ]
+
+
+def _reachable(sources, roots):
+    """Names of the package functions reachable from roots, by name: an edge
+    runs from a function to every function (or method, or property) whose
+    name its body mentions, and to a class's __init__ and __post_init__ when
+    it names the class.  Same-named methods of different classes are merged,
+    so the result over-approximates what a call can reach."""
+
+    def mentioned(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr
+
+    refs = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                refs.setdefault(node.name, set()).update(mentioned(node))
+            elif isinstance(node, ast.ClassDef):
+                names = refs.setdefault(node.name, set())
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and item.name in ("__init__", "__post_init__"):
+                        names.update(mentioned(item))
+    seen, stack = set(), [r for r in roots if r in refs]
+    while stack:
+        name = stack.pop()
+        if name not in seen:
+            seen.add(name)
+            stack.extend(n for n in refs[name] if n in refs and n not in seen)
+    return seen
+
+
+def _package_sources():
+    return [p.read_text(encoding="utf-8") for p in sorted((ROOT / "src" / "powergroups").glob("*.py"))]
+
+
+def test_coset_growth_stays_off_the_validation_path():
+    # _coset_grow needs associativity, so nothing that runs before a table is
+    # known to be a group (the axiom check, its generators, closure_mask) may
+    # reach it; closure_mask serves those instead.
+    roots = ("_group_of_table", "_greedy_generators", "closure_mask")
+    mutant = "def closure_mask(t, s):\n    return _coset_grow(t, s, (), 0)\n\ndef _coset_grow(t, h, g, x):\n    return h\n"
+    assert "_coset_grow" in _reachable([mutant], roots)
+    sources = _package_sources()
+    assert "_coset_grow" in _reachable(sources, ("subgroup_lattice",))
+    assert "_coset_grow" not in _reachable(sources, roots)
+
+
+def test_family_classification_never_reads_normalizers():
+    # match_subquotient and the census record flags re-derive (H, N) from the
+    # family alone; the normalizers behind the enumeration must not feed them.
+    roots = ("match_subquotient", "_record")
+    sources = _package_sources()
+    assert {"normalizers", "_normalizer"} <= _reachable(sources, ("enumerate_subquotients",))
+    assert not {"normalizers", "_normalizer"} & _reachable(sources, roots)
