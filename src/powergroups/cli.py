@@ -16,7 +16,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import fields, is_dataclass
+from dataclasses import is_dataclass
 from fractions import Fraction
 from typing import Any, Optional, Sequence
 
@@ -67,7 +67,7 @@ def _jsonify(value: Any) -> Any:
         return str(value)
     if is_dataclass(value) and not isinstance(value, type):
         # One level only: nested sets and cuts come back through _jsonify.
-        return {f.name: getattr(value, f.name) for f in fields(value)}
+        return vars(value)
     raise TypeError(f"not JSON serializable: {value!r}")
 
 

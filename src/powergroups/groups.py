@@ -10,6 +10,7 @@ Subgroups are bitmasks over element indices.
 from __future__ import annotations
 
 import json
+import os
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -36,6 +37,7 @@ from .errors import (
 SEARCH_CAP = 16
 CONSTRUCTION_CAP = 64
 MAX_SYMMETRIC_DEGREE = 4  # catalog("symmetric", n) builds S1 .. S4
+MAX_TABLE_BYTES = 1 << 20  # an order-64 table indented by 2 takes about 40 KB
 
 __all__ = [
     "CONSTRUCTION_CAP",
@@ -602,12 +604,16 @@ def load_table_file(path: str) -> FiniteGroup:
     """Read a Cayley table from a JSON document with fields ``order`` and ``table``.
 
     ``table`` is row-major with 0-based indices.  The result is validated.
+    A file over MAX_TABLE_BYTES is refused before it is parsed.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except RecursionError:
-            raise NotClosedError("table file nests too deeply to be a table") from None
+    with open(path, "rb") as fh:
+        raw = fh.read(MAX_TABLE_BYTES + 1)
+        size = max(len(raw), os.fstat(fh.fileno()).st_size)
+    check_cap(size, MAX_TABLE_BYTES, "table file bytes")
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    except RecursionError:
+        raise NotClosedError("table file nests too deeply to be a table") from None
     if not isinstance(doc, dict) or "order" not in doc or "table" not in doc:
         raise NotClosedError("table file must be an object with fields 'order' and 'table'")
     order, table = doc["order"], doc["table"]
@@ -615,8 +621,6 @@ def load_table_file(path: str) -> FiniteGroup:
         raise NotClosedError(f"'order' must be an integer, got {order!r}")
     if not isinstance(table, list) or len(table) != order:
         raise NotClosedError(f"'table' must be a list of {order} rows")
-    import os
-
     name = os.path.splitext(os.path.basename(path))[0]
     return validate_cayley(table, name=name)
 

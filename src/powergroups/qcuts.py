@@ -377,9 +377,9 @@ def verify_cut_power_group(
     )
 
     overlap = None
-    distinct = [(a, b) for a in cuts for b in cuts if a.endpoint < b.endpoint]
-    if distinct:
-        a, b = distinct[0]
+    first = next(((a, b) for a in cuts for b in cuts if a.endpoint < b.endpoint), None)
+    if first:
+        a, b = first
         x = Fraction(b.endpoint.floor() + 1)
         if cut_member(a, x) and cut_member(b, x):
             overlap = (str(a.endpoint), str(b.endpoint), str(x))

@@ -112,29 +112,8 @@ def build_census(
     return out
 
 
-def record_to_json(r: CensusRecord) -> str:
-    fp = r.fingerprint
-    payload = {
-        "group": r.group,
-        "order": r.order,
-        "family": [list(m) for m in r.family],
-        "identity": list(r.identity),
-        "subquotient": r.subquotient,
-        "identity_subgroup": r.identity_subgroup,
-        "inverse_closed": r.inverse_closed,
-        "partition_union_subgroup": r.partition_union_subgroup,
-        "fingerprint": {
-            "order": fp.order,
-            "abelian": fp.abelian,
-            "element_orders": list(fp.element_orders),
-            "center_size": fp.center_size,
-            "conjugacy_class_sizes": list(fp.conjugacy_class_sizes),
-        },
-        "carrier": None if r.carrier is None else list(r.carrier),
-        "kernel": None if r.kernel is None else list(r.kernel),
-        "witness": r.witness,
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+# Record and fingerprint fields are the JSON keys; tuples encode as lists.
+record_to_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=vars).encode
 
 
 def record_from_json(line: str) -> CensusRecord:
@@ -168,8 +147,12 @@ def write_text_atomic(path: str, chunks: Iterable[str]) -> None:
     before the temporary file is renamed over path."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".out-")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w") as fh:
+            # mkstemp creates the file 0600; give it the mode open(path, "w") would.
+            os.fchmod(fd, 0o666 & ~umask)
             for chunk in chunks:
                 fh.write(chunk)
             fh.flush()

@@ -338,11 +338,16 @@ def test_match_subquotient_failure_conditions():
     assert isinstance(got, NotSubquotient) and got.condition == "family_not_coset_set"
 
 
-@pytest.mark.parametrize("name", THM2_GROUPS + ("S4", "D6"))
+@pytest.mark.parametrize(
+    "name", THM2_GROUPS + ("S4", "D6", "Q8xC2", "D4xC3", "D4xC3 relabelled")
+)
 def test_match_subquotient_normality_matches_conjugation_by_every_element(name):
     # Every N <= H, normal or not, as the family of left cosets of N in H: the
     # verdict must be the one conjugation by every element of H gives.
-    g = group_from_name(name)
+    base, _, relabelled = name.partition(" ")
+    g = group_from_name(base)
+    if relabelled:
+        g = _relabelled(g, 11)
     subs = all_subgroups(g)
     for h in subs:
         for n in subs:
@@ -445,6 +450,45 @@ def test_epimorphism_holds_for_every_commuting_pair(g):
             assert rep.ok
             built += 1
     assert built > 0
+
+
+@pytest.mark.parametrize("name", ["D4", "S4"])
+def test_build_coset_group_forms_no_product_after_the_family(monkeypatch, name):
+    # power_group_family multiplied every pair of cosets once; the product law
+    # is read on its table, so no subset product follows it.
+    import powergroups.classify as classify_module
+
+    g = group_from_name(name)
+    real_family, real_product = classify_module.power_group_family, FiniteGroup.product_mask
+    late = []
+    built = [False]
+
+    def family(parent, masks):
+        out = real_family(parent, masks)
+        built[0] = True
+        return out
+
+    def product(self, a, b):
+        if built[0]:
+            late.append((a, b))
+        return real_product(self, a, b)
+
+    monkeypatch.setattr(classify_module, "power_group_family", family)
+    monkeypatch.setattr(FiniteGroup, "product_mask", product)
+    pairs = 0
+    for h in all_subgroups(g):
+        for e in all_subgroups(g):
+            built[0] = False
+            try:
+                d = build_coset_group(g, GroupSubset(g, e.members), h)
+            except CommutationFailsError:
+                assert not built[0]
+                continue
+            assert built[0] and not late
+            built[0] = False
+            assert list(d.family.masks()) == _coset_masks(g, h.members, e.members)
+            pairs += 1
+    assert pairs > len(all_subgroups(g))
 
 
 @pytest.mark.parametrize("g", [V4, S3], ids=lambda g: g.name)

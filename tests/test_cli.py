@@ -2,8 +2,10 @@
 
 import dataclasses
 import json
+import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -80,6 +82,50 @@ def test_enum_from_table_file(capsys, tmp_path):
     )
     code, out, err = run(capsys, "enum", "--table", str(path))
     assert code == 0 and len(json_lines(out)) == 3 and "group=c3" in err
+
+
+def test_oversized_table_file_is_refused_before_parsing(capsys, tmp_path, monkeypatch):
+    import time
+
+    import powergroups.groups as groups_module
+
+    def no_parse(text):
+        raise AssertionError("the table file was parsed")
+
+    cap = groups_module.MAX_TABLE_BYTES
+    path = tmp_path / "big.json"
+    path.write_bytes(b'{"order":1,"table":[[0]]}'.ljust(4 * cap))
+    monkeypatch.setattr(groups_module, "json", SimpleNamespace(loads=no_parse))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "enum", "--table", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == f"error: table file bytes {4 * cap} exceeds cap {cap}\n"
+    # A file at the cap is read and parsed.
+    path.write_bytes(b'{"order":1,"table":[[0]]}'.ljust(cap))
+    monkeypatch.undo()
+    code, out, err = run(capsys, "enum", "--table", str(path))
+    assert code == 0 and len(json_lines(out)) == 1
+
+
+def test_out_files_get_the_mode_open_would_give(tmp_path):
+    # The atomic writer renames a private temporary file over the target; the
+    # result must still follow the umask like open(path, "w").
+    code = (
+        "import os, sys\n"
+        "from powergroups import cli\n"
+        "for umask, name in ((0o022, 'a'), (0o027, 'b')):\n"
+        "    os.umask(umask)\n"
+        "    path = os.path.join(sys.argv[1], name + '.jsonl')\n"
+        "    assert cli.main(['enum', '--group', 'S3', '--out', path]) == 0\n"
+        "    print(oct(os.stat(path).st_mode & 0o777))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert [w for w in proc.stdout.split() if w.startswith("0o")] == ["0o644", "0o640"]
+    assert sorted(os.listdir(tmp_path)) == ["a.jsonl", "b.jsonl"]
 
 
 def test_subquotients_listing(capsys):

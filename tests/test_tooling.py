@@ -166,3 +166,20 @@ def test_family_classification_never_reads_normalizers():
     sources = _package_sources()
     assert {"normalizers", "_normalizer"} <= _reachable(sources, ("enumerate_subquotients",))
     assert not {"normalizers", "_normalizer"} & _reachable(sources, roots)
+
+
+def test_family_classification_closes_no_generators():
+    # match_subquotient decides normality on the left cosets it builds anyway,
+    # so classifying a census record closes no generating set; the closures
+    # keep serving the normalizers and the isomorphism search.
+    roots = ("match_subquotient", "_record")
+    closures = {"closure_mask", "_greedy_generators", "generating_set", "_normalized_by"}
+    sources = _package_sources()
+    assert closures <= _reachable(sources, ("_normalizer", "are_isomorphic"))
+    assert not closures & _reachable(sources, roots)
+    line = "    cosets = _coset_masks(g, hmask, nmask)\n"
+    classify = (ROOT / "src" / "powergroups" / "classify.py").read_text(encoding="utf-8")
+    assert line in classify
+    mutant = classify.replace(line, "    _normalized_by(g, nmask, generating_set(g, hmask))\n" + line)
+    mutated = [mutant if s == classify else s for s in sources]
+    assert closures <= _reachable(mutated, roots)
