@@ -19,9 +19,13 @@ The natural entry points:
 - ``zsets`` and ``qcuts`` hold the exact integer-set and rational-cut models;
 - ``suites.run_suite`` drives the named verification suites, also exposed by
   the ``powergroups`` command-line tool.
+
+``zsets``, ``qcuts`` and ``run_suite`` are imported on first use, so importing
+the finite core does not load the infinite-carrier models.
 """
 
-from . import qcuts, zsets
+import importlib
+
 from .classify import (
     build_coset_group,
     coset_group_epimorphism_check,
@@ -42,9 +46,18 @@ from .iso import matrix_is_transitive, matrix_to_csv, underlies, underlies_matri
 from .records import build_census, read_records, write_records
 from .search import all_power_groups
 from .subsets import subset
-from .suites import run_suite
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str) -> object:
+    # PEP 562: the names below load their module on first use.
+    if name in ("qcuts", "zsets"):
+        return importlib.import_module(f".{name}", __name__)
+    if name == "run_suite":
+        return importlib.import_module(".suites", __name__).run_suite
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "SubgroupMask",

@@ -19,6 +19,7 @@ from .groups import SEARCH_CAP, FiniteGroup, generating_set
 from .search import PowerGroupFamily
 
 __all__ = [
+    "UNDERLIES_CATALOG",
     "GroupFingerprint",
     "UnderliesWitness",
     "are_isomorphic",
@@ -178,6 +179,10 @@ def underlies(
         if phi is not None:
             return UnderliesWitness(family=fam, mapping=phi)
     return None
+
+
+# The catalog of ``underlies --matrix default``, in its row and column order.
+UNDERLIES_CATALOG = ("trivial", "C2", "C3", "C4", "V4", "C5", "C6", "S3", "C8", "D4", "Q8")
 
 
 def underlies_matrix(

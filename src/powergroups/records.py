@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -144,15 +143,26 @@ def record_from_json(line: str) -> CensusRecord:
 def write_text_atomic(path: str, chunks: Iterable[str]) -> None:
     """Write the chunks to path atomically: a killed or failed run leaves the
     old file (or none), never a partial one.  The data reaches the disk
-    before the temporary file is renamed over path."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".out-")
-    umask = os.umask(0)
-    os.umask(umask)
+    before the temporary file is renamed over path.
+
+    As with ``open(path, "w")``, a symlink is followed and its target
+    replaced, an existing file keeps its permission bits, and a new file gets
+    0o666 & ~umask.  The owner is not carried over: the replaced file belongs
+    to the user who wrote it."""
+    import tempfile  # only --out writes a file, so the CLI does not load it at startup
+
+    path = os.path.realpath(path)
+    try:
+        mode = os.stat(path).st_mode & 0o7777
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".out-")
     try:
         with os.fdopen(fd, "w") as fh:
-            # mkstemp creates the file 0600; give it the mode open(path, "w") would.
-            os.fchmod(fd, 0o666 & ~umask)
+            # mkstemp creates the file 0600.
+            os.fchmod(fd, mode)
             for chunk in chunks:
                 fh.write(chunk)
             fh.flush()

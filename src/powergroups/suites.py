@@ -26,6 +26,7 @@ from .classify import (
 )
 from .errors import CommutationFailsError, NotRepresentableError, check_cap
 from .groups import FiniteGroup, all_subgroups, group_from_name, normal_subgroups_of
+from .iso import UNDERLIES_CATALOG  # re-exported: its one definition sits by underlies_matrix
 from .search import all_power_groups, brute_force_power_groups
 from .subsets import all_idempotents
 
@@ -66,7 +67,6 @@ THM2_GROUPS = (
     "Q8",
     "C2xC2xC2",
 )
-UNDERLIES_CATALOG = ("trivial", "C2", "C3", "C4", "V4", "C5", "C6", "S3", "C8", "D4", "Q8")
 
 
 @dataclass(frozen=True)

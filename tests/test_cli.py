@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from powergroups import qcuts, suites, zsets
-from powergroups.cli import build_parser, main
+from powergroups.cli import SUITE_NAMES, build_parser, main
 from powergroups.errors import InternalFaultError
 from powergroups.groups import group_from_name, subgroup_mask
 from powergroups.subsets import subset
@@ -189,11 +189,18 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["verify", "no-such-suite"])
     assert info.value.code == 2
+    assert "{" + ",".join(sorted(suites.SUITES)) + "}" in capsys.readouterr().err
+
+
+def test_verify_choices_name_every_suite():
+    # cli lists the suite names itself so that building the parser does not
+    # import suites (and through it zsets and qcuts).
+    assert SUITE_NAMES == tuple(sorted(suites.SUITES))
 
 
 def test_verify_reports_failures_with_exit_1(capsys, monkeypatch):
     monkeypatch.setattr(
-        "powergroups.cli.run_suite",
+        "powergroups.suites.run_suite",
         lambda *a, **k: [SuiteCheck("fake", "forced failure", False, "details")],
     )
     code, out, err = run(capsys, "verify", "oracle-equivalence")

@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 
 import pytest
 
@@ -118,6 +119,48 @@ def test_write_text_atomic_syncs_before_rename(tmp_path, monkeypatch):
     assert events == ["fsync", "replace"]
     assert path.read_text() == "first second\n"
     assert os.listdir(tmp_path) == ["out.txt"]
+
+
+@pytest.fixture
+def umask_022():
+    old = os.umask(0o022)
+    try:
+        yield
+    finally:
+        os.umask(old)
+
+
+def _mode(path):
+    return stat.S_IMODE(os.stat(path).st_mode)
+
+
+def test_write_text_atomic_gives_a_new_file_the_umask_mode(tmp_path, umask_022):
+    path = tmp_path / "new.jsonl"
+    write_text_atomic(str(path), ["x\n"])
+    assert _mode(path) == 0o644
+    assert os.listdir(tmp_path) == ["new.jsonl"]
+
+
+def test_write_text_atomic_keeps_an_existing_files_mode(tmp_path, umask_022):
+    path = tmp_path / "o.jsonl"
+    path.write_text("old\n")
+    os.chmod(path, 0o600)
+    write_text_atomic(str(path), ["new\n"])
+    assert path.read_text() == "new\n"
+    assert _mode(path) == 0o600
+
+
+def test_write_text_atomic_replaces_a_symlinks_target(tmp_path, umask_022):
+    real = tmp_path / "real.jsonl"
+    real.write_text("stale\n")
+    os.chmod(real, 0o600)
+    link = tmp_path / "o.jsonl"
+    link.symlink_to("real.jsonl")
+    write_text_atomic(str(link), ["fresh\n"])
+    assert os.readlink(link) == "real.jsonl"
+    assert real.read_text() == "fresh\n"
+    assert _mode(real) == 0o600
+    assert sorted(os.listdir(tmp_path)) == ["o.jsonl", "real.jsonl"]
 
 
 def test_census_fingerprints_each_distinct_table_once(monkeypatch):

@@ -1,13 +1,19 @@
 """Repository-level checks: every demo and README example runs, every
-exported name exists, and the package holds no assert."""
+exported name exists, the package holds no assert, and the CLI loads only
+what a subcommand runs."""
 
 import ast
 import importlib
+import json
 import pathlib
 import re
 import runpy
+import subprocess
+import sys
 
 import pytest
+
+from powergroups.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -183,3 +189,60 @@ def test_family_classification_closes_no_generators():
     mutant = classify.replace(line, "    _normalized_by(g, nmask, generating_set(g, hmask))\n" + line)
     mutated = [mutant if s == classify else s for s in sources]
     assert closures <= _reachable(mutated, roots)
+
+
+# Modules a finite subcommand never needs: the integer-set and rational-cut
+# models, the suites that drive them, and fractions (qcuts' number type).
+LAZY_MODULES = ("powergroups.zsets", "powergroups.qcuts", "powergroups.suites", "fractions")
+
+_FRESH_CLI = (
+    "import json, sys\n"
+    "import powergroups.cli as cli\n"
+    "imported = set(sys.modules)\n"
+    "code = cli.main(sys.argv[1:])\n"
+    "print(json.dumps({\n"
+    "    'code': code,\n"
+    "    'lazy': [m for m in %r if m in sys.modules],\n"
+    "    'loaded_by_main': sorted(m for m in set(sys.modules) - imported if m.startswith('powergroups')),\n"
+    "}))\n"
+) % (LAZY_MODULES,)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enum", "--group", "D4"],
+        ["subquotients", "--group", "S4", "--max-order", "24"],
+        ["catalog", "list"],
+        ["underlies", "--g1", "S3", "--g2", "C2"],
+        ["underlies", "--matrix", "default"],
+    ],
+    ids=" ".join,
+)
+def test_finite_commands_load_only_the_finite_core(argv):
+    # import powergroups.cli (what the benchmark's setup_s times) loads every
+    # package module these commands run, and nothing from the infinite side.
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_CLI, *argv], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report == {"code": 0, "lazy": [], "loaded_by_main": []}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zset", "sum", "BB(0;;1;1)", "TS(2;1)", "--window", "8"],
+        ["qcuts", "witness", "--trials", "20"],
+        ["verify", "oracle-equivalence"],
+    ],
+    ids=" ".join,
+)
+def test_lazily_loaded_commands_match_in_a_fresh_process(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    proc = subprocess.run(
+        [sys.executable, "-m", "powergroups.cli", *argv], capture_output=True, text=True, timeout=120
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
