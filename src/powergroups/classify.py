@@ -13,6 +13,7 @@ up as a disagreement instead of being copied into every flag.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional, Sequence, Union
 
 from .errors import (
@@ -200,8 +201,15 @@ def _restrict(q: PowerGroupFamily, hmask: int) -> PowerGroupFamily:
         return q
     pos = {i: k for k, i in enumerate(inside)}
     qt = q.abstract_table
+    if len(inside) == 1:
+        # itemgetter of one index returns the entry itself, not a 1-tuple.
+        (i,) = inside
+        rows = [(qt[i][i],)]
+    else:
+        pick = itemgetter(*inside)
+        rows = map(pick, pick(qt))
     try:
-        table = [tuple([pos[qt[i][j]] for j in inside]) for i in inside]
+        table = [tuple(map(pos.__getitem__, row)) for row in rows]
     except KeyError as exc:
         block = q.elements[exc.args[0]].members
         raise ValueError(f"family not closed: block {block:#x} is outside {hmask:#x}") from None

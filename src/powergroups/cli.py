@@ -136,24 +136,19 @@ def cmd_enum(args: argparse.Namespace) -> int:
 
 def cmd_subquotients(args: argparse.Namespace) -> int:
     g, label = _load_group(args)
-    # The families of one kernel share its cosets, and carriers and kernels
-    # recur from pair to pair: each mask's element list is read once.
-    elements = functools.cache(lambda mask: list(iter_bits(mask)))
-    lines = []
-    for desc, fam in enumerate_subquotients(g):
-        lines.append(
-            _dumps(
-                {
-                    "group": label,
-                    "carrier": elements(desc.carrier.members),
-                    "kernel": elements(desc.kernel.members),
-                    "order": fam.order,
-                    "family": [elements(a.members) for a in fam.elements],
-                }
-            )
-        )
-    text = "".join(line + "\n" for line in lines)
-    _emit(args.out, text, f"group={label} subquotients={len(lines)}")
+    # Each line is the sorted-key compact JSON of {carrier, family, group,
+    # kernel, order}, written from text pieces: the families of one kernel
+    # share its cosets, and carriers and kernels recur from pair to pair, so
+    # each mask's element list is formatted once and the label once.
+    text = functools.cache(lambda mask: "[" + ",".join(map(str, iter_bits(mask))) + "]")
+    group = json.dumps(label)
+    lines = [
+        f'{{"carrier":{text(desc.carrier.members)},'
+        f'"family":[{",".join([text(a.members) for a in fam.elements])}],'
+        f'"group":{group},"kernel":{text(desc.kernel.members)},"order":{fam.order}}}\n'
+        for desc, fam in enumerate_subquotients(g)
+    ]
+    _emit(args.out, "".join(lines), f"group={label} subquotients={len(lines)}")
     return 0
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
 from math import lcm
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -188,6 +189,16 @@ def _sanitize_table(table: Sequence[Sequence[int]]) -> _Table:
     return tuple(rows)
 
 
+def _identity_of(t: _Table) -> int | None:
+    """The two-sided identity of a square tuple-of-tuples table, or None:
+    the e whose row is (0, 1, ..., n-1) and whose column reads the same."""
+    rng = tuple(range(len(t)))
+    for e, row in enumerate(t):
+        if row == rng and tuple(map(itemgetter(e), t)) == rng:
+            return e
+    return None
+
+
 def _group_of_table(t: _Table, *, name: str) -> FiniteGroup:
     """The axiom half of validate_cayley, for a square tuple-of-tuples table
     with entries in range(len(t)): identity, associativity, inverses, then
@@ -199,43 +210,42 @@ def _group_of_table(t: _Table, *, name: str) -> FiniteGroup:
     pass form a submagma, and the identity passes.  Checking b over a greedy
     generating set (each b kept when the identity and closure_mask of the kept
     ones miss it) therefore gives the verdict of the full n^3 scan in n^2
-    products per generator.
+    products per generator.  Each (a, b) compares whole rows: row a*b of the
+    table against row a read at the entries of row b.
     """
     n = len(t)
-    identity = next(
-        (e for e in range(n) if all(t[e][i] == i and t[i][e] == i for i in range(n))),
-        None,
-    )
+    identity = _identity_of(t)
     if identity is None:
         raise NoIdentityError("no two-sided identity element")
 
     # Light's test (see the docstring): check the middle element b over a
-    # generating set only.
+    # generating set only.  A generator exists only for n >= 2, so each
+    # itemgetter takes at least two indices and returns a tuple.
     for b in _greedy_generators(t, identity, (1 << n) - 1):
-        tb = t[b]
-        for a in range(n):
-            ta = t[a]
-            tab = t[ta[b]]
-            for c in range(n):
-                if tab[c] != ta[tb[c]]:
-                    raise NotAssociativeError(
-                        f"(a*b)*c != a*(b*c) at (a,b,c)=({a},{b},{c})",
-                        (a, b, c),
-                    )
-    for a in range(n):
-        if identity not in t[a]:
+        a_bc = itemgetter(*t[b])
+        for a, ta in enumerate(t):
+            tab, tabc = t[ta[b]], a_bc(ta)
+            if tab != tabc:
+                c = next(c for c in range(n) if tab[c] != tabc[c])
+                raise NotAssociativeError(
+                    f"(a*b)*c != a*(b*c) at (a,b,c)=({a},{b},{c})",
+                    (a, b, c),
+                )
+    for a, row in enumerate(t):
+        if identity not in row:
             raise NoInverseError(f"row {a} never reaches the identity")
 
     if identity != 0:
         # Relabel so the identity becomes 0; other elements keep relative order.
-        old = [identity] + [i for i in range(n) if i != identity]
-        new_of_old = {o: k for k, o in enumerate(old)}
-        t = tuple(
-            tuple(new_of_old[t[old[i]][old[j]]] for j in range(n)) for i in range(n)
-        )
+        old = (identity, *range(identity), *range(identity + 1, n))
+        new_of_old = [0] * n
+        for k, o in enumerate(old):
+            new_of_old[o] = k
+        pick, relabel = itemgetter(*old), new_of_old.__getitem__
+        t = tuple(tuple(map(relabel, pick(t[o]))) for o in old)
         identity = 0
 
-    inverses = tuple(t[a].index(identity) for a in range(n))
+    inverses = tuple(row.index(identity) for row in t)
     return FiniteGroup(order=n, table=t, identity=identity, inverses=inverses, name=name)
 
 
@@ -265,17 +275,27 @@ class SubgroupMask:
 
 
 def is_subgroup_mask(g: FiniteGroup, mask: int) -> bool:
-    """True iff mask is nonempty, contains the identity, and is closed."""
+    """True iff mask is nonempty, contains the identity, and is closed.
+
+    <S> for the members S of mask is grown from the identity one right coset
+    at a time (_coset_grow), adding the least member it misses until it
+    covers mask; a product outside mask refuses at once.  A nonempty closed
+    subset of a finite group is a subgroup, so reaching mask accepts.  This
+    costs |<S>| table reads plus a few per coset, not |S|^2, and it needs
+    associativity, which every FiniteGroup has (_group_of_table builds them).
+    """
     if mask <= 0 or mask > g.full_mask or not mask >> g.identity & 1:
         return False
-    elems = list(iter_bits(mask))
-    for a in elems:
-        if not mask >> g.inverses[a] & 1:
+    t = g.table
+    h = 1 << g.identity
+    gens: list[int] = []
+    while h != mask:
+        rest = mask & ~h
+        x = (rest & -rest).bit_length() - 1
+        h = _coset_grow(t, h, gens, x, mask)
+        if not h:
             return False
-        row = g.table[a]
-        for b in elems:
-            if not mask >> row[b] & 1:
-                return False
+        gens.append(x)
     return True
 
 
@@ -316,10 +336,13 @@ def closure_mask(table: Sequence[Sequence[int]], seed: int) -> int:
     return cur
 
 
-def _coset_grow(table: Sequence[Sequence[int]], hmask: int, gens: Sequence[int], g: int) -> int:
+def _coset_grow(
+    table: Sequence[Sequence[int]], hmask: int, gens: Sequence[int], g: int, bound: int = -1
+) -> int:
     """<H, g> for a subgroup mask H generated by gens and an element g outside
     it, on an associative table (Dimino's algorithm, as in G. Butler,
-    *Fundamental Algorithms for Permutation Groups*, LNCS 559, 1991).
+    *Fundamental Algorithms for Permutation Groups*, LNCS 559, 1991); 0 as
+    soon as a coset leaves the mask bound (by default, none does).
 
     <H, g> is a union of right cosets Hr.  Starting from r = g, each new
     representative r adds its coset Hr and its products r*s for s in gens and
@@ -332,17 +355,25 @@ def _coset_grow(table: Sequence[Sequence[int]], hmask: int, gens: Sequence[int],
     """
     hs = tuple(iter_bits(hmask))
     gs = (*gens, g)
-    k = hmask
+    outside = ~bound
+    coset = 0
     for h in hs:
-        k |= 1 << table[h][g]
+        coset |= 1 << table[h][g]
+    if coset & outside:
+        return 0
+    k = hmask | coset
     reps = [g]
     for r in reps:
         row = table[r]
         for s in gs:
             x = row[s]
             if not k >> x & 1:
+                coset = 0
                 for h in hs:
-                    k |= 1 << table[h][x]
+                    coset |= 1 << table[h][x]
+                if coset & outside:
+                    return 0
+                k |= coset
                 reps.append(x)
     return k
 

@@ -148,17 +148,21 @@ def write_text_atomic(path: str, chunks: Iterable[str]) -> None:
     As with ``open(path, "w")``, a symlink is followed and its target
     replaced, an existing file keeps its permission bits, and a new file gets
     0o666 & ~umask.  The owner is not carried over: the replaced file belongs
-    to the user who wrote it."""
+    to the user who wrote it.  An OSError from creating the temporary file or
+    renaming it names path, as given, not the temporary file."""
     import tempfile  # only --out writes a file, so the CLI does not load it at startup
 
-    path = os.path.realpath(path)
+    target, path = path, os.path.realpath(path)
     try:
         mode = os.stat(path).st_mode & 0o7777
     except FileNotFoundError:
         umask = os.umask(0)
         os.umask(umask)
         mode = 0o666 & ~umask
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".out-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".out-")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, target) from None
     try:
         with os.fdopen(fd, "w") as fh:
             # mkstemp creates the file 0600.
@@ -167,7 +171,10 @@ def write_text_atomic(path: str, chunks: Iterable[str]) -> None:
                 fh.write(chunk)
             fh.flush()
             os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, target) from None
     except BaseException:
         os.unlink(tmp)
         raise

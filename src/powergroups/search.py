@@ -26,6 +26,7 @@ from .groups import (
     SEARCH_CAP,
     FiniteGroup,
     _group_of_table,
+    _identity_of,
     iter_bits,
     subgroup_lattice,
     validate_cayley,
@@ -136,10 +137,8 @@ def _family_from_table(
         check_cap(k, CONSTRUCTION_CAP, "group order")
         abstract = _group_of_table(table, name="F")
         # The axiom check may relabel; recover the identity's position in family order.
-        identity_index = next(
-            i for i in range(k) if all(table[i][j] == j and table[j][i] == j for j in range(k))
-        )
-        inverse_map = tuple(table[i].index(identity_index) for i in range(k))
+        identity_index = _identity_of(table)
+        inverse_map = tuple(row.index(identity_index) for row in table)
         if abstract.order != k:
             raise InternalFaultError(f"family of {k} masks validated as order {abstract.order}")
         known = parent.family_tables[table] = (abstract, identity_index, inverse_map)

@@ -138,6 +138,37 @@ def test_subquotients_listing(capsys):
         assert line["order"] == len(line["family"])
 
 
+def test_subquotients_lines_are_sorted_key_json(capsys, tmp_path):
+    # Lines are written from per-mask text; each must equal the compact
+    # sorted-key json.dumps of its payload, also for a label that JSON escapes
+    # (a quote, a backslash and a non-ASCII letter, from the file name).
+    from powergroups.classify import enumerate_subquotients
+    from powergroups.groups import iter_bits, load_table_file
+
+    g = group_from_name("S4")
+    path = tmp_path / 'q"\\é.json'
+    path.write_text(json.dumps({"order": g.order, "table": g.table}), encoding="utf-8")
+    label = 'q"\\é'
+    code, out, err = run(capsys, "subquotients", "--table", str(path), "--max-order", "24")
+    assert code == 0 and err == f"group={label} subquotients=93\n"
+    want = [
+        json.dumps(
+            {
+                "group": label,
+                "carrier": list(iter_bits(desc.carrier.members)),
+                "kernel": list(iter_bits(desc.kernel.members)),
+                "order": fam.order,
+                "family": [list(iter_bits(a.members)) for a in fam.elements],
+            },
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        for desc, fam in enumerate_subquotients(load_table_file(str(path)))
+    ]
+    assert out.splitlines() == want and out.endswith("\n")
+    assert '"group":"q\\"\\\\\\u00e9"' in out
+
+
 # ---------------------------------------------------------------------------
 # verify
 

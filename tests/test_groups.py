@@ -34,6 +34,7 @@ from powergroups.groups import (
     subgroup_mask,
     validate_cayley,
 )
+import powergroups.groups as groups_module
 from powergroups.classify import lattice_power_groups
 from powergroups.records import build_census
 
@@ -180,6 +181,75 @@ def test_light_associativity_test_matches_full_scan():
     verdicts = [_associative_by_full_scan(t) for t in tables]
     assert [_associative_by_validator(t) for t in tables] == verdicts
     assert 1000 < verdicts.count(False) < len(tables) - 500
+
+
+def _group_of_table_by_entry_loops(t, *, name):
+    # Reference axiom check: the entry-at-a-time loops the row-level
+    # _group_of_table replaced (identity search, Light's test over greedy
+    # generators with a scan over a then c, inverses, relabel).
+    n = len(t)
+    identity = next(
+        (e for e in range(n) if all(t[e][i] == i and t[i][e] == i for i in range(n))),
+        None,
+    )
+    if identity is None:
+        raise NoIdentityError("no two-sided identity element")
+    for b in groups_module._greedy_generators(t, identity, (1 << n) - 1):
+        tb = t[b]
+        for a in range(n):
+            ta = t[a]
+            tab = t[ta[b]]
+            for c in range(n):
+                if tab[c] != ta[tb[c]]:
+                    raise NotAssociativeError(
+                        f"(a*b)*c != a*(b*c) at (a,b,c)=({a},{b},{c})", (a, b, c)
+                    )
+    for a in range(n):
+        if identity not in t[a]:
+            raise NoInverseError(f"row {a} never reaches the identity")
+    if identity != 0:
+        old = [identity] + [i for i in range(n) if i != identity]
+        new_of_old = {o: k for k, o in enumerate(old)}
+        t = tuple(tuple(new_of_old[t[old[i]][old[j]]] for j in range(n)) for i in range(n))
+        identity = 0
+    inverses = tuple(t[a].index(identity) for a in range(n))
+    return groups_module.FiniteGroup(n, t, identity, inverses, name)
+
+
+def _axiom_outcome(check, table):
+    t = groups_module._sanitize_table(table)
+    try:
+        g = check(t, name="G")
+    except (NoIdentityError, NotAssociativeError, NoInverseError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "witness", None)
+    return "group", g.table, g.inverses, g.identity
+
+
+@pytest.mark.parametrize("name", ["C3", "V4", "S3", "Q8", "D4", "C2xC6", "D6", "S4"])
+def test_row_level_axiom_check_matches_entry_loops(name):
+    # Catalog tables relabelled so the identity usually sits off 0, then one
+    # entry changed: the row-level check raises the same error with the same
+    # (a, b, c) witness as the entry loops, and on the unchanged relabelled
+    # tables returns the same relabelled table and inverses.
+    rng = Random(name)
+    base = group_from_name(name)
+    n = base.order
+    kinds, off_zero = [], 0
+    for seed in range(12):
+        moved = _permuted_table(base, seed)
+        off_zero += moved[0][0] != 0  # 0 * 0 = 0 only for the identity
+        want = _axiom_outcome(_group_of_table_by_entry_loops, moved)
+        assert want[0] == "group"
+        assert _axiom_outcome(groups_module._group_of_table, moved) == want
+        for _ in range(8):
+            t = [list(row) for row in moved]
+            a, b = rng.randrange(n), rng.randrange(n)
+            t[a][b] = rng.choice([v for v in range(n) if v != t[a][b]])
+            want = _axiom_outcome(_group_of_table_by_entry_loops, t)
+            assert _axiom_outcome(groups_module._group_of_table, t) == want
+            kinds.append(want[0])
+    assert off_zero >= 6
+    assert kinds.count("NotAssociativeError") > len(kinds) // 4
 
 
 def test_validate_respects_order_cap():
@@ -329,15 +399,54 @@ def test_subgroup_detection_matches_naive_definition(g):
         assert is_subgroup_mask(g, mask) == naive_is_subgroup(g, mask)
 
 
-def _relabelled(g, seed):
-    # The same group under a seeded permutation of its element indices.
+def _permuted_table(g, seed):
+    # g's table under a seeded permutation of its element indices, before
+    # validation moves the identity back to 0.
     perm = list(range(g.order))
     Random(seed).shuffle(perm)
     table = [[0] * g.order for _ in range(g.order)]
     for a in range(g.order):
         for b in range(g.order):
             table[perm[a]][perm[b]] = perm[g.table[a][b]]
-    return validate_cayley(table, name=f"{g.name}~{seed}")
+    return table
+
+
+def _relabelled(g, seed):
+    # The same group under a seeded permutation of its element indices.
+    return validate_cayley(_permuted_table(g, seed), name=f"{g.name}~{seed}")
+
+
+def _subgroup_by_full_scan(g, mask):
+    # The O(|S|^2) scan is_subgroup_mask used before coset enumeration:
+    # identity, inverses and every product of two members inside the mask.
+    if mask <= 0 or mask > g.full_mask or not mask >> g.identity & 1:
+        return False
+    elems = list(iter_bits(mask))
+    for a in elems:
+        if not mask >> g.inverses[a] & 1:
+            return False
+        row = g.table[a]
+        for b in elems:
+            if not mask >> row[b] & 1:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("name", ["D6", "S4", "C2xC2xC2xC2", "Q8xC2", "D12"])
+def test_coset_enumeration_subgroup_test_matches_full_scan(name):
+    # Relabelled carriers of order 12-24; masks: every lattice subgroup, each
+    # with one element added or removed, and seeded random masks holding the
+    # identity, plus the out-of-range masks.
+    for seed in (4, 9):
+        g = _relabelled(group_from_name(name), seed)
+        subs = [h.members for h in g.subgroups]
+        rng = Random(f"{name}:{seed}")
+        masks = [0, -1, g.full_mask + 1, *subs]
+        masks += [m ^ 1 << x for m in subs for x in range(g.order)]
+        masks += [rng.getrandbits(g.order) | 1 << g.identity for _ in range(400)]
+        verdicts = [_subgroup_by_full_scan(g, m) for m in masks]
+        assert [is_subgroup_mask(g, m) for m in masks] == verdicts
+        assert verdicts.count(True) > len(subs) and verdicts.count(False) > len(masks) // 2
 
 
 SUBGROUP_COUNTS = {

@@ -6,6 +6,7 @@ import stat
 
 import pytest
 
+from powergroups.cli import main
 from powergroups.errors import CapExceededError
 from powergroups.groups import group_from_name
 from powergroups.search import all_power_groups
@@ -119,6 +120,25 @@ def test_write_text_atomic_syncs_before_rename(tmp_path, monkeypatch):
     assert events == ["fsync", "replace"]
     assert path.read_text() == "first second\n"
     assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def test_write_text_atomic_names_the_requested_path(tmp_path, capsys):
+    # The temporary file is an implementation detail: a missing directory or
+    # a directory as the target is reported at the path the caller gave.
+    missing = str(tmp_path / "missing_dir" / "x.jsonl")
+    with pytest.raises(FileNotFoundError) as info:
+        write_text_atomic(missing, ["x\n"])
+    assert info.value.filename == missing
+    (tmp_path / "d").mkdir()
+    with pytest.raises(IsADirectoryError) as info:
+        write_text_atomic(str(tmp_path / "d"), ["x\n"])
+    assert info.value.filename == str(tmp_path / "d") and info.value.filename2 is None
+    assert sorted(os.listdir(tmp_path)) == ["d"] and os.listdir(tmp_path / "d") == []
+    for verb in ("enum", "subquotients"):
+        assert main([verb, "--group", "S3", "--out", missing]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: [Errno 2] No such file or directory: {missing!r}\n"
 
 
 @pytest.fixture

@@ -154,15 +154,24 @@ def _package_sources():
 
 
 def test_coset_growth_stays_off_the_validation_path():
-    # _coset_grow needs associativity, so nothing that runs before a table is
-    # known to be a group (the axiom check, its generators, closure_mask) may
-    # reach it; closure_mask serves those instead.
+    # _coset_grow needs associativity, and so does is_subgroup_mask, which
+    # grows <S> by cosets: nothing that runs before a table is known to be a
+    # group (the axiom check, its generators, closure_mask) may reach either;
+    # closure_mask serves those instead.
     roots = ("_group_of_table", "_greedy_generators", "closure_mask")
+    needs_groups = {"_coset_grow", "is_subgroup_mask"}
     mutant = "def closure_mask(t, s):\n    return _coset_grow(t, s, (), 0)\n\ndef _coset_grow(t, h, g, x):\n    return h\n"
     assert "_coset_grow" in _reachable([mutant], roots)
     sources = _package_sources()
     assert "_coset_grow" in _reachable(sources, ("subgroup_lattice",))
-    assert "_coset_grow" not in _reachable(sources, roots)
+    assert "_coset_grow" in _reachable(sources, ("is_subgroup_mask",))
+    assert not needs_groups & _reachable(sources, roots)
+    # A mutant axiom check that tests a subgroup is caught.
+    groups = (ROOT / "src" / "powergroups" / "groups.py").read_text(encoding="utf-8")
+    line = "    identity = _identity_of(t)\n"
+    assert groups.count(line) == 1
+    mutated = groups.replace(line, line + "    is_subgroup_mask(None, 1)\n")
+    assert needs_groups <= _reachable([mutated if s == groups else s for s in sources], roots)
 
 
 def test_family_classification_never_reads_normalizers():
