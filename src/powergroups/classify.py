@@ -31,6 +31,7 @@ from .groups import (
     all_subgroups,
     is_subgroup_mask,
     iter_bits,
+    normal_subgroups_of,
 )
 from .subsets import GroupSubset, is_idempotent
 from .search import PowerGroupFamily, _family_from_table, power_group_family
@@ -114,73 +115,67 @@ def _partition_union_check(g: FiniteGroup, masks: Sequence[int]) -> bool:
     return is_subgroup_mask(g, union)
 
 
-def _translates(g: FiniteGroup, hmask: int, emask: int) -> dict[int, int]:
-    """{a: aE for a in H}, for a subgroup E.  Since b in aE gives bE = aE,
-    each coset is multiplied out once, at the least member of H it holds."""
-    out: dict[int, int] = {}
-    for a in iter_bits(hmask):
-        if a not in out:
-            coset = g.product_mask(1 << a, emask)
-            for b in iter_bits(coset & hmask):
-                out[b] = coset
-    return out
+def _coset_masks(g: FiniteGroup, hmask: int, nmask: int) -> list[int]:
+    """Masks of the left cosets {aN | a in H}, sorted, for a subgroup N.
+
+    Each coset is multiplied out once, at the least member of H it does not
+    yet cover: b in aN gives bN = aN.  Taking that member out as well keeps
+    the walk finite when N lacks the identity.
+    """
+    out = []
+    rest = hmask
+    while rest:
+        low = rest & -rest
+        coset = g.product_mask(low, nmask)
+        out.append(coset)
+        rest &= ~(coset | low)
+    return sorted(out)
 
 
-def _coset_family(g: FiniteGroup, translate_of: dict[int, int]) -> PowerGroupFamily:
-    """The family {xN | x in H} from the map {x: xN for x in H} of _translates.
+def _coset_family(g: FiniteGroup, mmask: int, nmask: int) -> PowerGroupFamily:
+    """The family M/N = {xN | x in M} of the left cosets of N in M.
 
-    enumerate_subquotients calls this once per kernel N, on the map of the
-    normalizer H = N_G(N), and reads every other H/N off the result
-    (_restrict), so the refusals below and the table validation run once per
-    kernel, not once per pair.
+    enumerate_subquotients calls this once per kernel N, on its normalizer
+    M = N_G(N), and reads every other H/N off the result (_restrict), so the
+    refusals below and the table validation run once per kernel, not once per
+    pair.
 
-    Raises ValueError unless N = translate_of[identity] is a subgroup, every
-    key lies in the block it maps to, the blocks cover exactly the keys, and
-    each block is rN for its least member r; then the blocks are the left
-    cosets of N that partition the keys, and every key x maps to xN.  Raises
-    ValueError("family not closed: ...") unless each block is also Nr (with
-    the blocks left cosets, this is N normal in the union H; the left cosets
+    Raises ValueError unless N is a subgroup and no left coset of N leaves M;
+    then the cosets (_coset_masks) partition M.  Raises
+    ValueError("family not closed: ...") unless each coset is also Nr for its
+    least member r (with left cosets, this is N normal in M; the left cosets
     of N are closed under the subset product exactly when N is normal) and
-    every product of two representatives is a key (then H is closed).  With
-    both, (rN)(sN) = rsN, so entry (i, j) of the table is the block of
-    r_i r_j: one map read per entry instead of the |A||B| table reads of
+    every product of two representatives lies in M (then M is closed).  With
+    both, (rN)(sN) = rsN, so entry (i, j) of the table is the coset of
+    r_i r_j: one lookup per entry instead of the |A||B| table reads of
     power_group_family.  The table is validated by _family_from_table.
     """
-    t = g.table
-    nmask = translate_of.get(g.identity, 0)
     if not is_subgroup_mask(g, nmask):
-        raise ValueError(f"translate map's identity block {nmask:#x} is not a subgroup")
-    keys = 0
-    for x, m in translate_of.items():
-        if not m >> x & 1:
-            raise ValueError(f"translate map sends {x} to a block without it")
-        keys |= 1 << x
-    masks = sorted(set(translate_of.values()))
-    union = 0
-    for m in masks:
-        union |= m
-    if union != keys:
-        raise ValueError(f"translate map's blocks cover {union:#x}, not its keys {keys:#x}")
+        raise ValueError(f"kernel {nmask:#x} is not a subgroup")
+    masks = _coset_masks(g, mmask, nmask)
+    t = g.table
     ns = tuple(iter_bits(nmask))
-    reps = [(m & -m).bit_length() - 1 for m in masks]
-    for m, r in zip(masks, reps):
-        row = t[r]
-        left = right = 0
+    reps = []
+    block_of = {}
+    for i, m in enumerate(masks):
+        if m & ~mmask:
+            raise ValueError(f"coset {m:#x} of {nmask:#x} leaves {mmask:#x}")
+        r = (m & -m).bit_length() - 1
+        right = 0
         for y in ns:
-            left |= 1 << row[y]
             right |= 1 << t[y][r]
-        if left != m:
-            raise ValueError(f"translate map block {m:#x} is not a left coset of {nmask:#x}")
         if right != m:
             raise ValueError(
                 f"family not closed: {nmask:#x} is not normal (block {m:#x} is no right coset)"
             )
-    pos = {m: i for i, m in enumerate(masks)}
+        reps.append(r)
+        for x in iter_bits(m):
+            block_of[x] = i
     table = []
     for r in reps:
         row = t[r]
         try:
-            table.append(tuple([pos[translate_of[row[s]]] for s in reps]))
+            table.append(tuple([block_of[row[s]] for s in reps]))
         except KeyError as exc:
             raise ValueError(f"family not closed: {exc.args[0]} is outside the carrier") from None
     return _family_from_table(g, tuple(GroupSubset(g, m) for m in masks), table)
@@ -214,11 +209,6 @@ def _restrict(q: PowerGroupFamily, hmask: int) -> PowerGroupFamily:
         block = q.elements[exc.args[0]].members
         raise ValueError(f"family not closed: block {block:#x} is outside {hmask:#x}") from None
     return _family_from_table(q.parent, tuple(q.elements[i] for i in inside), table)
-
-
-def _coset_masks(g: FiniteGroup, hmask: int, nmask: int) -> list[int]:
-    """Masks of {aN | a in H}, deduplicated and sorted."""
-    return sorted(set(_translates(g, hmask, nmask).values()))
 
 
 def match_subquotient(
@@ -261,11 +251,11 @@ def enumerate_subquotients(
     """All pairs (H, N normal in H) with the coset family each pair induces,
     H in lattice order, then N in lattice order.
 
-    Kernel first: for each subgroup N, its normalizer M = N_G(N)
-    (g.normalizers), the map x -> xN on M (_translates) and the validated
-    quotient M/N (_coset_family) are built once.  N is normal in H exactly
-    when N <= H <= M, two int tests, and H/N is the quotient restricted to
-    the blocks inside H (_restrict), sharing its coset subsets.
+    Kernel first: for each subgroup N, the validated quotient M/N over its
+    normalizer M = N_G(N) (g.normalizers) is built once (_coset_family).
+    The kernels of H are normal_subgroups_of(g, H), those with N <= H <= M,
+    and H/N is the quotient restricted to the blocks inside H (_restrict),
+    sharing its coset subsets.
 
     Over a finite carrier every subset family forming a group is one of these
     coset families, so this is the production census: ``enum`` and
@@ -274,17 +264,15 @@ def enumerate_subquotients(
     exhaustive scan are independent oracles for it, compared in the
     verification suites.
     """
-    kernels = [
-        (n, norm, _coset_family(g, _translates(g, norm, n.members)))
+    quotients = {
+        n.members: _coset_family(g, norm, n.members)
         for n, norm in zip(g.subgroups, g.normalizers)
+    }
+    return [
+        (SubquotientDescriptor(carrier=h, kernel=n), _restrict(quotients[n.members], h.members))
+        for h in g.subgroups
+        for n in normal_subgroups_of(g, h)
     ]
-    out = []
-    for h in g.subgroups:
-        hmask = h.members
-        for n, norm, q in kernels:
-            if not n.members & ~hmask and not hmask & ~norm:
-                out.append((SubquotientDescriptor(carrier=h, kernel=n), _restrict(q, hmask)))
-    return out
 
 
 def lattice_power_groups(
@@ -310,7 +298,7 @@ def build_coset_group(
     Raises NotIdempotentError or CommutationFailsError when the preconditions
     fail; a product-law failure after that would be an internal bug and
     raises InternalFaultError.  An idempotent of a finite group is a
-    subgroup, which _translates relies on; E need not be a subset of H, and
+    subgroup, which _coset_masks relies on; E need not be a subset of H, and
     distinct a may give the same coset.  This is the one place aE is
     compared with Ea.  The product law (aE)(bE) = (ab)E is read on the
     family table, whose entry (i, j) power_group_family set to the position
@@ -318,18 +306,18 @@ def build_coset_group(
     """
     if not is_idempotent(e):
         raise NotIdempotentError(f"EE != E for mask {e.members:#x}")
-    emask = e.members
-    translate_of = _translates(g, h.members, emask)
-    for a in iter_bits(h.members):
-        if translate_of[a] != g.product_mask(emask, 1 << a):
+    emask, hmask = e.members, h.members
+    blocks = _coset_masks(g, hmask, emask)
+    # a -> position of aE; the family lists the blocks in the same sorted order.
+    at = {a: i for i, m in enumerate(blocks) for a in iter_bits(m & hmask)}
+    for a in iter_bits(hmask):
+        if blocks[at[a]] != g.product_mask(emask, 1 << a):
             raise CommutationFailsError(f"aE != Ea for a = {a}", a)
-    fam = power_group_family(g, translate_of.values())
-    pos = {m: i for i, m in enumerate(fam.masks())}
-    at = {a: pos[m] for a, m in translate_of.items()}
+    fam = power_group_family(g, blocks)
     # Product law: (aE)(bE) = (ab)E.  Guaranteed by commutation; verify anyway.
-    for a in iter_bits(h.members):
+    for a in iter_bits(hmask):
         row, ga = fam.abstract_table[at[a]], g.table[a]
-        for b in iter_bits(h.members):
+        for b in iter_bits(hmask):
             if row[at[b]] != at[ga[b]]:
                 raise InternalFaultError(f"family table disagrees with (aE)(bE) at a={a}, b={b}")
     return CosetGroupDescriptor(idempotent=e, carrier=h, family=fam)

@@ -98,10 +98,12 @@ def _dumps(payload: Any) -> str:
 
 
 def _load_group(args: argparse.Namespace) -> tuple[FiniteGroup, str]:
-    if getattr(args, "group", None):
+    if args.group and args.table:
+        raise ParamOutOfRangeError("give --group NAME or --table PATH, not both")
+    if args.group:
         g = group_from_name(args.group)
         label = args.group
-    elif getattr(args, "table", None):
+    elif args.table:
         g = load_table_file(args.table)
         label = g.name or os.path.basename(args.table)
     else:

@@ -1,10 +1,12 @@
-"""Searches for families of subsets that form a group under the subset product.
+"""Families of subsets that form a group under the subset product, and the
+searches that find them without the subgroup lattice.
 
-These are the oracles for the census.  ``enum`` and ``underlies`` take their
-families from the subgroup lattice instead, one coset family H/N per pair
-(H, N normal in H); see classify.lattice_power_groups.  The idempotent search
-here (all_power_groups) and the exhaustive scan (brute_force_power_groups)
-reach the same families without the lattice, so comparing them checks it.
+PowerGroupFamily is the census's family type; every builder packages one
+through _family_from_table, which validates each distinct table once per
+carrier.  The searches are the census's oracles: ``enum`` and ``underlies``
+take their families from the subgroup lattice (classify.lattice_power_groups),
+and the idempotent search (all_power_groups) and the exhaustive scan
+(brute_force_power_groups) reach the same families without it.
 
 The organizing fact: the identity of any such family is an idempotent subset E,
 every member A satisfies EA = AE = A (so A lives in the local monoid at E), and
@@ -31,7 +33,7 @@ from .groups import (
     subgroup_lattice,
     validate_cayley,
 )
-from .subsets import GroupSubset, is_idempotent
+from .subsets import GroupSubset, all_idempotents, is_idempotent
 
 __all__ = [
     "LocalMonoid",
@@ -53,8 +55,8 @@ class PowerGroupFamily:
     ``elements`` is sorted by ascending mask; ``abstract_table[i][j]`` is the
     position of elements[i] * elements[j] within the family, and passes the
     group-table validator.  ``abstract`` is the group that validation
-    returned.  Construct via power_group_family(), or for a coset family
-    from its translate map via classify._coset_family.
+    returned.  Construct via power_group_family(), or for the quotient M/N
+    of a subgroup pair via classify._coset_family.
     """
 
     parent: FiniteGroup
@@ -201,9 +203,9 @@ def unit_group(g: FiniteGroup, e: GroupSubset) -> PowerGroupFamily:
     return power_group_family(g, units)
 
 
-def _families_at_idempotent(g: FiniteGroup, emask: int) -> list[tuple[int, ...]]:
+def _families_at_idempotent(g: FiniteGroup, e: GroupSubset) -> list[tuple[int, ...]]:
     """All subset families with identity E that form groups, as mask tuples."""
-    u = unit_group(g, GroupSubset(g, emask))
+    u = unit_group(g, e)
     unit_masks = u.masks()
     out = []
     for sub in subgroup_lattice(u.abstract_table, u.identity_index):
@@ -215,22 +217,15 @@ def all_power_groups(g: FiniteGroup) -> list[PowerGroupFamily]:
     """Every family of nonempty subsets of g forming a group under the subset product.
 
     A test oracle: the census itself comes from the subgroup lattice
-    (classify.lattice_power_groups).  Strategy: for each idempotent E, every
+    (classify.lattice_power_groups).  Strategy: for each idempotent E
+    (subsets.all_idempotents, which refuses orders above SEARCH_CAP), every
     such family with identity E is a subgroup of the unit group at E (its
     members are invertible monoid elements), so enumerating subgroups of each
     unit group is complete.  Families from different idempotents never
     coincide (one idempotent per family), but the results are still
     deduplicated by canonical key and sorted deterministically.
     """
-    n = g.order
-    check_cap(n, SEARCH_CAP, "2^n power group search at order")
-    pm = g.product_mask
-    idempotent_masks = [m for m in range(1, 1 << n) if pm(m, m) == m]
-    family_keys = {
-        key
-        for em in idempotent_masks
-        for key in _families_at_idempotent(g, em)
-    }
+    family_keys = {key for e in all_idempotents(g) for key in _families_at_idempotent(g, e)}
     ordered = sorted(family_keys, key=lambda ms: (len(ms), ms))
     return [power_group_family(g, ms) for ms in ordered]
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Callable, Iterator
+from typing import Callable
 
 from . import qcuts as qc
 from . import zsets as zs
@@ -24,7 +24,7 @@ from .classify import (
     enumerate_subquotients,
     match_subquotient,
 )
-from .errors import CommutationFailsError, NotRepresentableError, check_cap
+from .errors import CommutationFailsError, NotRepresentableError, ParamOutOfRangeError, check_cap
 from .groups import FiniteGroup, all_subgroups, group_from_name, normal_subgroups_of
 from .iso import UNDERLIES_CATALOG  # re-exported: its one definition sits by underlies_matrix
 from .search import all_power_groups, brute_force_power_groups
@@ -104,12 +104,20 @@ def suite_oracle_equivalence(**_: object) -> list[SuiteCheck]:
     return checks
 
 
-def _carriers(cap: int) -> Iterator[tuple[str, FiniteGroup]]:
-    """(name, group) for each THM2_GROUPS carrier of order at most cap."""
-    for name in THM2_GROUPS:
-        g = group_from_name(name)
-        if g.order <= cap:
-            yield name, g
+def _carriers(cap: int) -> list[tuple[str, FiniteGroup]]:
+    """(name, group) for each THM2_GROUPS carrier of order at most cap.
+
+    Raises ParamOutOfRangeError when none fits: a suite that checks no
+    carrier would otherwise report a pass.
+    """
+    groups = [(name, group_from_name(name)) for name in THM2_GROUPS]
+    fits = [(name, g) for name, g in groups if g.order <= cap]
+    if not fits:
+        smallest = min(g.order for _, g in groups)
+        raise ParamOutOfRangeError(
+            f"max order {cap} admits no carrier (the smallest has order {smallest})"
+        )
+    return fits
 
 
 def suite_thm2_finite(*, max_order: int = 8, **_: object) -> list[SuiteCheck]:

@@ -15,7 +15,6 @@ from powergroups.classify import (
     _coset_masks,
     _partition_union_check,
     _restrict,
-    _translates,
     build_coset_group,
     check_identity_subgroup,
     check_inverse_closure,
@@ -142,7 +141,7 @@ def test_coset_lookup_table_matches_subset_products(g):
         for n in subs:
             if n.members & ~h.members:
                 continue
-            got = _outcome(lambda: _coset_family(g, _translates(g, h.members, n.members)))
+            got = _outcome(lambda: _coset_family(g, h.members, n.members))
             want = _outcome(lambda: power_group_family(g, _coset_masks(g, h.members, n.members)))
             assert got == want, (h, n)
             if got != "not closed":
@@ -163,9 +162,8 @@ def test_coset_lookup_matches_subset_products_under_relabelling(carrier, seed):
         for n in subs:
             if n.members & ~h.members:
                 continue
-            translate_of = _translates(g, h.members, n.members)
-            got = _outcome(lambda: _coset_family(g, translate_of))
-            want = _outcome(lambda: power_group_family(g, translate_of.values()))
+            got = _outcome(lambda: _coset_family(g, h.members, n.members))
+            want = _outcome(lambda: power_group_family(g, _coset_masks(g, h.members, n.members)))
             assert got == want
             if all(g.conjugate_mask(n.members, x) == n.members for x in iter_bits(h.members)):
                 assert got.abstract_table == want.abstract_table
@@ -177,14 +175,14 @@ def test_coset_lookup_matches_subset_products_under_relabelling(carrier, seed):
 def _per_pair_subquotients(g):
     # enumerate_subquotients as a loop over pairs, without normalizers: N is
     # normal in H when conjugation by H's generators fixes it, and every pair
-    # gets its own translate map and validated coset family.
+    # gets its own validated coset family.
     out = []
     for h in all_subgroups(g):
         gens = generating_set(g, h.members)
         for n in all_subgroups(g):
             if n.members & ~h.members or not _normalized_by(g, n.members, gens):
                 continue
-            fam = _coset_family(g, _translates(g, h.members, n.members))
+            fam = _coset_family(g, h.members, n.members)
             out.append((h.members, n.members, fam))
     return out
 
@@ -209,23 +207,22 @@ def test_kernel_first_enumeration_matches_per_pair_reference(carrier, seed):
 
 @pytest.mark.parametrize("name", ("S4", "D6", "Q8xC2", "C2xC2xC2xC2"))
 def test_coset_family_runs_once_per_kernel(name, monkeypatch):
-    # One translate map on the normalizer and one validated quotient per
-    # kernel N; every H/N shares the quotient's coset subsets.
+    # One validated quotient per kernel N, over its normalizer; every H/N
+    # shares the quotient's coset subsets.
     import powergroups.classify as classify_module
 
     g = _relabelled(group_from_name(name), 4)
-    maps = []
+    calls = []
     real = classify_module._coset_family
 
-    def counting(parent, translate_of):
-        maps.append(translate_of)
-        return real(parent, translate_of)
+    def counting(parent, mmask, nmask):
+        calls.append((mmask, nmask))
+        return real(parent, mmask, nmask)
 
     monkeypatch.setattr(classify_module, "_coset_family", counting)
     pairs = enumerate_subquotients(g)
-    assert len(pairs) > len(maps)
-    assert [m[g.identity] for m in maps] == [n.members for n in g.subgroups]
-    assert [sum(1 << x for x in m) for m in maps] == list(g.normalizers)
+    assert len(pairs) > len(calls)
+    assert calls == [(m, n.members) for m, n in zip(g.normalizers, g.subgroups)]
     shared = {}
     for d, f in pairs:
         for a in f.elements:
@@ -251,57 +248,34 @@ def test_census_families_hold_freshly_validated_groups(name):
     assert len({id(f.abstract) for f in fams}) == len({f.abstract_table for f in fams})
 
 
-def test_coset_lookup_rejects_corrupted_translate_maps():
-    good = _translates(C4, C4.full_mask, 0b0101)  # x -> x + {0, 2}
-    assert good == {0: 0b0101, 2: 0b0101, 1: 0b1010, 3: 0b1010}
-    assert _coset_family(C4, good).masks() == (0b0101, 0b1010)
-    dropped = {x: m for x, m in good.items() if x != 3}
-    no_identity = {x: m for x, m in good.items() if x != 0}
-    moved = dict(good)
-    moved[1] = 0b0101  # 1 is not in the block it is sent to
-    overlapping = dict(good)
-    overlapping[1] = overlapping[3] = 0b1110
-    # Every key sent to N: the lookup alone returns the one-member family {N}.
-    collapsed = dict.fromkeys(good, 0b0101)
-    # Blocks that hold their keys but whose identity block {0, 1} is not a
-    # subgroup: the lookup alone gives a group table (Z2), though
-    # {0, 1} + {0, 1} = {0, 1, 2} is not a member.
-    repartitioned = {0: 0b0011, 1: 0b0011, 2: 0b1100, 3: 0b1100}
-    unclosed = {0: 0b01, 1: 0b10}  # the carrier {0, 1} of C4 is not closed
-    for bad in (dropped, no_identity, moved, overlapping, collapsed, repartitioned, unclosed):
-        with pytest.raises(ValueError):
-            _coset_family(C4, bad)
-    # The right cosets Nx of the non-normal N = {0, 4} in D4: the lookup
-    # alone gives a group table here too.
-    n = 0b00010001
-    right = {x: D4.product_mask(n, 1 << x) for x in range(8)}
-    assert right[0] == n and len(set(right.values())) == 4
-    with pytest.raises(ValueError):
-        _coset_family(D4, right)
-
-
-def test_coset_lookup_names_each_added_refusal():
-    good = _translates(C4, C4.full_mask, 0b0101)
-    dropped = {x: m for x, m in good.items() if x != 3}  # block {1, 3} covers 3
-    with pytest.raises(ValueError, match="cover 0xf, not its keys 0x7"):
-        _coset_family(C4, dropped)
-    # The left cosets of the non-normal N = {0, 4} in D4 are genuine, but not
-    # right cosets, so not closed under the subset product.
-    left = _translates(D4, D4.full_mask, 0b00010001)
-    with pytest.raises(ValueError, match="^family not closed: 0x11 is not normal"):
-        _coset_family(D4, left)
-    with pytest.raises(ValueError, match="^family not closed"):
-        power_group_family(D4, left.values())
+@pytest.mark.parametrize(
+    "g, mmask, nmask, refusal",
+    [
+        (C4, C4.full_mask, 0b0011, "^kernel 0x3 is not a subgroup"),
+        (C4, 0b0011, 0b0101, "^coset 0x5 of 0x5 leaves 0x3"),
+        (C4, 0b0011, 0b0001, "^family not closed: 2 is outside the carrier"),
+        # The left cosets of the non-normal N = {0, 4} in D4 are not right
+        # cosets, so not closed under the subset product.
+        (D4, D4.full_mask, 0b00010001, "^family not closed: 0x11 is not normal"),
+    ],
+    ids=["kernel-not-subgroup", "coset-leaves-carrier", "carrier-not-closed", "kernel-not-normal"],
+)
+def test_coset_family_refuses_bad_pairs(g, mmask, nmask, refusal):
+    with pytest.raises(ValueError, match=refusal):
+        _coset_family(g, mmask, nmask)
+    if refusal.startswith("^family not closed"):
+        with pytest.raises(ValueError, match="^family not closed"):
+            power_group_family(g, _coset_masks(g, mmask, nmask))
 
 
 def test_restriction_refuses_masks_whose_blocks_are_not_closed():
     # _restrict reads H/N off the quotient N_G(N)/N; blocks that multiply out
     # of the mask are refused.
-    q = _coset_family(S3, _translates(S3, S3.full_mask, 1))  # S3 / 1
+    q = _coset_family(S3, S3.full_mask, 1)  # S3 / 1
     a = next(x for x in S3.elements() if S3.element_order(x) == 3)
     with pytest.raises(ValueError, match="^family not closed: block"):
         _restrict(q, 1 | 1 << a)
-    q = _coset_family(D4, _translates(D4, D4.full_mask, 0b0101))  # D4 / center
+    q = _coset_family(D4, D4.full_mask, 0b0101)  # D4 / center
     assert _restrict(q, D4.full_mask) is q
     assert _restrict(q, 0b1111).masks() == (0b0101, 0b1010)
 
@@ -506,3 +480,6 @@ def test_is_group_of_cosets_reports_failure_on_fabricated_family():
     fake = fabricate(S3, [c2, S3.full_mask])
     got = is_group_of_cosets(S3, fake)
     assert isinstance(got, NotCosetGroup)
+    # An identity without the group identity: the coset walk must still end.
+    fake = fabricate(S3, [0b10, 0b100])
+    assert isinstance(is_group_of_cosets(S3, fake), NotCosetGroup)

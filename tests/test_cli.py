@@ -75,6 +75,15 @@ def test_enum_cap_and_input_errors(capsys, tmp_path):
     assert code == 2 and "(a*b)*c" in err
 
 
+@pytest.mark.parametrize("cmd", ["enum", "subquotients"])
+def test_group_and_table_together_are_refused(capsys, tmp_path, cmd):
+    # The table file is never read, so a missing one cannot be silently ignored.
+    missing = tmp_path / "missing.json"
+    code, out, err = run(capsys, cmd, "--group", "C2", "--table", str(missing))
+    assert (code, out) == (2, "")
+    assert err == "error: give --group NAME or --table PATH, not both\n"
+
+
 def test_enum_from_table_file(capsys, tmp_path):
     path = tmp_path / "c3.json"
     path.write_text(
@@ -706,6 +715,14 @@ def test_size_probes_refuse_promptly(argv, message):
 )
 def test_negative_sizes_are_usage_errors(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("max_order", ["-3", "0", "1"])
+@pytest.mark.parametrize("suite", ["thm2-finite", "thm1-equivalence", "remark1-cosets"])
+def test_finite_suites_refuse_a_max_order_no_carrier_fits(capsys, suite, max_order):
+    # A run that checks no carrier must not report checks=0 failed=0 as a pass.
+    message = f"max order {max_order} admits no carrier (the smallest has order 2)"
+    assert run(capsys, "verify", suite, "--max-order", max_order) == (2, "", f"error: {message}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,16 @@ def test_family_classification_never_reads_normalizers():
     assert not {"normalizers", "_normalizer"} & _reachable(sources, roots)
 
 
+def test_enumeration_walks_cosets_and_tests_normality_in_one_place_each():
+    # _coset_masks is the one left-coset walk (no element -> coset map sits
+    # beside it), and the enumeration reads the kernels of each H from
+    # normal_subgroups_of, the one copy of the test N <= H <= N_G(N).
+    sources = _package_sources()
+    assert not any("_translates" in s for s in sources)
+    reached = _reachable(sources, ("enumerate_subquotients",))
+    assert {"_coset_masks", "normal_subgroups_of"} <= reached
+
+
 def test_family_classification_closes_no_generators():
     # match_subquotient decides normality on the left cosets it builds anyway,
     # so classifying a census record closes no generating set; the closures
