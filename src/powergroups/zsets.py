@@ -74,8 +74,6 @@ __all__ = [
     "zset_is_finite",
     "zset_is_idempotent",
     "zset_is_z_subgroup",
-    "zset_max",
-    "zset_min",
     "zset_negate",
     "zset_residual",
     "zset_sum",
@@ -84,9 +82,20 @@ __all__ = [
     "zset_window_mask",
 ]
 
-def _check_bits(bits: Sequence[int], label: str) -> tuple[int, ...]:
-    out = tuple(map(int, bits))
-    if not set(out) <= {0, 1}:
+def _bit_bytes(bits: Sequence[int], label: str) -> bytes:
+    """The bits as bytes, refusing any bit that is not the int 0 or 1.
+
+    bytes() of a sequence takes only ints in range(256), so a str or float
+    bit raises before the 0/1 test, and a bool passes as the int it equals.
+    bytes() of an int would be that many zero bytes, so an int is refused.
+    """
+    try:
+        if isinstance(bits, int):
+            raise TypeError
+        out = bytes(bits)
+    except (TypeError, ValueError):
+        raise ValueError(f"{label} must be a sequence of 0/1 bits, got {bits!r}") from None
+    if out.translate(None, b"\x00\x01"):
         raise ValueError(f"{label} must be 0/1 bits, got {bits!r}")
     return out
 
@@ -128,11 +137,11 @@ class BoundedBelow:
     word: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        t, w, p = self.transient, self.word, self.period
+        p = self.period
+        t = _bit_bytes(self.transient, "transient")
+        w = _bit_bytes(self.word, "word")
         if p < 1 or len(w) != p:
             raise ValueError("word length must equal period >= 1")
-        t = _check_bits(t, "transient")
-        w = _check_bits(w, "word")
         first = t[0] if t else w[0]
         if first != 1:
             raise ValueError("offset must be a member; use bounded_below() to canonicalize")
@@ -180,8 +189,8 @@ def bounded_below(
     and trailing transient bits that already match the periodic continuation
     are absorbed into the word's phase.  Raises ValueError on the empty set.
     """
-    bits = _check_bits(transient, "transient")
-    w = _check_bits(word, "word")
+    bits = _bit_bytes(transient, "transient")
+    w = _bit_bytes(word, "word")
     if period < 1 or len(w) != period:
         raise ValueError("word length must equal period >= 1")
     return _canonical(offset, _mask(bits), len(bits), _mask(w), period)
@@ -323,18 +332,6 @@ def _bits(mask: int, n: int) -> tuple[int, ...]:
 
 def zset_is_finite(s: ZSet) -> bool:
     return isinstance(s, BoundedBelow) and s.word == (0,)
-
-
-def zset_min(s: ZSet) -> Optional[int]:
-    return s.offset if isinstance(s, BoundedBelow) else None
-
-
-def zset_max(s: ZSet) -> Optional[int]:
-    if isinstance(s, BoundedAbove):
-        return -s.mirror.offset
-    if isinstance(s, BoundedBelow) and zset_is_finite(s):
-        return s.offset + len(s.transient) - 1
-    return None
 
 
 def zset_negate(s: ZSet) -> ZSet:

@@ -1,9 +1,12 @@
 """Exact arithmetic in Q(sqrt2) and the rational upper-cut family."""
 
+import math
 from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from powergroups.qcuts import (
     CutElement,
@@ -84,6 +87,9 @@ def test_floor():
     assert QuadExt.of(Fraction(3, 2), -2).floor() == -2
     assert QuadExt.of(7).floor() == 7
     assert QuadExt.of(Fraction(-7, 2)).floor() == -4
+    # Exact far beyond float precision (a float guess would be off by 2^148).
+    assert QuadExt.of(2**200, 1).floor() == 2**200 + 1
+    assert QuadExt.of(0, -(2**200)).floor() == -math.isqrt(2**401) - 1
     rng = Random(8)
     for _ in range(120):
         x = QuadExt(
@@ -99,6 +105,183 @@ def test_pell_identity_of_convergents():
     assert cs[:4] == [Fraction(1), Fraction(3, 2), Fraction(7, 5), Fraction(17, 12)]
     for k, c in enumerate(cs):
         assert c.numerator**2 - 2 * c.denominator**2 == (-1) ** (k + 1)
+
+
+# ---------------------------------------------------------------------------
+# The Fraction arithmetic the integer kernel replaced, kept as the reference
+
+
+def ref_sign(p, q):
+    """Sign of p + q*sqrt2 by cases on Fractions, squaring the mixed-sign case."""
+    p, q = Fraction(p), Fraction(q)
+    if q == 0:
+        return (p > 0) - (p < 0)
+    if p == 0:
+        return 1 if q > 0 else -1
+    if p > 0 and q > 0:
+        return 1
+    if p < 0 and q < 0:
+        return -1
+    big = p * p > 2 * q * q  # |p| beats |q|*sqrt2
+    if p > 0:
+        return 1 if big else -1
+    return -1 if big else 1
+
+
+def ref_cmp(x, y):
+    """sign(x - y) through Fraction subtraction and ref_sign."""
+    return ref_sign(Fraction(x.p) - Fraction(y.p), Fraction(x.q) - Fraction(y.q))
+
+
+def ref_floor(x):
+    """Binary search over integers, by ref_cmp, in [p - 3|q|/2 - 1, p + 3|q|/2 + 1]."""
+    reach = abs(Fraction(x.q)) * 3 / 2
+    lo, hi = math.floor(x.p - reach) - 1, math.ceil(x.p + reach) + 1  # lo <= x < hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if ref_cmp(QuadExt.of(mid), x) <= 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def ref_rational_between(a, b):
+    """The mediant, then the convergents, then dyadic bisection, on Fractions."""
+    assert ref_cmp(a, b) < 0
+    if a.q == 0 and b.q == 0:
+        fa, fb = Fraction(a.p), Fraction(b.p)
+        return Fraction(fa.numerator + fb.numerator, fa.denominator + fb.denominator)
+    for c in sqrt2_convergents(40):
+        cq = QuadExt.of(c)
+        if ref_cmp(a, cq) < 0 and ref_cmp(cq, b) < 0:
+            return c
+    lo, hi = Fraction(ref_floor(a)), Fraction(ref_floor(b) + 1)
+    while True:
+        mid = (lo + hi) / 2
+        m = QuadExt.of(mid)
+        if ref_cmp(m, a) <= 0:
+            lo = mid
+        elif ref_cmp(m, b) >= 0:
+            hi = mid
+        else:
+            return mid
+
+
+def ref_decompose_member(a, b, x):
+    """None when x <= a + b, else (u, x - u) with u from ref_rational_between."""
+    xq = QuadExt.of(x)
+    if ref_cmp(xq, a.endpoint + b.endpoint) <= 0:
+        return None
+    u = ref_rational_between(a.endpoint, xq - b.endpoint)
+    return u, Fraction(x) - u
+
+
+def pell_pairs(count):
+    """(p, q) with p^2 - 2q^2 = +-1: the convergents, sqrt2's closest approaches."""
+    p, q = 1, 1
+    for _ in range(count):
+        yield p, q
+        p, q = p + 2 * q, p + q
+
+
+PELL = list(pell_pairs(60))
+HUGE = 2**200
+_SIGNS = st.sampled_from((1, -1))
+# Rationals from the three regimes the kernel must get right: zero, numerators
+# and denominators around 2^200, and Pell ratios p/q, with small ones between.
+RATIONALS = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-60, 60), st.integers(1, 30)),
+    st.builds(
+        lambda s, n, d: Fraction(s * (HUGE + n), d),
+        _SIGNS,
+        st.integers(-(2**20), 2**20),
+        st.one_of(st.integers(1, 30), st.integers(HUGE - 2**20, HUGE + 2**20)),
+    ),
+    st.builds(
+        lambda s, pq, k: Fraction(s * pq[0], pq[1] * 2**k),
+        _SIGNS,
+        st.sampled_from(PELL),
+        st.integers(0, 3),
+    ),
+)
+# Endpoints: free pairs, rationals, and Pell neighbours of sqrt2 (p/q against
+# sqrt2, and p - q*sqrt2 = +-1/(p + q*sqrt2), closest to zero).
+QUADS = st.one_of(
+    st.builds(QuadExt, RATIONALS, RATIONALS),
+    st.builds(QuadExt, RATIONALS, st.just(Fraction(0))),
+    st.builds(lambda pq: QuadExt(Fraction(pq[0], pq[1]), Fraction(0)), st.sampled_from(PELL)),
+    st.builds(
+        lambda pq, s: QuadExt(Fraction(s * pq[0]), Fraction(-s * pq[1])),
+        st.sampled_from(PELL),
+        _SIGNS,
+    ),
+    st.builds(lambda r, s: QuadExt(r, Fraction(s)), RATIONALS, _SIGNS),
+)
+
+
+@settings(max_examples=400)
+@given(x=QUADS, y=QUADS)
+def test_order_matches_fraction_reference(x, y):
+    assert x.sign() == ref_sign(x.p, x.q)
+    want = ref_cmp(x, y)
+    assert (x < y, x <= y, x > y, x >= y) == (want < 0, want <= 0, want > 0, want >= 0)
+    assert x.floor() == ref_floor(x)
+
+
+@settings(max_examples=300)
+@given(x=QUADS, y=QUADS)
+# (sqrt2, 38th convergent) holds the 40th, the last one scanned; (39th
+# convergent, sqrt2) holds none of the first 40, so it bisects.
+@example(x=SQRT2, y=QuadExt.of(Fraction(*PELL[37])))
+@example(x=QuadExt.of(Fraction(*PELL[38])), y=SQRT2)
+def test_rational_between_matches_fraction_reference(x, y):
+    if ref_cmp(x, y) == 0:
+        return
+    a, b = (x, y) if ref_cmp(x, y) < 0 else (y, x)
+    assert rational_between(a, b) == ref_rational_between(a, b)
+
+
+@settings(max_examples=300)
+@given(a=QUADS, b=QUADS, x=RATIONALS, near=st.booleans())
+def test_decompose_member_matches_fraction_reference(a, b, x, near):
+    if near:  # just above or below the endpoint sum, where the split is tight
+        x = ref_floor(a + b) + x / (1 + abs(x))
+    ca, cb = cut(a), cut(b)
+    assert decompose_member(ca, cb, x) == ref_decompose_member(ca, cb, x)
+
+
+def test_order_tests_build_no_fraction(monkeypatch):
+    """Comparisons and sign run on integers; a rational_between settled by a
+    convergent builds one Fraction, the one it returns."""
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    x, y = QuadExt.of(Fraction(7, 5), 1), QuadExt.of(Fraction(-3, 4), Fraction(2, 9))
+    lo, ny = QuadExt.of(Fraction(7, 5)), -y
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    assert y < x and y <= x and x > y and x >= y and not x < x
+    assert (x.sign(), ny.sign(), SQRT2.sign()) == (1, 1, 1)
+    assert lo < SQRT2 and not SQRT2 <= lo
+    assert not built
+    got = rational_between(lo, SQRT2)
+    monkeypatch.undo()
+    assert built == [(41, 29)]
+    assert got == Fraction(41, 29)
+
+
+def test_quadext_refuses_float_coefficients():
+    for p, q in [(0.1, 0), (0, 0.5), (Fraction(1), 1.0), ("1", 0)]:
+        with pytest.raises(ValueError, match="int or Fraction"):
+            QuadExt(p, q)
+    assert QuadExt.of(0.1) == QuadExt.of(Fraction(3602879701896397, 36028797018963968))
+    assert QuadExt(1, 0) == QuadExt.of(1) and hash(QuadExt(1, 0)) == hash(QuadExt.of(1))
+    assert QuadExt(True, 0) < QuadExt.of(2)
 
 
 # ---------------------------------------------------------------------------

@@ -45,8 +45,6 @@ from powergroups.zsets import (
     zset_is_finite,
     zset_is_idempotent,
     zset_is_z_subgroup,
-    zset_max,
-    zset_min,
     zset_negate,
     zset_residual,
     zset_sum,
@@ -108,6 +106,28 @@ def test_constructors_reject_non_canonical_input():
         TwoSidedPeriodic(3, frozenset())
     with pytest.raises(ValueError):
         two_sided(0, [0])
+
+
+def test_bits_must_be_int_zero_or_one():
+    # The 0/1 check reads the stored tuples; a str or float bit used to pass
+    # as int(bit) while the raw bit was kept.
+    bad = [
+        (("1", "0", "1"), (0,)),
+        ((1,), ("1",)),
+        ((1.0, 0, 1), (0,)),
+        ((1,), (0.0,)),
+        ((1, 2), (0,)),
+    ]
+    for transient, word in bad:
+        with pytest.raises(ValueError, match="0/1 bits"):
+            BoundedBelow(0, transient, len(word), word)
+        with pytest.raises(ValueError, match="0/1 bits"):
+            bounded_below(0, transient, len(word), word)
+    with pytest.raises(ValueError, match="0/1 bits"):
+        bounded_below(0, 3, 1, [1])  # bytes(3) would be three zero bits
+    s = BoundedBelow(0, (True, False, True), 1, (False,))  # bools equal their ints
+    assert s == finite_zset([0, 2]) and hash(s) == hash(finite_zset([0, 2]))
+    assert zset_contains(s, 0) and zset_sum(s, s) == finite_zset([0, 2, 4])
 
 
 def test_two_sided_minimizes_modulus():
@@ -374,12 +394,11 @@ def test_window_cap_admits_its_own_width():
 
 def test_min_max_finite():
     f = finite_zset([3, 5])
-    assert zset_is_finite(f) and zset_min(f) == 3 and zset_max(f) == 5
-    assert zset_min(naturals()) == 0 and zset_max(naturals()) is None
+    assert zset_is_finite(f) and f.offset == 3 and f.offset + len(f.transient) - 1 == 5
+    assert naturals().offset == 0 and not zset_is_finite(naturals())
     nonpos = zset_negate(naturals())
-    assert zset_min(nonpos) is None and zset_max(nonpos) == 0
+    assert isinstance(nonpos, BoundedAbove) and -nonpos.mirror.offset == 0
     assert not zset_is_finite(two_sided(2, [0]))
-    assert zset_min(two_sided(2, [0])) is None
 
 
 def test_negate_and_translate_membership():
@@ -408,7 +427,7 @@ def naive_sum_window(a, b, k):
     Any x in that window decomposes with both parts within k of their set's
     least element, so the truncated element lists below see every witness.
     """
-    lo = zset_min(a) + zset_min(b)
+    lo = a.offset + b.offset
     av = [x for x in range(a.offset, a.offset + k + 1) if zset_contains(a, x)]
     bv = [x for x in range(b.offset, b.offset + k + 1) if zset_contains(b, x)]
     return {u + v for u in av for v in bv if u + v <= lo + k}
