@@ -40,12 +40,12 @@ from .groups import (
     group_from_name,
     iter_bits,
     normal_subgroups_of,
+    subset,
     validate_cayley,
 )
 from .iso import matrix_is_transitive, matrix_to_csv, underlies, underlies_matrix
 from .records import build_census, read_records, write_records
 from .search import all_power_groups
-from .subsets import subset
 
 __version__ = "0.1.0"
 

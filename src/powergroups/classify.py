@@ -27,14 +27,14 @@ from .errors import (
 from .groups import (
     SEARCH_CAP,
     FiniteGroup,
+    GroupSubset,
     SubgroupMask,
     all_subgroups,
     is_subgroup_mask,
     iter_bits,
     normal_subgroups_of,
 )
-from .subsets import GroupSubset, is_idempotent
-from .search import PowerGroupFamily, _family_from_table, power_group_family
+from .search import PowerGroupFamily, _family_from_table, is_idempotent, power_group_family
 
 __all__ = [
     "CosetGroupDescriptor",
@@ -132,6 +132,22 @@ def _coset_masks(g: FiniteGroup, hmask: int, nmask: int) -> list[int]:
     return sorted(out)
 
 
+def _first_non_right_coset(g: FiniteGroup, nmask: int, cosets: Sequence[int]) -> int:
+    """The first left coset xN of cosets that is not the right coset Nr at its
+    least member r, or 0 if none is: for a subgroup N, 0 exactly when N is
+    normal in the union of the cosets, which are then closed under the subset
+    product."""
+    t, ns = g.table, tuple(iter_bits(nmask))
+    for m in cosets:
+        r = (m & -m).bit_length() - 1
+        right = 0
+        for y in ns:
+            right |= 1 << t[y][r]
+        if right != m:
+            return m
+    return 0
+
+
 def _coset_family(g: FiniteGroup, mmask: int, nmask: int) -> PowerGroupFamily:
     """The family M/N = {xN | x in M} of the left cosets of N in M.
 
@@ -142,35 +158,27 @@ def _coset_family(g: FiniteGroup, mmask: int, nmask: int) -> PowerGroupFamily:
 
     Raises ValueError unless N is a subgroup and no left coset of N leaves M;
     then the cosets (_coset_masks) partition M.  Raises
-    ValueError("family not closed: ...") unless each coset is also Nr for its
-    least member r (with left cosets, this is N normal in M; the left cosets
-    of N are closed under the subset product exactly when N is normal) and
-    every product of two representatives lies in M (then M is closed).  With
-    both, (rN)(sN) = rsN, so entry (i, j) of the table is the coset of
-    r_i r_j: one lookup per entry instead of the |A||B| table reads of
-    power_group_family.  The table is validated by _family_from_table.
+    ValueError("family not closed: ...") unless N is normal in M
+    (_first_non_right_coset) and every product of two representatives lies
+    in M (then M is closed).  With both, (rN)(sN) = rsN, so entry (i, j) of
+    the table is the coset of r_i r_j: one lookup per entry instead of the
+    |A||B| table reads of power_group_family.  The table is validated by
+    _family_from_table.
     """
     if not is_subgroup_mask(g, nmask):
         raise ValueError(f"kernel {nmask:#x} is not a subgroup")
     masks = _coset_masks(g, mmask, nmask)
-    t = g.table
-    ns = tuple(iter_bits(nmask))
-    reps = []
-    block_of = {}
-    for i, m in enumerate(masks):
+    for m in masks:
         if m & ~mmask:
             raise ValueError(f"coset {m:#x} of {nmask:#x} leaves {mmask:#x}")
-        r = (m & -m).bit_length() - 1
-        right = 0
-        for y in ns:
-            right |= 1 << t[y][r]
-        if right != m:
-            raise ValueError(
-                f"family not closed: {nmask:#x} is not normal (block {m:#x} is no right coset)"
-            )
-        reps.append(r)
-        for x in iter_bits(m):
-            block_of[x] = i
+    bad = _first_non_right_coset(g, nmask, masks)
+    if bad:
+        raise ValueError(
+            f"family not closed: {nmask:#x} is not normal (block {bad:#x} is no right coset)"
+        )
+    t = g.table
+    reps = [(m & -m).bit_length() - 1 for m in masks]
+    block_of = {x: i for i, m in enumerate(masks) for x in iter_bits(m)}
     table = []
     for r in reps:
         row = t[r]
@@ -219,10 +227,10 @@ def match_subquotient(
     Returns a descriptor on success, otherwise NotSubquotient naming the first
     failed condition: identity-subgroup, union-subgroup, normality, or the
     coset set differing from the family.  The left cosets of N in H are built
-    once (_coset_masks) and serve both of the last two tests: N is normal in H
-    exactly when each coset is also N r for its least member r, the test
-    _coset_family applies to its blocks.  Normality depends on H and N only,
-    so it is decided before the cosets are compared with the family.
+    once (_coset_masks) and serve both of the last two tests: normality
+    (_first_non_right_coset, the test _coset_family applies to its blocks)
+    and the comparison.  Normality depends on H and N only, so it is decided
+    before the cosets are compared with the family.
     """
     g = f.parent
     nmask = f.identity.members
@@ -238,7 +246,7 @@ def match_subquotient(
     except NotASubgroupError:
         return NotSubquotient("union_not_subgroup", f"union mask {hmask:#x} is not a subgroup")
     cosets = _coset_masks(g, hmask, nmask)
-    if any(g.product_mask(nmask, m & -m) != m for m in cosets):
+    if _first_non_right_coset(g, nmask, cosets):
         return NotSubquotient("identity_not_normal_in_union", f"{nmask:#x} not normal in {hmask:#x}")
     if cosets != sorted(f.masks()):
         return NotSubquotient("family_not_coset_set", "family differs from the coset set of N in H")

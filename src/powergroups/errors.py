@@ -55,10 +55,6 @@ class NotASubgroupError(ValueError):
     """A mask fails the subgroup invariants."""
 
 
-class ParentMismatchError(ValueError):
-    """Operands belong to different parent groups."""
-
-
 class NotIdempotentError(ValueError):
     """An operation requires EE = E and the given E fails it."""
 

@@ -4,7 +4,7 @@ A group of order n is a tuple-of-tuples table where entry (i, j) is the index
 of the product of elements i and j.  Validation relabels so that the identity
 is always index 0; every constructor in this module goes through validation,
 so downstream code may rely on ``identity == 0`` and on immutability.
-Subgroups are bitmasks over element indices.
+Subsets, subgroups among them, are bitmasks over element indices.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .errors import (
 
 # Order caps, each checked with errors.check_cap before any work starts: group
 # tables (built or validated) at CONSTRUCTION_CAP, and the 2^n subset scans of
-# the test oracles in search and subsets at SEARCH_CAP.  SEARCH_CAP is also the
+# the test oracles in search at SEARCH_CAP.  SEARCH_CAP is also the
 # default max_order of the census functions, the one cap a caller sets (the
 # CLI passes --max-order).
 SEARCH_CAP = 16
@@ -44,6 +44,7 @@ __all__ = [
     "CONSTRUCTION_CAP",
     "SEARCH_CAP",
     "FiniteGroup",
+    "GroupSubset",
     "SubgroupMask",
     "all_subgroups",
     "catalog",
@@ -55,6 +56,7 @@ __all__ = [
     "load_table_file",
     "normal_subgroups_of",
     "subgroup_mask",
+    "subset",
     "validate_cayley",
 ]
 
@@ -250,15 +252,15 @@ def _group_of_table(t: _Table, *, name: str) -> FiniteGroup:
 
 
 @dataclass(frozen=True)
-class SubgroupMask:
-    """A validated subgroup of ``parent`` stored as an element bitmask."""
+class GroupSubset:
+    """Nonempty subset of ``parent`` stored as an element bitmask."""
 
     parent: FiniteGroup
     members: int
 
     def __post_init__(self) -> None:
-        if not is_subgroup_mask(self.parent, self.members):
-            raise NotASubgroupError(f"mask {self.members:#x} is not a subgroup")
+        if self.members <= 0 or self.members > self.parent.full_mask:
+            raise ValueError(f"mask {self.members:#x} is empty or out of range")
 
     @property
     def size(self) -> int:
@@ -270,8 +272,21 @@ class SubgroupMask:
     def __contains__(self, i: int) -> bool:
         return bool(self.members >> i & 1)
 
+    def __iter__(self) -> Iterator[int]:
+        return iter_bits(self.members)
+
     def __repr__(self) -> str:
-        return f"SubgroupMask({self.parent.name}, {{{','.join(map(str, self.elements()))}}})"
+        return f"{type(self).__name__}({self.parent.name}, {{{','.join(map(str, self.elements()))}}})"
+
+
+@dataclass(frozen=True, repr=False)
+class SubgroupMask(GroupSubset):
+    """A subset of ``parent`` validated as a subgroup.  Dataclass equality
+    compares classes, so it is unequal to the GroupSubset of the same mask."""
+
+    def __post_init__(self) -> None:
+        if not is_subgroup_mask(self.parent, self.members):
+            raise NotASubgroupError(f"mask {self.members:#x} is not a subgroup")
 
 
 def is_subgroup_mask(g: FiniteGroup, mask: int) -> bool:
@@ -297,6 +312,11 @@ def is_subgroup_mask(g: FiniteGroup, mask: int) -> bool:
             return False
         gens.append(x)
     return True
+
+
+def subset(g: FiniteGroup, members: Iterable[int] | int) -> GroupSubset:
+    """Build a GroupSubset from a mask or an iterable of element indices."""
+    return GroupSubset(g, members if isinstance(members, int) else _mask_of(members))
 
 
 def subgroup_mask(g: FiniteGroup, members: Iterable[int] | int) -> SubgroupMask:

@@ -28,7 +28,7 @@ from itertools import product
 from random import Random
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .errors import check_cap
+from .errors import ParamOutOfRangeError, check_cap
 
 __all__ = [
     "CutElement",
@@ -384,6 +384,8 @@ def verify_cut_power_group(
     gens = [g if isinstance(g, QuadExt) else QuadExt.of(g) for g in generators]
     check_cap(len(gens), MAX_GENERATORS, "generator count")
     check_cap(trials, MAX_TRIALS, "trials")
+    if trials < 1:
+        raise ParamOutOfRangeError(f"trials {trials} runs no trial (the least is 1)")
     rng = Random(seed)
     cuts = [cut(e) for e in _span_endpoints(gens)]
     e = identity_cut()
@@ -488,6 +490,8 @@ class NotCosetWitness:
 
 def not_coset_group_witness(trials: int = 100, seed: int = 0) -> NotCosetWitness:
     check_cap(trials, MAX_TRIALS, "trials")
+    if trials < 1:
+        raise ParamOutOfRangeError(f"trials {trials} runs no trial (the least is 1)")
     rng = Random(seed)
     e = identity_cut()
     idem_ok = cut_sum(e, e) == e

@@ -22,7 +22,6 @@ from .search import PowerGroupFamily
 __all__ = [
     "CensusRecord",
     "build_census",
-    "census_record",
     "read_records",
     "record_from_json",
     "record_to_json",
@@ -64,12 +63,9 @@ def _indices(mask: int) -> tuple[int, ...]:
     return tuple(iter_bits(mask))
 
 
-def census_record(fam: PowerGroupFamily, label: str) -> CensusRecord:
-    """Classify one family into its record; ``label`` names the carrier."""
-    return _record(fam, label, fingerprint(fam.abstract_group()))
-
-
 def _record(fam: PowerGroupFamily, label: str, fp: GroupFingerprint) -> CensusRecord:
+    """Classify one family into its record; ``label`` names the carrier and
+    ``fp`` is the fingerprint of the family's abstract group."""
     verdict = match_subquotient(fam)
     missed = isinstance(verdict, NotSubquotient)
     return CensusRecord(

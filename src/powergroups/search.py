@@ -27,19 +27,21 @@ from .groups import (
     CONSTRUCTION_CAP,
     SEARCH_CAP,
     FiniteGroup,
+    GroupSubset,
     _group_of_table,
     _identity_of,
     iter_bits,
     subgroup_lattice,
     validate_cayley,
 )
-from .subsets import GroupSubset, all_idempotents, is_idempotent
 
 __all__ = [
     "LocalMonoid",
     "PowerGroupFamily",
+    "all_idempotents",
     "all_power_groups",
     "brute_force_power_groups",
+    "is_idempotent",
     "local_monoid",
     "power_group_family",
     "unit_group",
@@ -155,6 +157,23 @@ def _family_from_table(
     )
 
 
+def is_idempotent(e: GroupSubset) -> bool:
+    """True iff EE = E under the subset product."""
+    return e.parent.product_mask(e.members, e.members) == e.members
+
+
+def all_idempotents(g: FiniteGroup) -> list[GroupSubset]:
+    """All nonempty E with EE = E, scanning every mask in ascending order.
+
+    In a finite group these are exactly the subgroup masks (a nonempty finite
+    product-closed subset contains inverses), which tests assert.
+    """
+    n = g.order
+    check_cap(n, SEARCH_CAP, "2^n idempotent scan at order")
+    pm = g.product_mask
+    return [GroupSubset(g, m) for m in range(1, 1 << n) if pm(m, m) == m]
+
+
 @dataclass(frozen=True)
 class LocalMonoid:
     """All subsets A with EA = AE = A, for one idempotent E."""
@@ -218,7 +237,7 @@ def all_power_groups(g: FiniteGroup) -> list[PowerGroupFamily]:
 
     A test oracle: the census itself comes from the subgroup lattice
     (classify.lattice_power_groups).  Strategy: for each idempotent E
-    (subsets.all_idempotents, which refuses orders above SEARCH_CAP), every
+    (all_idempotents, which refuses orders above SEARCH_CAP), every
     such family with identity E is a subgroup of the unit group at E (its
     members are invertible monoid elements), so enumerating subgroups of each
     unit group is complete.  Families from different idempotents never

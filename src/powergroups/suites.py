@@ -27,8 +27,7 @@ from .classify import (
 from .errors import CommutationFailsError, NotRepresentableError, ParamOutOfRangeError, check_cap
 from .groups import FiniteGroup, all_subgroups, group_from_name, normal_subgroups_of
 from .iso import UNDERLIES_CATALOG  # re-exported: its one definition sits by underlies_matrix
-from .search import all_power_groups, brute_force_power_groups
-from .subsets import all_idempotents
+from .search import all_idempotents, all_power_groups, brute_force_power_groups
 
 __all__ = [
     "ORACLE_GROUPS",
@@ -198,6 +197,8 @@ def suite_zsets_thm3(
     *, trials: int = 1000, seed: int = 0, window: int = 256, **_: object
 ) -> list[SuiteCheck]:
     """Randomized sum-oracle agreement and the unit/translate equivalence."""
+    if trials < 1:
+        raise ParamOutOfRangeError(f"trials {trials} runs no trial (the least is 1)")
     checks = []
     half = window // 2
     rng = Random(seed)

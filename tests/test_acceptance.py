@@ -30,8 +30,7 @@ from powergroups.qcuts import (
     verify_cut_power_group,
 )
 from powergroups.records import build_census
-from powergroups.search import all_power_groups, brute_force_power_groups
-from powergroups.subsets import all_idempotents
+from powergroups.search import all_idempotents, all_power_groups, brute_force_power_groups
 from powergroups.suites import ORACLE_GROUPS, THM2_GROUPS, UNDERLIES_CATALOG, run_suite
 from powergroups.zsets import (
     bounded_below,

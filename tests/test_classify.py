@@ -28,6 +28,7 @@ from powergroups.classify import (
 from powergroups.errors import CommutationFailsError, NotIdempotentError
 from powergroups.groups import (
     FiniteGroup,
+    GroupSubset,
     SubgroupMask,
     _normalized_by,
     all_subgroups,
@@ -37,10 +38,10 @@ from powergroups.groups import (
     iter_bits,
     normal_subgroups_of,
     subgroup_mask,
+    subset,
     validate_cayley,
 )
 from powergroups.search import PowerGroupFamily, all_power_groups, power_group_family
-from powergroups.subsets import GroupSubset, subset
 from powergroups.suites import THM2_GROUPS
 
 S3 = catalog("symmetric", 3)

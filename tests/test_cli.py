@@ -12,8 +12,7 @@ import pytest
 from powergroups import qcuts, suites, zsets
 from powergroups.cli import SUITE_NAMES, build_parser, main
 from powergroups.errors import InternalFaultError
-from powergroups.groups import group_from_name, subgroup_mask
-from powergroups.subsets import subset
+from powergroups.groups import group_from_name, subgroup_mask, subset
 from powergroups.suites import SuiteCheck
 
 
@@ -715,6 +714,27 @@ def test_size_probes_refuse_promptly(argv, message):
 )
 def test_negative_sizes_are_usage_errors(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "zsets-thm3", "--trials", "0"],
+        ["verify", "qcuts-thm4", "--trials", "0"],
+        ["qcuts", "verify", "--trials", "0"],
+        ["qcuts", "witness", "--trials", "0"],
+    ],
+    ids=" ".join,
+)
+def test_zero_trials_are_refused(capsys, argv):
+    # A run over no trials must not report "0 random sums agree" or "0/0
+    # separated" as a pass.
+    assert run(capsys, *argv) == (2, "", "error: trials 0 runs no trial (the least is 1)\n")
+
+
+def test_suites_that_ignore_trials_accept_zero(capsys):
+    code, _, err = run(capsys, "verify", "thm2-finite", "--trials", "0", "--max-order", "4")
+    assert code == 0 and "failed=0" in err
 
 
 @pytest.mark.parametrize("max_order", ["-3", "0", "1"])

@@ -9,11 +9,12 @@ import pytest
 from powergroups.cli import main
 from powergroups.errors import CapExceededError
 from powergroups.groups import group_from_name
+from powergroups.iso import fingerprint
 from powergroups.search import all_power_groups
 from powergroups.suites import THM2_GROUPS
 from powergroups.records import (
+    _record,
     build_census,
-    census_record,
     read_records,
     record_from_json,
     record_to_json,
@@ -53,7 +54,8 @@ def test_census_matches_search_route_byte_for_byte(name):
     g = group_from_name(name)
     lattice = [record_to_json(r) for r in build_census(g, name)]
     searched = sorted(
-        (census_record(f, name) for f in all_power_groups(g)), key=lambda r: r.canonical_key
+        (_record(f, name, fingerprint(f.abstract_group())) for f in all_power_groups(g)),
+        key=lambda r: r.canonical_key,
     )
     assert lattice == [record_to_json(r) for r in searched]
 
@@ -201,5 +203,8 @@ def test_census_fingerprints_each_distinct_table_once(monkeypatch):
     assert len(records) == 49 and len(calls) == len(distinct) < len(records)
     assert sorted(map(id, calls)) == sorted(map(id, distinct.values()))
     # Each record still carries its own family's fingerprint.
-    fresh = [census_record(f, "D6") for f in lattice_power_groups(g, max_order=12)]
+    fresh = [
+        _record(f, "D6", fingerprint(f.abstract_group()))
+        for f in lattice_power_groups(g, max_order=12)
+    ]
     assert records == sorted(fresh, key=lambda r: r.canonical_key)

@@ -1,19 +1,20 @@
-"""Subset masks and the induced product on nonempty subsets."""
+"""Subset masks, subgroup masks among them, and the induced product on nonempty subsets."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from powergroups.errors import CapExceededError, ParentMismatchError
-from powergroups.groups import catalog, group_from_name, is_subgroup_mask
-from powergroups.subsets import (
-    _idempotents_are_subgroups,
-    all_idempotents,
-    inverse_set,
-    is_idempotent,
+from powergroups.errors import CapExceededError, NotASubgroupError
+from powergroups.groups import (
+    GroupSubset,
+    SubgroupMask,
+    catalog,
+    group_from_name,
+    is_subgroup_mask,
+    subgroup_mask,
     subset,
-    subset_product,
 )
+from powergroups.search import all_idempotents, is_idempotent
 
 S3 = catalog("symmetric", 3)
 D4 = catalog("dihedral", 4)
@@ -39,26 +40,36 @@ def test_subset_rejects_empty_and_out_of_range():
         subset(S3, 1 << 6)  # element 6 does not exist in S3
 
 
+def test_subgroup_mask_is_a_validated_group_subset():
+    h = subgroup_mask(C4, [0, 2])
+    assert isinstance(h, GroupSubset) and isinstance(h, SubgroupMask)
+    assert (h.size, h.elements(), list(h), 2 in h) == (2, (0, 2), [0, 2], True)
+    assert repr(h) == "SubgroupMask(C4, {0,2})"
+    assert repr(subset(C4, [0, 2])) == "GroupSubset(C4, {0,2})"
+    # Dataclass equality compares classes: a subgroup is not equal to the
+    # plain subset with its mask, and the two hash as separate keys.
+    assert h != GroupSubset(C4, 0b0101) and GroupSubset(C4, 0b0101) != h
+    assert h == SubgroupMask(C4, 0b0101)
+    assert len({h, GroupSubset(C4, 0b0101), SubgroupMask(C4, 0b0101)}) == 2
+    for mask in (0b0011, 0b0100, 0, 1 << 4):
+        with pytest.raises(NotASubgroupError):
+            SubgroupMask(C4, mask)
+
+
 @given(raw_a=st.integers(min_value=0), raw_b=st.integers(min_value=0), pick=st.integers(0, 1))
 def test_subset_product_matches_elementwise_definition(raw_a, raw_b, pick):
     g = (S3, D4)[pick]
     a = subset(g, 1 + raw_a % g.full_mask)
     b = subset(g, 1 + raw_b % g.full_mask)
     want = {g.mul(x, y) for x in a for y in b}
-    assert set(subset_product(a, b).elements()) == want
-
-
-def test_subset_product_rejects_parent_mismatch():
-    with pytest.raises(ParentMismatchError):
-        subset_product(subset(S3, [0]), subset(C4, [0]))
+    assert set(subset(g, g.product_mask(a.members, b.members))) == want
 
 
 def test_inverse_set():
-    a = subset(C4, [1, 2])
-    assert set(inverse_set(a).elements()) == {3, 2}
+    assert set(subset(C4, C4.inverse_mask(0b0110))) == {3, 2}
     for g in (S3, D4):
         b = subset(g, [0, 1, 3])
-        assert set(inverse_set(b).elements()) == {g.inv(x) for x in b}
+        assert set(subset(g, g.inverse_mask(b.members))) == {g.inv(x) for x in b}
 
 
 def test_is_idempotent_examples():
@@ -77,7 +88,6 @@ def test_idempotents_are_exactly_the_subgroups(name):
     g = group_from_name(name)
     idem = {e.members for e in all_idempotents(g)}
     assert idem == {m for m in range(1, 1 << g.order) if is_subgroup_mask(g, m)}
-    assert _idempotents_are_subgroups(g)
 
 
 def test_all_idempotents_respects_cap():

@@ -48,6 +48,17 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_readme_layout_lists_every_module():
+    # The README's layout block names each module once; a module added or
+    # removed without it shows here.
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^src/powergroups/\n(.*?)^```$", text, flags=re.DOTALL | re.MULTILINE)
+    listed = re.findall(r"^  (\w+\.py) ", block.group(1), flags=re.MULTILINE)
+    modules = sorted(p.name for p in (ROOT / "src" / "powergroups").glob("*.py"))
+    assert sorted(listed) == [m for m in modules if m != "__init__.py"]
+    assert len(listed) == len(set(listed))
+
+
 def test_every_all_entry_resolves():
     missing = []
     for path in sorted((ROOT / "src" / "powergroups").glob("*.py")):
