@@ -31,7 +31,6 @@ from .groups import (
     SubgroupMask,
     all_subgroups,
     is_subgroup_mask,
-    iter_bits,
     normal_subgroups_of,
 )
 from .search import PowerGroupFamily, _family_from_table, is_idempotent, power_group_family
@@ -137,7 +136,7 @@ def _first_non_right_coset(g: FiniteGroup, nmask: int, cosets: Sequence[int]) ->
     least member r, or 0 if none is: for a subgroup N, 0 exactly when N is
     normal in the union of the cosets, which are then closed under the subset
     product."""
-    t, ns = g.table, tuple(iter_bits(nmask))
+    t, ns = g.table, g.members_of(nmask)
     for m in cosets:
         r = (m & -m).bit_length() - 1
         right = 0
@@ -178,7 +177,7 @@ def _coset_family(g: FiniteGroup, mmask: int, nmask: int) -> PowerGroupFamily:
         )
     t = g.table
     reps = [(m & -m).bit_length() - 1 for m in masks]
-    block_of = {x: i for i, m in enumerate(masks) for x in iter_bits(m)}
+    block_of = {x: i for i, m in enumerate(masks) for x in g.members_of(m)}
     table = []
     for r in reps:
         row = t[r]
@@ -259,8 +258,8 @@ def enumerate_subquotients(
     """All pairs (H, N normal in H) with the coset family each pair induces,
     H in lattice order, then N in lattice order.
 
-    Kernel first: for each subgroup N, the validated quotient M/N over its
-    normalizer M = N_G(N) (g.normalizers) is built once (_coset_family).
+    Kernel first: for each subgroup mask N, the validated quotient M/N over
+    its normalizer M = N_G(N) (g.normalizers) is built once (_coset_family).
     The kernels of H are normal_subgroups_of(g, H), those with N <= H <= M,
     and H/N is the quotient restricted to the blocks inside H (_restrict),
     sharing its coset subsets.
@@ -272,13 +271,10 @@ def enumerate_subquotients(
     exhaustive scan are independent oracles for it, compared in the
     verification suites.
     """
-    quotients = {
-        n.members: _coset_family(g, norm, n.members)
-        for n, norm in zip(g.subgroups, g.normalizers)
-    }
+    quotients = {n: _coset_family(g, norm, n) for n, norm in zip(g.subgroup_masks, g.normalizers)}
     return [
         (SubquotientDescriptor(carrier=h, kernel=n), _restrict(quotients[n.members], h.members))
-        for h in g.subgroups
+        for h in all_subgroups(g)
         for n in normal_subgroups_of(g, h)
     ]
 
@@ -317,15 +313,16 @@ def build_coset_group(
     emask, hmask = e.members, h.members
     blocks = _coset_masks(g, hmask, emask)
     # a -> position of aE; the family lists the blocks in the same sorted order.
-    at = {a: i for i, m in enumerate(blocks) for a in iter_bits(m & hmask)}
-    for a in iter_bits(hmask):
+    hs = g.members_of(hmask)
+    at = {a: i for i, m in enumerate(blocks) for a in g.members_of(m & hmask)}
+    for a in hs:
         if blocks[at[a]] != g.product_mask(emask, 1 << a):
             raise CommutationFailsError(f"aE != Ea for a = {a}", a)
     fam = power_group_family(g, blocks)
     # Product law: (aE)(bE) = (ab)E.  Guaranteed by commutation; verify anyway.
-    for a in iter_bits(hmask):
+    for a in hs:
         row, ga = fam.abstract_table[at[a]], g.table[a]
-        for b in iter_bits(hmask):
+        for b in hs:
             if row[at[b]] != at[ga[b]]:
                 raise InternalFaultError(f"family table disagrees with (aE)(bE) at a={a}, b={b}")
     return CosetGroupDescriptor(idempotent=e, carrier=h, family=fam)
@@ -355,7 +352,7 @@ def coset_group_epimorphism_check(d: CosetGroupDescriptor) -> EpimorphismReport:
     emask = d.idempotent.members
     fam_masks = d.family.masks()
     pos = {m: i for i, m in enumerate(fam_masks)}
-    helems = list(iter_bits(d.carrier.members))
+    helems = g.members_of(d.carrier.members)
     phi = {a: pos[g.product_mask(1 << a, emask)] for a in helems}
 
     table = d.family.abstract_table

@@ -142,7 +142,7 @@ def cmd_subquotients(args: argparse.Namespace) -> int:
     # kernel, order}, written from text pieces: the families of one kernel
     # share its cosets, and carriers and kernels recur from pair to pair, so
     # each mask's element list is formatted once and the label once.
-    text = functools.cache(lambda mask: "[" + ",".join(map(str, iter_bits(mask))) + "]")
+    text = functools.cache(lambda mask: "[" + ",".join(map(str, g.members_of(mask))) + "]")
     group = json.dumps(label)
     lines = [
         f'{{"carrier":{text(desc.carrier.members)},'

@@ -74,7 +74,13 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """Immutable finite group; identity is element 0."""
+    """Immutable finite group; identity is element 0.
+
+    Every cache below holds plain data: masks, element tuples, verdicts and
+    validated family groups, none of which refers back to the group.  So a
+    group and all it caches are freed by reference counting as soon as its
+    last user lets go of it, without waiting for the cycle collector.
+    """
 
     order: int
     table: tuple[tuple[int, ...], ...]
@@ -110,15 +116,27 @@ class FiniteGroup:
         return (1 << self.order) - 1
 
     @cached_property
-    def subgroups(self) -> tuple[SubgroupMask, ...]:
-        """Every subgroup, sorted by (size, mask); built and validated once per group."""
-        return tuple(SubgroupMask(self, m) for m in subgroup_lattice(self.table, self.identity))
+    def subgroup_masks(self) -> tuple[int, ...]:
+        """Every subgroup mask, sorted by (size, mask); built once per group.
+        all_subgroups hands them out as SubgroupMask objects."""
+        return tuple(subgroup_lattice(self.table, self.identity))
 
     @cached_property
     def normalizers(self) -> tuple[int, ...]:
-        """The normalizer mask of each of self.subgroups, in the same order.
-        N is normal in H exactly when N <= H <= normalizer(N)."""
-        return tuple(_normalizer(self, n.members) for n in self.subgroups)
+        """The normalizer mask of each of self.subgroup_masks, in the same
+        order.  N is normal in H exactly when N <= H <= normalizer(N)."""
+        return tuple(_normalizer(self, n) for n in self.subgroup_masks)
+
+    @cached_property
+    def subgroup_verdicts(self) -> dict[int, bool]:
+        """Mask -> verdict, filled by is_subgroup_mask alone, so that each
+        mask is tested once per group."""
+        return {}
+
+    @cached_property
+    def member_tuples(self) -> dict[int, tuple[int, ...]]:
+        """Mask -> its members in ascending order, filled by members_of."""
+        return {}
 
     @cached_property
     def family_tables(self) -> dict[_Table, tuple[FiniteGroup, int, tuple[int, ...]]]:
@@ -127,11 +145,18 @@ class FiniteGroup:
         of a family over this group is validated once."""
         return {}
 
+    def members_of(self, mask: int) -> tuple[int, ...]:
+        """The set bits of mask in ascending order, expanded once per group."""
+        out = self.member_tuples.get(mask)
+        if out is None:
+            out = self.member_tuples[mask] = tuple(iter_bits(mask))
+        return out
+
     def product_mask(self, amask: int, bmask: int) -> int:
         """Subset product {a*b} as a mask: OR of 1 << table[a][b] over a in A, b in B."""
-        bs = tuple(iter_bits(bmask))
+        bs = self.members_of(bmask)
         out = 0
-        for a in iter_bits(amask):
+        for a in self.members_of(amask):
             row = self.table[a]
             for b in bs:
                 out |= 1 << row[b]
@@ -139,7 +164,7 @@ class FiniteGroup:
 
     def inverse_mask(self, mask: int) -> int:
         out = 0
-        for i in iter_bits(mask):
+        for i in self.members_of(mask):
             out |= 1 << self.inverses[i]
         return out
 
@@ -147,7 +172,7 @@ class FiniteGroup:
         """Image of a subset mask under x -> h*x*h^-1."""
         hinv = self.inverses[h]
         out = 0
-        for i in iter_bits(mask):
+        for i in self.members_of(mask):
             out |= 1 << self.table[self.table[h][i]][hinv]
         return out
 
@@ -267,13 +292,13 @@ class GroupSubset:
         return self.members.bit_count()
 
     def elements(self) -> tuple[int, ...]:
-        return tuple(iter_bits(self.members))
+        return self.parent.members_of(self.members)
 
     def __contains__(self, i: int) -> bool:
         return bool(self.members >> i & 1)
 
     def __iter__(self) -> Iterator[int]:
-        return iter_bits(self.members)
+        return iter(self.elements())
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.parent.name}, {{{','.join(map(str, self.elements()))}}})"
@@ -292,6 +317,22 @@ class SubgroupMask(GroupSubset):
 def is_subgroup_mask(g: FiniteGroup, mask: int) -> bool:
     """True iff mask is nonempty, contains the identity, and is closed.
 
+    Each in-range mask is decided once per group (_grows_to) and its verdict
+    kept in g.subgroup_verdicts, which nothing else writes: the verdict never
+    rests on the lattice or the normalizers it is meant to check.
+    """
+    if mask <= 0 or mask > g.full_mask or not mask >> g.identity & 1:
+        return False
+    verdicts = g.subgroup_verdicts
+    verdict = verdicts.get(mask)
+    if verdict is None:
+        verdict = verdicts[mask] = _grows_to(g, mask)
+    return verdict
+
+
+def _grows_to(g: FiniteGroup, mask: int) -> bool:
+    """Is the in-range mask, which holds the identity, a subgroup?
+
     <S> for the members S of mask is grown from the identity one right coset
     at a time (_coset_grow), adding the least member it misses until it
     covers mask; a product outside mask refuses at once.  A nonempty closed
@@ -299,15 +340,13 @@ def is_subgroup_mask(g: FiniteGroup, mask: int) -> bool:
     costs |<S>| table reads plus a few per coset, not |S|^2, and it needs
     associativity, which every FiniteGroup has (_group_of_table builds them).
     """
-    if mask <= 0 or mask > g.full_mask or not mask >> g.identity & 1:
-        return False
     t = g.table
     h = 1 << g.identity
     gens: list[int] = []
     while h != mask:
         rest = mask & ~h
         x = (rest & -rest).bit_length() - 1
-        h = _coset_grow(t, h, gens, x, mask)
+        h = _coset_grow(t, h, g.members_of(h), gens, x, mask)
         if not h:
             return False
         gens.append(x)
@@ -357,12 +396,17 @@ def closure_mask(table: Sequence[Sequence[int]], seed: int) -> int:
 
 
 def _coset_grow(
-    table: Sequence[Sequence[int]], hmask: int, gens: Sequence[int], g: int, bound: int = -1
+    table: Sequence[Sequence[int]],
+    hmask: int,
+    hs: Sequence[int],
+    gens: Sequence[int],
+    g: int,
+    bound: int = -1,
 ) -> int:
-    """<H, g> for a subgroup mask H generated by gens and an element g outside
-    it, on an associative table (Dimino's algorithm, as in G. Butler,
-    *Fundamental Algorithms for Permutation Groups*, LNCS 559, 1991); 0 as
-    soon as a coset leaves the mask bound (by default, none does).
+    """<H, g> for a subgroup mask H with members hs, generated by gens, and an
+    element g outside it, on an associative table (Dimino's algorithm, as in
+    G. Butler, *Fundamental Algorithms for Permutation Groups*, LNCS 559,
+    1991); 0 as soon as a coset leaves the mask bound (by default, none does).
 
     <H, g> is a union of right cosets Hr.  Starting from r = g, each new
     representative r adds its coset Hr and its products r*s for s in gens and
@@ -373,7 +417,6 @@ def _coset_grow(
     reads |gens| + 1 per element.  Only for validated tables: without
     associativity (Hr)s = H(rs) fails, so validation closes with closure_mask.
     """
-    hs = tuple(iter_bits(hmask))
     gs = (*gens, g)
     outside = ~bound
     coset = 0
@@ -422,7 +465,7 @@ def subgroup_lattice(table: Sequence[Sequence[int]], identity: int) -> list[int]
             row = table[g]
             for x in hs:
                 covered |= 1 << row[x]
-            k = _coset_grow(table, h, gens, g)
+            k = _coset_grow(table, h, hs, gens, g)
             if k not in found:
                 found.add(k)
                 stack.append((k, (*gens, g)))
@@ -473,23 +516,25 @@ def _normalizer(g: FiniteGroup, nmask: int) -> int:
     t = g.table
     m = covered = 1 << g.identity
     gens: list[int] = []
-    for x in (*iter_bits(nmask), *range(g.order)):
+    for x in (*g.members_of(nmask), *range(g.order)):
         if covered >> x & 1:
             continue
         if nmask >> x & 1 or _normalized_by(g, nmask, (x,)):
-            m = _coset_grow(t, m, gens, x)
+            m = _coset_grow(t, m, g.members_of(m), gens, x)
             gens.append(x)
             covered |= m
         else:
             row = t[x]
-            for y in iter_bits(m):
+            for y in g.members_of(m):
                 covered |= 1 << row[y]
     return m
 
 
 def all_subgroups(g: FiniteGroup) -> list[SubgroupMask]:
-    """Every subgroup of g, sorted by (size, mask); the objects of g.subgroups."""
-    return list(g.subgroups)
+    """Every subgroup of g, sorted by (size, mask): g.subgroup_masks as new
+    SubgroupMask objects, whose validation is a lookup in g's verdicts once
+    each mask has been tested."""
+    return [SubgroupMask(g, m) for m in g.subgroup_masks]
 
 
 def normal_subgroups_of(g: FiniteGroup, h: SubgroupMask) -> list[SubgroupMask]:
@@ -499,9 +544,9 @@ def normal_subgroups_of(g: FiniteGroup, h: SubgroupMask) -> list[SubgroupMask]:
         raise NotASubgroupError("subgroup belongs to a different parent group")
     hmask = h.members
     return [
-        n
-        for n, norm in zip(g.subgroups, g.normalizers)
-        if not n.members & ~hmask and not hmask & ~norm
+        SubgroupMask(g, n)
+        for n, norm in zip(g.subgroup_masks, g.normalizers)
+        if not n & ~hmask and not hmask & ~norm
     ]
 
 
@@ -641,10 +686,14 @@ def _group_atom(token: str) -> FiniteGroup:
 
 
 def group_from_name(name: str) -> FiniteGroup:
-    """Parse names like C6, D4, S3, Q8, V4, trivial, and products like C2xC2xC2."""
-    tokens = [t for t in name.replace("*", "x").split("x") if t.strip()]
-    if not tokens:
+    """Parse names like C6, D4, S3, Q8, V4, trivial, and products like C2xC2xC2.
+    A product with an empty or blank factor, such as C2xxC3 or C2xC3x, is
+    refused."""
+    tokens = name.replace("*", "x").split("x")
+    if not any(t.strip() for t in tokens):
         raise UnknownFamilyError(f"empty group name {name!r}")
+    if not all(t.strip() for t in tokens):
+        raise UnknownFamilyError(f"empty factor in group name {name!r}")
     g = _group_atom(tokens[0])
     for t in tokens[1:]:
         g = direct_product(g, _group_atom(t))
@@ -658,9 +707,15 @@ def load_table_file(path: str) -> FiniteGroup:
     A file over MAX_TABLE_BYTES is refused before it is parsed.
     """
     with open(path, "rb") as fh:
-        raw = fh.read(MAX_TABLE_BYTES + 1)
-        size = max(len(raw), os.fstat(fh.fileno()).st_size)
-    check_cap(size, MAX_TABLE_BYTES, "table file bytes")
+        size = os.fstat(fh.fileno()).st_size
+        check_cap(size, MAX_TABLE_BYTES, "table file bytes")
+        # The first read is sized from fstat; one byte more shows whether the
+        # file holds more than fstat said (a pipe reports 0, a file may still
+        # be growing), and only then is it read on, up to the cap.
+        raw = fh.read(size + 1)
+        if len(raw) > size:
+            raw += fh.read(MAX_TABLE_BYTES + 1 - len(raw))
+    check_cap(len(raw), MAX_TABLE_BYTES, "table file bytes")
     try:
         doc = json.loads(raw.decode("utf-8"))
     except RecursionError:

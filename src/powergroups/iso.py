@@ -43,24 +43,30 @@ class GroupFingerprint:
 
 
 def fingerprint(g: FiniteGroup) -> GroupFingerprint:
+    """The invariants of g.  An abelian group is its own center and each of
+    its elements is a conjugacy class, so only a non-abelian g is scanned
+    for them."""
     n = g.order
     hist: dict[int, int] = {}
     for a in range(n):
         k = g.element_order(a)
         hist[k] = hist.get(k, 0) + 1
-    center = sum(
-        1 for a in range(n) if all(g.table[a][b] == g.table[b][a] for b in range(n))
-    )
-    seen = 0
-    class_sizes = []
-    for a in range(n):
-        if seen >> a & 1:
-            continue
-        orbit = 0
-        for h in range(n):
-            orbit |= 1 << g.table[g.table[h][a]][g.inverses[h]]
-        seen |= orbit
-        class_sizes.append(orbit.bit_count())
+    if g.is_abelian:
+        center, class_sizes = n, [1] * n
+    else:
+        center = sum(
+            1 for a in range(n) if all(g.table[a][b] == g.table[b][a] for b in range(n))
+        )
+        seen = 0
+        class_sizes = []
+        for a in range(n):
+            if seen >> a & 1:
+                continue
+            orbit = 0
+            for h in range(n):
+                orbit |= 1 << g.table[g.table[h][a]][g.inverses[h]]
+            seen |= orbit
+            class_sizes.append(orbit.bit_count())
     return GroupFingerprint(
         order=n,
         abelian=g.is_abelian,

@@ -15,7 +15,7 @@ from .classify import (
     lattice_power_groups,
     match_subquotient,
 )
-from .groups import SEARCH_CAP, FiniteGroup, iter_bits
+from .groups import SEARCH_CAP, FiniteGroup
 from .iso import GroupFingerprint, fingerprint
 from .search import PowerGroupFamily
 
@@ -59,27 +59,24 @@ class CensusRecord:
         return (self.order, self.family)
 
 
-def _indices(mask: int) -> tuple[int, ...]:
-    return tuple(iter_bits(mask))
-
-
 def _record(fam: PowerGroupFamily, label: str, fp: GroupFingerprint) -> CensusRecord:
     """Classify one family into its record; ``label`` names the carrier and
     ``fp`` is the fingerprint of the family's abstract group."""
     verdict = match_subquotient(fam)
     missed = isinstance(verdict, NotSubquotient)
+    indices = fam.parent.members_of
     return CensusRecord(
         group=label,
         order=fam.order,
-        family=tuple(_indices(m) for m in fam.masks()),
-        identity=_indices(fam.identity.members),
+        family=tuple(map(indices, fam.masks())),
+        identity=indices(fam.identity.members),
         subquotient=not missed,
         identity_subgroup=check_identity_subgroup(fam),
         inverse_closed=check_inverse_closure(fam),
         partition_union_subgroup=check_partition_union_subgroup(fam),
         fingerprint=fp,
-        carrier=None if missed else _indices(verdict.carrier.members),
-        kernel=None if missed else _indices(verdict.kernel.members),
+        carrier=None if missed else indices(verdict.carrier.members),
+        kernel=None if missed else indices(verdict.kernel.members),
         witness=verdict.condition if missed else None,
     )
 

@@ -20,6 +20,7 @@ subsets (orders <= 4) serves as the independent oracle for all of this.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import CayleyTableError, InternalFaultError, NotIdempotentError, check_cap
@@ -72,8 +73,13 @@ class PowerGroupFamily:
     def order(self) -> int:
         return len(self.elements)
 
-    def masks(self) -> tuple[int, ...]:
+    @cached_property
+    def _masks(self) -> tuple[int, ...]:
         return tuple(a.members for a in self.elements)
+
+    def masks(self) -> tuple[int, ...]:
+        """The members' masks in family order, collected once per family."""
+        return self._masks
 
     @property
     def identity(self) -> GroupSubset:

@@ -41,6 +41,7 @@ from powergroups.groups import (
     subset,
     validate_cayley,
 )
+from powergroups.records import build_census
 from powergroups.search import PowerGroupFamily, all_power_groups, power_group_family
 from powergroups.suites import THM2_GROUPS
 
@@ -223,7 +224,7 @@ def test_coset_family_runs_once_per_kernel(name, monkeypatch):
     monkeypatch.setattr(classify_module, "_coset_family", counting)
     pairs = enumerate_subquotients(g)
     assert len(pairs) > len(calls)
-    assert calls == [(m, n.members) for m, n in zip(g.normalizers, g.subgroups)]
+    assert calls == list(zip(g.normalizers, g.subgroup_masks))
     shared = {}
     for d, f in pairs:
         for a in f.elements:
@@ -341,30 +342,40 @@ def test_match_subquotient_normality_matches_conjugation_by_every_element(name):
 
 
 def test_subgroups_are_validated_once(monkeypatch):
+    # Each mask's subgroup verdict is computed once per carrier.  The carrier
+    # caches its subgroups as masks, so every hand-out (all_subgroups,
+    # normal_subgroups_of, the descriptors of enumerate_subquotients) builds
+    # new SubgroupMask objects, equal to each other, whose validation after
+    # the first reads the verdict the carrier keeps.
     import powergroups.classify as classify_module
     import powergroups.groups as groups_module
 
-    inits, checks = [], []
-    real_init = SubgroupMask.__post_init__
+    decided, checks = [], []
+    real_decide = groups_module._grows_to
     real_check = groups_module.is_subgroup_mask
 
-    def counting_init(self):
-        inits.append(self.members)
-        real_init(self)
+    def counting_decide(g, mask):
+        decided.append(mask)
+        return real_decide(g, mask)
 
     def counting_check(g, mask):
         checks.append(mask)
         return real_check(g, mask)
 
-    monkeypatch.setattr(SubgroupMask, "__post_init__", counting_init)
+    monkeypatch.setattr(groups_module, "_grows_to", counting_decide)
     g = group_from_name("S4")
     pairs = enumerate_subquotients(g)
     subs = all_subgroups(g)
     assert len(subs) == 30
-    assert sorted(inits) == sorted(h.members for h in subs)
-    assert all(a is b for a, b in zip(all_subgroups(g), subs))
-    handed_out = {id(h) for h in subs}
-    assert all({id(d.carrier), id(d.kernel)} <= handed_out for d, _ in pairs)
+    assert sorted(decided) == sorted(h.members for h in subs)
+    # The census classifies every family from scratch, and asks again.
+    assert len(build_census(g, "S4", max_order=24)) == len(pairs)
+    assert all_subgroups(g) == subs
+    assert all(d.carrier in subs and d.kernel in subs for d, _ in pairs)
+    assert sorted(decided) == sorted(h.members for h in subs)
+    # A new carrier decides its own verdicts.
+    decided.clear()
+    assert len(all_subgroups(group_from_name("S4"))) == 30 and len(decided) == 30
     # match_subquotient validates N and H once each.
     monkeypatch.setattr(groups_module, "is_subgroup_mask", counting_check)
     monkeypatch.setattr(classify_module, "is_subgroup_mask", counting_check)

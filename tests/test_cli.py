@@ -116,6 +116,37 @@ def test_oversized_table_file_is_refused_before_parsing(capsys, tmp_path, monkey
     assert code == 0 and len(json_lines(out)) == 1
 
 
+def test_table_file_larger_than_fstat_says_is_read_to_the_cap(capsys, tmp_path, monkeypatch):
+    # The first read is sized from fstat.  A pipe reports size 0, and a
+    # growing file may hold more than fstat said: such a file is read on up
+    # to the cap, so it still loads, and one over the cap is still refused
+    # before it is parsed.
+    import powergroups.groups as groups_module
+
+    cap = groups_module.MAX_TABLE_BYTES
+    path = tmp_path / "c3.json"
+    table = [[(i + j) % 3 for j in range(3)] for i in range(3)]
+    path.write_text(json.dumps({"order": 3, "table": table}))
+    want = run(capsys, "enum", "--table", str(path))
+    assert want[0] == 0 and len(json_lines(want[1])) == 3
+    fake_os = SimpleNamespace(fstat=lambda fd: SimpleNamespace(st_size=0), path=os.path)
+    monkeypatch.setattr(groups_module, "os", fake_os)
+    assert run(capsys, "enum", "--table", str(path)) == want
+    # A file at the cap loads; one byte more is refused, unparsed.
+    path.write_bytes(b'{"order":1,"table":[[0]]}'.ljust(cap))
+    code, out, err = run(capsys, "enum", "--table", str(path))
+    assert code == 0 and len(json_lines(out)) == 1
+
+    def no_parse(text):
+        raise AssertionError("the table file was parsed")
+
+    monkeypatch.setattr(groups_module, "json", SimpleNamespace(loads=no_parse))
+    path.write_bytes(b'{"order":1,"table":[[0]]}'.ljust(cap + 1))
+    assert run(capsys, "enum", "--table", str(path)) == (
+        2, "", f"error: table file bytes {cap + 1} exceeds cap {cap}\n"
+    )
+
+
 def test_out_files_get_the_mode_open_would_give(tmp_path):
     # The atomic writer renames a private temporary file over the target; the
     # result must still follow the umask like open(path, "w").
@@ -460,6 +491,25 @@ def test_catalog_show(capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("name", ["C2xxC3", "xC2", "C2xC3x", "C2x x"])
+def test_group_names_with_an_empty_factor_are_refused(capsys, name):
+    assert run(capsys, "catalog", "show", "--group", name) == (
+        2, "", f"error: empty factor in group name {name!r}\n"
+    )
+
+
+def test_group_name_separators_and_the_trivial_group_still_parse(capsys):
+    shown = {}
+    for name in ("C2xC3", "C2*C3", "c2 x c3", "trivial", "trivialxC2", "V4xC2"):
+        code, out, err = run(capsys, "catalog", "show", "--group", name)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        shown[name] = (doc.pop("name"), doc)
+    assert shown["C2xC3"][1] == shown["C2*C3"][1] == shown["c2 x c3"][1]
+    assert shown["C2xC3"][1]["order"] == 6 and shown["trivial"][1]["order"] == 1
+    assert shown["trivialxC2"][1]["order"] == 2 and shown["V4xC2"][1]["subgroups"] == 16
+
+
 def test_catalog_show_huge_group_is_usage_error(capsys, monkeypatch):
     import powergroups.groups as groups
 
@@ -765,6 +815,34 @@ def test_main_builds_the_parser_once(capsys, monkeypatch):
     assert run(capsys, "enum", "--group", "C2")[0] == 0
     assert len(built) == after_first
     assert built.count("powergroups") <= 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[cmd, "--group", "S4", "--max-order", "24"] for cmd in ("enum", "subquotients")],
+    ids=" ".join,
+)
+def test_commands_leave_no_reference_cycle(capsys, argv):
+    # Nothing a carrier caches refers back to it, so all a command builds is
+    # freed by reference counting: afterwards the cycle collector finds no
+    # group, subset or family.
+    import gc
+
+    from powergroups.groups import FiniteGroup, GroupSubset
+    from powergroups.search import PowerGroupFamily
+
+    run(capsys, "catalog", "list")  # builds the parser
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert run(capsys, *argv)[0] == 0
+        gc.collect()
+        kinds = (FiniteGroup, GroupSubset, PowerGroupFamily)
+        cyclic = sorted({type(o).__name__ for o in gc.garbage if isinstance(o, kinds)})
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert cyclic == []
 
 
 def test_help_and_missing_verb():

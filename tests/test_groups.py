@@ -436,17 +436,46 @@ def _subgroup_by_full_scan(g, mask):
 def test_coset_enumeration_subgroup_test_matches_full_scan(name):
     # Relabelled carriers of order 12-24; masks: every lattice subgroup, each
     # with one element added or removed, and seeded random masks holding the
-    # identity, plus the out-of-range masks.
+    # identity, plus the out-of-range masks.  The verdicts are kept per
+    # carrier, so each mask is asked twice: the repeat reads the kept verdict,
+    # and a fresh copy of the carrier, asked in reverse order, decides anew.
     for seed in (4, 9):
         g = _relabelled(group_from_name(name), seed)
-        subs = [h.members for h in g.subgroups]
+        subs = list(g.subgroup_masks)
         rng = Random(f"{name}:{seed}")
         masks = [0, -1, g.full_mask + 1, *subs]
         masks += [m ^ 1 << x for m in subs for x in range(g.order)]
         masks += [rng.getrandbits(g.order) | 1 << g.identity for _ in range(400)]
         verdicts = [_subgroup_by_full_scan(g, m) for m in masks]
         assert [is_subgroup_mask(g, m) for m in masks] == verdicts
+        assert [is_subgroup_mask(g, m) for m in masks] == verdicts
+        kept = {m: v for m, v in zip(masks, verdicts) if 0 < m <= g.full_mask and m & 1}
+        assert g.subgroup_verdicts == kept
+        fresh = validate_cayley(g.table)
+        assert [is_subgroup_mask(fresh, m) for m in reversed(masks)] == verdicts[::-1]
         assert verdicts.count(True) > len(subs) and verdicts.count(False) > len(masks) // 2
+
+
+def test_subgroup_verdicts_stay_with_their_carrier():
+    # {0, x} is a subgroup of a C4 exactly when x has order 2.  Two relabelled
+    # C4s put that element at different indices, so one mask gets opposite
+    # verdicts, asked in either order, and each carrier keeps only its own.
+    swap = (0, 2, 1, 3)  # relabels 1 <-> 2
+    table = [[0] * 4 for _ in range(4)]
+    for a in range(4):
+        for b in range(4):
+            table[swap[a]][swap[b]] = swap[(a + b) % 4]
+    first, second = validate_cayley(cyclic_table(4)), validate_cayley(table)
+    assert [first.element_order(x) for x in range(4)] == [1, 4, 2, 4]
+    assert [second.element_order(x) for x in range(4)] == [1, 2, 4, 4]
+    mask = 0b0101
+    for a, b in ((first, second), (second, first)):
+        a, b = validate_cayley(a.table), validate_cayley(b.table)
+        assert is_subgroup_mask(a, mask) is (a.element_order(2) == 2)
+        assert is_subgroup_mask(b, mask) is (b.element_order(2) == 2)
+        assert a.subgroup_verdicts == {mask: a.element_order(2) == 2}
+        assert b.subgroup_verdicts == {mask: b.element_order(2) == 2}
+    assert is_subgroup_mask(first, mask) and not is_subgroup_mask(second, mask)
 
 
 SUBGROUP_COUNTS = {
@@ -483,9 +512,9 @@ def test_subgroup_lattice_closes_once_per_coset(name, monkeypatch):
     seeds = []
     real = groups_module._coset_grow
 
-    def counting(table, hmask, gens, x):
+    def counting(table, hmask, hs, gens, x):
         seeds.append(x)
-        return real(table, hmask, gens, x)
+        return real(table, hmask, hs, gens, x)
 
     def no_closure(table, seed):
         raise AssertionError("the lattice grows subgroups by cosets")
@@ -535,12 +564,12 @@ def test_coset_grown_lattice_matches_closure_lattice(name):
 
 @pytest.mark.parametrize("name", ["S4", "D6", "Q8xC2", "D4xC3", "S3xC4"])
 def test_normalizers_match_conjugation_by_every_element(name):
-    # g.normalizers[i] = {x : x N x^-1 = N} for N = g.subgroups[i], on a
-    # relabelled table; normal_subgroups_of reads its verdicts from them.
+    # g.normalizers[i] = {x : x N x^-1 = N} for N = g.subgroup_masks[i], on
+    # a relabelled table; normal_subgroups_of reads its verdicts from them.
     g = _relabelled(group_from_name(name), 11)
     want = tuple(
-        sum(1 << x for x in range(g.order) if g.conjugate_mask(n.members, x) == n.members)
-        for n in g.subgroups
+        sum(1 << x for x in range(g.order) if g.conjugate_mask(n, x) == n)
+        for n in g.subgroup_masks
     )
     assert g.normalizers == want
 

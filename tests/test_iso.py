@@ -1,12 +1,15 @@
 """Isomorphism testing and the subset-family reachability relation."""
 
 import time
+from random import Random
 
 import pytest
 
+from powergroups.cli import CATALOG_NAMES
 from powergroups.errors import CapExceededError
 from powergroups.groups import catalog, direct_product, group_from_name, validate_cayley
 from powergroups.iso import (
+    GroupFingerprint,
     are_isomorphic,
     fingerprint,
     matrix_is_transitive,
@@ -35,6 +38,42 @@ def assert_verified_iso(g1, g2, phi):
     for a in range(g1.order):
         for b in range(g1.order):
             assert phi[g1.mul(a, b)] == g2.mul(phi[a], phi[b])
+
+
+
+def _scanned_fingerprint(g):
+    # The general computation: the center and the conjugacy classes found by
+    # scanning every pair of elements, whatever g.is_abelian says.
+    n = g.order
+    orders = {}
+    for a in range(n):
+        orders[g.element_order(a)] = orders.get(g.element_order(a), 0) + 1
+    center = sum(1 for a in range(n) if all(g.mul(a, b) == g.mul(b, a) for b in range(n)))
+    classes = {frozenset(g.mul(g.mul(h, a), g.inv(h)) for h in range(n)) for a in range(n)}
+    return GroupFingerprint(
+        order=n,
+        abelian=g.is_abelian,
+        element_orders=tuple(sorted(orders.items())),
+        center_size=center,
+        conjugacy_class_sizes=tuple(sorted(len(c) for c in classes)),
+    )
+
+
+def test_abelian_fingerprints_match_the_scan():
+    # fingerprint reads an abelian group's center and classes off its order;
+    # they must be what the scan finds, on every abelian catalog group and
+    # under relabelling.  The non-abelian groups check the scan itself.
+    products = ("C2xC4", "C3xC3", "C2xC6", "C4xC4", "C2xC2xC6", "C2xC2xC2xC2xC2", "D6", "Q8xC2")
+    names = (*CATALOG_NAMES, "C16", *products)
+    abelian = 0
+    for name in names:
+        base = group_from_name(name)
+        perm = list(range(base.order))
+        Random(name).shuffle(perm)
+        for g in (base, relabel(base, perm)):
+            assert fingerprint(g) == _scanned_fingerprint(g), g.name
+        abelian += base.is_abelian
+    assert abelian >= 15
 
 
 @pytest.mark.parametrize(

@@ -185,6 +185,33 @@ def test_write_text_atomic_replaces_a_symlinks_target(tmp_path, umask_022):
     assert sorted(os.listdir(tmp_path)) == ["o.jsonl", "real.jsonl"]
 
 
+def test_carriers_are_freed_without_the_cycle_collector():
+    # With the collector off, a carrier dies with its last reference: the
+    # subgroups, quotients and tables it caches do not refer back to it.
+    import gc
+    import weakref
+
+    from powergroups.classify import enumerate_subquotients
+
+    gc.collect()
+    gc.disable()
+    try:
+        g = group_from_name("S4")
+        pairs = enumerate_subquotients(g)
+        ref = weakref.ref(g)
+        del g
+        assert ref() is not None  # each pair's subgroups name their carrier
+        del pairs
+        assert ref() is None
+        g = group_from_name("S4")
+        records = build_census(g, "S4", max_order=24)
+        ref = weakref.ref(g)
+        del g
+        assert ref() is None and len(records) == 93
+    finally:
+        gc.enable()
+
+
 def test_census_fingerprints_each_distinct_table_once(monkeypatch):
     import powergroups.records as records_module
     from powergroups.classify import lattice_power_groups

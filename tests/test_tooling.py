@@ -187,11 +187,22 @@ def test_coset_growth_stays_off_the_validation_path():
 
 def test_family_classification_never_reads_normalizers():
     # match_subquotient and the census record flags re-derive (H, N) from the
-    # family alone; the normalizers behind the enumeration must not feed them.
-    roots = ("match_subquotient", "_record")
+    # family alone; the lattice and normalizers behind the enumeration must
+    # not feed them.  Nor may they feed the subgroup verdicts those checks
+    # read: is_subgroup_mask decides each mask by its own coset growth, and
+    # its per-carrier memo holds only what it decided.
+    lattice = {"subgroup_masks", "subgroup_lattice", "all_subgroups", "normalizers", "_normalizer"}
+    roots = ("match_subquotient", "_record", "is_subgroup_mask")
     sources = _package_sources()
-    assert {"normalizers", "_normalizer"} <= _reachable(sources, ("enumerate_subquotients",))
-    assert not {"normalizers", "_normalizer"} & _reachable(sources, roots)
+    assert lattice <= _reachable(sources, ("enumerate_subquotients",))
+    assert not lattice & _reachable(sources, roots)
+    # A mutant memo that trusts the lattice is caught.
+    groups = (ROOT / "src" / "powergroups" / "groups.py").read_text(encoding="utf-8")
+    line = "    verdict = verdicts.get(mask)\n"
+    assert groups.count(line) == 1
+    mutant = groups.replace(line, "    verdict = verdicts.get(mask, mask in g.subgroup_masks or None)\n")
+    mutated = [mutant if s == groups else s for s in sources]
+    assert "subgroup_masks" in _reachable(mutated, ("is_subgroup_mask",))
 
 
 def test_enumeration_walks_cosets_and_tests_normality_in_one_place_each():
@@ -219,6 +230,58 @@ def test_family_classification_closes_no_generators():
     mutant = classify.replace(line, "    _normalized_by(g, nmask, generating_set(g, hmask))\n" + line)
     mutated = [mutant if s == classify else s for s in sources]
     assert closures <= _reachable(mutated, roots)
+
+
+def _module_level_caches(source):
+    """Names of the functools caches (cache, lru_cache) made outside any
+    function body of source: as decorators of module or class level functions
+    that take arguments, or as calls.  Each would keep its entries, carriers
+    included, for the life of the process.  A function of no arguments holds
+    one value, so its cache is allowed."""
+    def is_cache(node):
+        if isinstance(node, ast.Call):
+            node = node.func
+        return getattr(node, "id", getattr(node, "attr", None)) in ("cache", "lru_cache")
+
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                takes = a.posonlyargs or a.args or a.vararg or a.kwonlyargs or a.kwarg
+                found.extend(child.name for d in child.decorator_list if is_cache(d) and takes)
+                continue  # a cache made inside a call dies with the call
+            if isinstance(child, ast.Call) and is_cache(child):
+                found.append(ast.unparse(child))
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_no_module_level_cache_outlives_its_carrier():
+    # Masks, element tuples, verdicts and validated tables are cached on the
+    # FiniteGroup they belong to and freed with it.  A module-level cache
+    # would keep every carrier's entries: one raised the subquotients
+    # benchmark's peak memory to 32-33 MiB.
+    mutant = (
+        "import functools\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def members(mask):\n    return mask\n"
+        "class G:\n    @functools.cache\n    def f(self):\n        return 0\n"
+        "text = functools.cache(str)\n"
+        "@functools.cache\n"
+        "def build_parser():\n    return 0\n"
+        "def per_call(g):\n    return functools.cache(str)\n"
+    )
+    assert _module_level_caches(mutant) == ["members", "f", "functools.cache(str)"]
+    found = [
+        (path.name, name)
+        for path in sorted((ROOT / "src" / "powergroups").glob("*.py"))
+        for name in _module_level_caches(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
 
 
 # Modules a finite subcommand never needs: the integer-set and rational-cut
