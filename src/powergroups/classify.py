@@ -28,12 +28,15 @@ from .groups import (
     SEARCH_CAP,
     FiniteGroup,
     GroupSubset,
+    PowerGroupFamily,
     SubgroupMask,
+    _family_from_table,
     all_subgroups,
+    is_idempotent,
     is_subgroup_mask,
     normal_subgroups_of,
+    power_group_family,
 )
-from .search import PowerGroupFamily, _family_from_table, is_idempotent, power_group_family
 
 __all__ = [
     "CosetGroupDescriptor",

@@ -4,7 +4,8 @@ A group of order n is a tuple-of-tuples table where entry (i, j) is the index
 of the product of elements i and j.  Validation relabels so that the identity
 is always index 0; every constructor in this module goes through validation,
 so downstream code may rely on ``identity == 0`` and on immutability.
-Subsets, subgroups among them, are bitmasks over element indices.
+Subsets, subgroups among them, are bitmasks over element indices; a family of
+subsets forming a group under the subset product is a PowerGroupFamily.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import permutations
 from math import lcm
@@ -20,6 +21,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
+    InternalFaultError,
     NoIdentityError,
     NoInverseError,
     NotAssociativeError,
@@ -45,17 +47,19 @@ __all__ = [
     "SEARCH_CAP",
     "FiniteGroup",
     "GroupSubset",
+    "PowerGroupFamily",
     "SubgroupMask",
     "all_subgroups",
     "catalog",
     "direct_product",
     "generating_set",
     "group_from_name",
+    "is_idempotent",
     "is_subgroup_mask",
     "iter_bits",
     "load_table_file",
     "normal_subgroups_of",
-    "subgroup_mask",
+    "power_group_family",
     "subset",
     "validate_cayley",
 ]
@@ -141,7 +145,7 @@ class FiniteGroup:
     @cached_property
     def family_tables(self) -> dict[_Table, tuple[FiniteGroup, int, tuple[int, ...]]]:
         """Family table -> (validated abstract group, identity index, inverse
-        map), filled by search._family_from_table so that each distinct table
+        map), filled by _family_from_table so that each distinct table
         of a family over this group is validated once."""
         return {}
 
@@ -358,17 +362,124 @@ def subset(g: FiniteGroup, members: Iterable[int] | int) -> GroupSubset:
     return GroupSubset(g, members if isinstance(members, int) else _mask_of(members))
 
 
-def subgroup_mask(g: FiniteGroup, members: Iterable[int] | int) -> SubgroupMask:
-    """Build a SubgroupMask from a mask or an iterable of element indices."""
-    mask = members if isinstance(members, int) else _mask_of(members)
-    return SubgroupMask(g, mask)
-
-
 def _mask_of(indices: Iterable[int]) -> int:
     mask = 0
     for i in indices:
         mask |= 1 << i
     return mask
+
+
+@dataclass(frozen=True)
+class PowerGroupFamily:
+    """A family of subsets closed under the subset product and forming a group.
+
+    ``elements`` is sorted by ascending mask; ``abstract_table[i][j]`` is the
+    position of elements[i] * elements[j] within the family, and passes the
+    group-table validator.  ``abstract`` is the group that validation
+    returned.  Construct via power_group_family(), or for the quotient M/N
+    of a subgroup pair via classify._coset_family.
+    """
+
+    parent: FiniteGroup
+    elements: tuple[GroupSubset, ...]
+    identity_index: int
+    inverse_map: tuple[int, ...]
+    abstract_table: tuple[tuple[int, ...], ...]
+    abstract: FiniteGroup = field(compare=False, repr=False)
+
+    @property
+    def order(self) -> int:
+        return len(self.elements)
+
+    @cached_property
+    def _masks(self) -> tuple[int, ...]:
+        return tuple(a.members for a in self.elements)
+
+    def masks(self) -> tuple[int, ...]:
+        """The members' masks in family order, collected once per family."""
+        return self._masks
+
+    @property
+    def identity(self) -> GroupSubset:
+        return self.elements[self.identity_index]
+
+    def abstract_group(self) -> FiniteGroup:
+        """The family as an abstract group (relabeled so its identity is 0)."""
+        return self.abstract
+
+    def __repr__(self) -> str:
+        return (
+            f"<PowerGroupFamily over {self.parent.name}: order {self.order}, "
+            f"identity {{{','.join(map(str, self.identity.elements()))}}}>"
+        )
+
+
+def power_group_family(parent: FiniteGroup, masks: Iterable[int]) -> PowerGroupFamily:
+    """Validate that the given subset masks form a group and package them.
+
+    Raises ValueError when the family is not closed, and the table validator's
+    errors when the induced table is not a group table.
+    """
+    sorted_masks = sorted(set(masks))
+    if not sorted_masks:
+        raise ValueError("empty family")
+    pos = {m: i for i, m in enumerate(sorted_masks)}
+    pm = parent.product_mask
+    table = []
+    for a in sorted_masks:
+        row = []
+        for b in sorted_masks:
+            p = pm(a, b)
+            if p not in pos:
+                raise ValueError(f"family not closed: product of {a:#x} and {b:#x} is {p:#x}")
+            row.append(pos[p])
+        table.append(tuple(row))
+    return _family_from_table(parent, tuple(GroupSubset(parent, m) for m in sorted_masks), table)
+
+
+def _family_from_table(
+    parent: FiniteGroup,
+    elements: tuple[GroupSubset, ...],
+    table: Sequence[tuple[int, ...]],
+) -> PowerGroupFamily:
+    """Package subsets in ascending mask order with their product table.
+
+    ``table[i][j]`` must be the position of elements[i] * elements[j]; the
+    builders (power_group_family and the coset builders in classify)
+    compute it from positions, so it needs the group axioms checked but no
+    input sanitation, and this raises the axiom checker's errors when it is
+    not a group table.  Each distinct table is checked once per parent: the
+    result is kept in parent.family_tables.  The subsets are kept as given,
+    so families built from one quotient share them.
+    """
+    table = tuple(table)
+    known = parent.family_tables.get(table)
+    if known is None:
+        k = len(elements)
+        # A group of subsets has disjoint members, so it has at most |G| <=
+        # CONSTRUCTION_CAP of them; refuse a larger family like any table.
+        check_cap(k, CONSTRUCTION_CAP, "group order")
+        abstract = _group_of_table(table, name="F")
+        # The axiom check may relabel; recover the identity's position in family order.
+        identity_index = _identity_of(table)
+        inverse_map = tuple(row.index(identity_index) for row in table)
+        if abstract.order != k:
+            raise InternalFaultError(f"family of {k} masks validated as order {abstract.order}")
+        known = parent.family_tables[table] = (abstract, identity_index, inverse_map)
+    abstract, identity_index, inverse_map = known
+    return PowerGroupFamily(
+        parent=parent,
+        elements=elements,
+        identity_index=identity_index,
+        inverse_map=inverse_map,
+        abstract_table=table,
+        abstract=abstract,
+    )
+
+
+def is_idempotent(e: GroupSubset) -> bool:
+    """True iff EE = E under the subset product."""
+    return e.parent.product_mask(e.members, e.members) == e.members
 
 
 def closure_mask(table: Sequence[Sequence[int]], seed: int) -> int:

@@ -3,8 +3,8 @@
 G2 "underlies" G1 when G1 carries a subset family forming a group isomorphic
 to G2.  Isomorphism itself runs a cheap invariant prefilter (order, abelian
 flag, element-order histogram, center size, conjugacy class sizes, square-root
-counts) followed by backtracking over images of a greedy generating chain; any
-mapping returned has been verified entry by entry.
+counts) followed by backtracking over images of a greedy generating chain,
+pruned at each depth; any mapping returned has been verified entry by entry.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ from typing import Optional, Sequence
 
 from .classify import lattice_power_groups
 from .errors import InternalFaultError
-from .groups import SEARCH_CAP, FiniteGroup, generating_set
-from .search import PowerGroupFamily
+from .groups import SEARCH_CAP, FiniteGroup, PowerGroupFamily, generating_set
 
 __all__ = [
     "UNDERLIES_CATALOG",
@@ -79,7 +78,7 @@ def fingerprint(g: FiniteGroup) -> GroupFingerprint:
 def _extend_map(
     g1: FiniteGroup, g2: FiniteGroup, gens: Sequence[int], images: Sequence[int]
 ) -> Optional[list[int]]:
-    """Grow the homomorphism determined by generator images; None on conflict."""
+    """Grow the injective homomorphism the generator images determine on <gens>; None on conflict."""
     n = g1.order
     phi = [-1] * n
     phi[g1.identity] = g2.identity
@@ -109,8 +108,6 @@ def _extend_map(
                 queue.append(y)
             elif phi[y] != fy:
                 return None
-    if len(queue) != n:
-        return None
     return phi
 
 
@@ -142,9 +139,11 @@ def are_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> Optional[tuple[int, ...]
         [b for b in range(g2.order) if g2.element_order(b) == k] for k in orders1
     ]
 
+    # A conflict on <gens[:i]> rules out every completion: pruning keeps the first valid tuple.
     def rec(i: int, images: list[int]) -> Optional[list[int]]:
-        if i == len(gens):
-            return _extend_map(g1, g2, gens, images)
+        phi = _extend_map(g1, g2, gens[:i], images)
+        if phi is None or i == len(gens):
+            return phi
         for b in cands[i]:
             phi = rec(i + 1, images + [b])
             if phi is not None:

@@ -15,9 +15,8 @@ from .classify import (
     lattice_power_groups,
     match_subquotient,
 )
-from .groups import SEARCH_CAP, FiniteGroup
+from .groups import SEARCH_CAP, FiniteGroup, PowerGroupFamily
 from .iso import GroupFingerprint, fingerprint
-from .search import PowerGroupFamily
 
 __all__ = [
     "CensusRecord",

@@ -1,12 +1,12 @@
-"""Families of subsets that form a group under the subset product, and the
-searches that find them without the subgroup lattice.
+"""The searches that find every family of subsets forming a group under the
+subset product without the subgroup lattice: the census's test oracles.
 
-PowerGroupFamily is the census's family type; every builder packages one
-through _family_from_table, which validates each distinct table once per
-carrier.  The searches are the census's oracles: ``enum`` and ``underlies``
-take their families from the subgroup lattice (classify.lattice_power_groups),
-and the idempotent search (all_power_groups) and the exhaustive scan
-(brute_force_power_groups) reach the same families without it.
+``enum`` and ``underlies`` take their families from the subgroup lattice
+(classify.lattice_power_groups).  The idempotent search (all_power_groups) and
+the exhaustive scan (brute_force_power_groups) reach the same families without
+any of its code: they read the carrier's table themselves, list each unit
+group's subgroups by closure_mask (the closure table validation uses), and
+package each family with groups.power_group_family.
 
 The organizing fact: the identity of any such family is an idempotent subset E,
 every member A satisfies EA = AE = A (so A lives in the local monoid at E), and
@@ -19,153 +19,43 @@ subsets (orders <= 4) serves as the independent oracle for all of this.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
-from .errors import CayleyTableError, InternalFaultError, NotIdempotentError, check_cap
+from .errors import CayleyTableError, NotIdempotentError, check_cap
 from .groups import (
-    CONSTRUCTION_CAP,
     SEARCH_CAP,
     FiniteGroup,
     GroupSubset,
-    _group_of_table,
-    _identity_of,
+    PowerGroupFamily,
+    closure_mask,
     iter_bits,
-    subgroup_lattice,
+    power_group_family,
     validate_cayley,
 )
 
 __all__ = [
     "LocalMonoid",
-    "PowerGroupFamily",
     "all_idempotents",
     "all_power_groups",
     "brute_force_power_groups",
-    "is_idempotent",
     "local_monoid",
-    "power_group_family",
     "unit_group",
 ]
 
 BRUTE_FORCE_CAP = 4  # brute_force_power_groups scans 2^(2^n - 1) families
 
 
-@dataclass(frozen=True)
-class PowerGroupFamily:
-    """A family of subsets closed under the subset product and forming a group.
-
-    ``elements`` is sorted by ascending mask; ``abstract_table[i][j]`` is the
-    position of elements[i] * elements[j] within the family, and passes the
-    group-table validator.  ``abstract`` is the group that validation
-    returned.  Construct via power_group_family(), or for the quotient M/N
-    of a subgroup pair via classify._coset_family.
-    """
-
-    parent: FiniteGroup
-    elements: tuple[GroupSubset, ...]
-    identity_index: int
-    inverse_map: tuple[int, ...]
-    abstract_table: tuple[tuple[int, ...], ...]
-    abstract: FiniteGroup = field(compare=False, repr=False)
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    @cached_property
-    def _masks(self) -> tuple[int, ...]:
-        return tuple(a.members for a in self.elements)
-
-    def masks(self) -> tuple[int, ...]:
-        """The members' masks in family order, collected once per family."""
-        return self._masks
-
-    @property
-    def identity(self) -> GroupSubset:
-        return self.elements[self.identity_index]
-
-    def abstract_group(self) -> FiniteGroup:
-        """The family as an abstract group (relabeled so its identity is 0)."""
-        return self.abstract
-
-    def __repr__(self) -> str:
-        return (
-            f"<PowerGroupFamily over {self.parent.name}: order {self.order}, "
-            f"identity {{{','.join(map(str, self.identity.elements()))}}}>"
-        )
-
-
-def power_group_family(parent: FiniteGroup, masks: Iterable[int]) -> PowerGroupFamily:
-    """Validate that the given subset masks form a group and package them.
-
-    Raises ValueError when the family is not closed, and the table validator's
-    errors when the induced table is not a group table.
-    """
-    sorted_masks = sorted(set(masks))
-    if not sorted_masks:
-        raise ValueError("empty family")
-    pos = {m: i for i, m in enumerate(sorted_masks)}
-    pm = parent.product_mask
-    table = []
-    for a in sorted_masks:
-        row = []
-        for b in sorted_masks:
-            p = pm(a, b)
-            if p not in pos:
-                raise ValueError(
-                    f"family not closed: product of {a:#x} and {b:#x} is {p:#x}"
-                )
-            row.append(pos[p])
-        table.append(tuple(row))
-    return _family_from_table(
-        parent, tuple(GroupSubset(parent, m) for m in sorted_masks), table
-    )
-
-
-def _family_from_table(
-    parent: FiniteGroup,
-    elements: tuple[GroupSubset, ...],
-    table: Sequence[tuple[int, ...]],
-) -> PowerGroupFamily:
-    """Package subsets in ascending mask order with their product table.
-
-    ``table[i][j]`` must be the position of elements[i] * elements[j]; the
-    builders (power_group_family and the coset builders in classify)
-    compute it from positions, so it needs the group axioms checked but no
-    input sanitation, and this raises the axiom checker's errors when it is
-    not a group table.  Each distinct table is checked once per parent: the
-    result is kept in parent.family_tables.  The subsets are kept as given,
-    so families built from one quotient share them.
-    """
-    table = tuple(table)
-    known = parent.family_tables.get(table)
-    if known is None:
-        k = len(elements)
-        # A group of subsets has disjoint members, so it has at most |G| <=
-        # CONSTRUCTION_CAP of them; refuse a larger family like any table.
-        check_cap(k, CONSTRUCTION_CAP, "group order")
-        abstract = _group_of_table(table, name="F")
-        # The axiom check may relabel; recover the identity's position in family order.
-        identity_index = _identity_of(table)
-        inverse_map = tuple(row.index(identity_index) for row in table)
-        if abstract.order != k:
-            raise InternalFaultError(f"family of {k} masks validated as order {abstract.order}")
-        known = parent.family_tables[table] = (abstract, identity_index, inverse_map)
-    abstract, identity_index, inverse_map = known
-    return PowerGroupFamily(
-        parent=parent,
-        elements=elements,
-        identity_index=identity_index,
-        inverse_map=inverse_map,
-        abstract_table=table,
-        abstract=abstract,
-    )
-
-
-def is_idempotent(e: GroupSubset) -> bool:
-    """True iff EE = E under the subset product."""
-    return e.parent.product_mask(e.members, e.members) == e.members
+def _closed(t: Sequence[Sequence[int]], mask: int) -> bool:
+    """Is the nonempty mask closed under the table's product?  In a finite
+    group a closed nonempty subset is a subgroup, so this is EE = E, read off
+    the table and left at the first product outside the mask."""
+    for a in iter_bits(mask):
+        row = t[a]
+        for b in iter_bits(mask):
+            if not mask >> row[b] & 1:
+                return False
+    return True
 
 
 def all_idempotents(g: FiniteGroup) -> list[GroupSubset]:
@@ -176,8 +66,8 @@ def all_idempotents(g: FiniteGroup) -> list[GroupSubset]:
     """
     n = g.order
     check_cap(n, SEARCH_CAP, "2^n idempotent scan at order")
-    pm = g.product_mask
-    return [GroupSubset(g, m) for m in range(1, 1 << n) if pm(m, m) == m]
+    t = g.table
+    return [GroupSubset(g, m) for m in range(1, 1 << n) if _closed(t, m)]
 
 
 @dataclass(frozen=True)
@@ -193,17 +83,20 @@ class LocalMonoid:
 
 
 def local_monoid(g: FiniteGroup, e: GroupSubset) -> LocalMonoid:
-    """Scan all nonempty masks for EA = AE = A.  Requires EE = E."""
+    """Scan all nonempty masks for EA = AE = A.  Requires EE = E, so E is a
+    subgroup and EA = AE = A exactly when Ex and xE lie in A for each x in A:
+    Ex | xE is formed once per x, and a mask is left at its first x that fails."""
     n = g.order
     check_cap(n, SEARCH_CAP, "2^n local monoid scan at order")
-    if not is_idempotent(e):
-        raise NotIdempotentError(f"EE != E for mask {e.members:#x}")
-    emask = e.members
-    pm = g.product_mask
+    t, emask = g.table, e.members
+    if not _closed(t, emask):
+        raise NotIdempotentError(f"EE != E for mask {emask:#x}")
+    translates = [0] * n
+    for x in range(n):
+        for y in iter_bits(emask):
+            translates[x] |= 1 << t[y][x] | 1 << t[x][y]
     members = tuple(
-        GroupSubset(g, m)
-        for m in range(1, 1 << n)
-        if pm(emask, m) == m and pm(m, emask) == m
+        GroupSubset(g, m) for m in range(1, 1 << n) if not any(translates[x] & ~m for x in iter_bits(m))
     )
     return LocalMonoid(idempotent=e, members=members)
 
@@ -220,11 +113,7 @@ def unit_group(g: FiniteGroup, e: GroupSubset) -> PowerGroupFamily:
     target = emask.bit_count()
     pm = g.product_mask
     candidates = [a.members for a in monoid.members if a.members.bit_count() == target]
-    units = [
-        a
-        for a in candidates
-        if any(pm(a, b) == emask and pm(b, a) == emask for b in candidates)
-    ]
+    units = [a for a in candidates if any(pm(a, b) == emask == pm(b, a) for b in candidates)]
     return power_group_family(g, units)
 
 
@@ -232,10 +121,28 @@ def _families_at_idempotent(g: FiniteGroup, e: GroupSubset) -> list[tuple[int, .
     """All subset families with identity E that form groups, as mask tuples."""
     u = unit_group(g, e)
     unit_masks = u.masks()
-    out = []
-    for sub in subgroup_lattice(u.abstract_table, u.identity_index):
-        out.append(tuple(sorted(unit_masks[i] for i in iter_bits(sub))))
-    return out
+    return [
+        tuple(sorted(unit_masks[i] for i in iter_bits(sub)))
+        for sub in _subgroups(u.abstract_table, u.identity_index)
+    ]
+
+
+def _subgroups(table: Sequence[Sequence[int]], identity: int) -> set[int]:
+    """Every subgroup mask of a group table: from the trivial subgroup, each
+    one found with generators S grows by each x outside it to closure_mask(S
+    + x), the subgroup S and x generate, which reaches every subgroup."""
+    trivial = 1 << identity
+    found = {trivial}
+    stack = [(trivial, 0)]
+    while stack:
+        h, gens = stack.pop()
+        for x in range(len(table)):
+            if not h >> x & 1:
+                k = closure_mask(table, gens | 1 << x)
+                if k not in found:
+                    found.add(k)
+                    stack.append((k, gens | 1 << x))
+    return found
 
 
 def all_power_groups(g: FiniteGroup) -> list[PowerGroupFamily]:

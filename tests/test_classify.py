@@ -29,6 +29,7 @@ from powergroups.errors import CommutationFailsError, NotIdempotentError
 from powergroups.groups import (
     FiniteGroup,
     GroupSubset,
+    PowerGroupFamily,
     SubgroupMask,
     _normalized_by,
     all_subgroups,
@@ -37,13 +38,15 @@ from powergroups.groups import (
     group_from_name,
     iter_bits,
     normal_subgroups_of,
-    subgroup_mask,
+    power_group_family,
     subset,
     validate_cayley,
 )
 from powergroups.records import build_census
-from powergroups.search import PowerGroupFamily, all_power_groups, power_group_family
+from powergroups.search import all_power_groups
 from powergroups.suites import THM2_GROUPS
+
+from conftest import subgroup_mask
 
 S3 = catalog("symmetric", 3)
 D4 = catalog("dihedral", 4)

@@ -12,8 +12,10 @@ import pytest
 from powergroups import qcuts, suites, zsets
 from powergroups.cli import SUITE_NAMES, build_parser, main
 from powergroups.errors import InternalFaultError
-from powergroups.groups import group_from_name, subgroup_mask, subset
+from powergroups.groups import group_from_name, subset
 from powergroups.suites import SuiteCheck
+
+from conftest import subgroup_mask
 
 
 def run(capsys, *argv):
@@ -286,9 +288,9 @@ def test_verify_reports_failures_with_exit_1(capsys, monkeypatch):
 def _flatten_family_tables(monkeypatch, module):
     """Make every family of order > 1 built through module carry a constant,
     non-group table, as a bug in the table construction would."""
-    import powergroups.search as search
+    import powergroups.groups as groups
 
-    real = search.power_group_family
+    real = groups.power_group_family
 
     def faulty(parent, masks):
         fam = real(parent, masks)
@@ -301,14 +303,19 @@ def _flatten_family_tables(monkeypatch, module):
 
 
 def test_power_group_family_fault_exits_1(capsys, monkeypatch):
-    import powergroups.search as search
+    import powergroups.groups as groups
 
     # Family tables are built from positions, so only the group axioms are
-    # checked on them, not validate_cayley's input sanitation.
-    real = search._group_of_table
-    monkeypatch.setattr(search, "_group_of_table", lambda table, **kw: real(((0,),), **kw))
+    # checked on them, not validate_cayley's input sanitation.  They are
+    # checked under the name "F"; the carrier's own table is left alone.
+    real = groups._group_of_table
+
+    def faulty(table, *, name):
+        return real(((0,),) if name == "F" else table, name=name)
+
+    monkeypatch.setattr(groups, "_group_of_table", faulty)
     with pytest.raises(InternalFaultError, match="validated as order 1"):
-        search.power_group_family(group_from_name("C2"), [0b01, 0b10])
+        groups.power_group_family(group_from_name("C2"), [0b01, 0b10])
     code, out, err = run(capsys, "enum", "--group", "C2")
     assert code == 1 and out == ""
     assert err.startswith("error: internal fault:") and "Traceback" not in err
@@ -828,8 +835,7 @@ def test_commands_leave_no_reference_cycle(capsys, argv):
     # group, subset or family.
     import gc
 
-    from powergroups.groups import FiniteGroup, GroupSubset
-    from powergroups.search import PowerGroupFamily
+    from powergroups.groups import FiniteGroup, GroupSubset, PowerGroupFamily
 
     run(capsys, "catalog", "list")  # builds the parser
     gc.collect()

@@ -31,12 +31,13 @@ from powergroups.groups import (
     iter_bits,
     load_table_file,
     normal_subgroups_of,
-    subgroup_mask,
     validate_cayley,
 )
 import powergroups.groups as groups_module
 from powergroups.classify import lattice_power_groups
 from powergroups.records import build_census
+
+from conftest import subgroup_mask
 
 S3 = catalog("symmetric", 3)
 D4 = catalog("dihedral", 4)
@@ -647,16 +648,16 @@ def test_subgroup_lattice_runs_once_per_group(monkeypatch):
 def test_census_validates_each_family_once(monkeypatch):
     # Each distinct family table is checked once per carrier: families with
     # byte-equal tables share the validated group kept in g.family_tables.
-    import powergroups.search as search
-
+    # Family tables are checked under the name "F", carriers under their own.
     calls = []
-    real = search._group_of_table
+    real = groups_module._group_of_table
 
-    def counting(table, **kw):
-        calls.append(table)
-        return real(table, **kw)
+    def counting(table, *, name):
+        if name == "F":
+            calls.append(table)
+        return real(table, name=name)
 
-    monkeypatch.setattr(search, "_group_of_table", counting)
+    monkeypatch.setattr(groups_module, "_group_of_table", counting)
     g = group_from_name("D4")
     records = build_census(g, "D4")
     assert len(records) == 30

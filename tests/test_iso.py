@@ -1,15 +1,17 @@
 """Isomorphism testing and the subset-family reachability relation."""
 
 import time
+from itertools import product
 from random import Random
 
 import pytest
 
 from powergroups.cli import CATALOG_NAMES
 from powergroups.errors import CapExceededError
-from powergroups.groups import catalog, direct_product, group_from_name, validate_cayley
+from powergroups.groups import catalog, direct_product, generating_set, group_from_name, validate_cayley
 from powergroups.iso import (
     GroupFingerprint,
+    _square_roots,
     are_isomorphic,
     fingerprint,
     matrix_is_transitive,
@@ -133,6 +135,97 @@ def test_equal_fingerprints_of_different_groups_are_refused_promptly(k):
     assert time.perf_counter() - start < 0.5
     phi = are_isomorphic(g1, relabel(g1, list(reversed(range(g1.order)))))
     assert phi is not None
+
+
+def _leaf_only_isomorphism(g1, g2):
+    """The reference search: are_isomorphic as it was before it pruned.  An
+    image is chosen for every generator before anything is checked, and only
+    a complete image tuple is grown into a map and tested (the plain
+    backtrack that Holt, Eick and O'Brien, *Handbook of Computational Group
+    Theory*, 2005, prune).  The prefilter is the production one."""
+    if g1.order != g2.order:
+        return None
+    if fingerprint(g1) != fingerprint(g2) or _square_roots(g1) != _square_roots(g2):
+        return None
+    n = g1.order
+    gens = generating_set(g1, g1.full_mask)
+    cands = [[b for b in range(n) if g2.element_order(b) == g1.element_order(a)] for a in gens]
+
+    def extend(images):
+        phi = [-1] * n
+        phi[g1.identity] = g2.identity
+        used = 1 << g2.identity
+        queue = [g1.identity]
+        for a, b in zip(gens, images):
+            if phi[a] == -1:
+                if used >> b & 1:
+                    return None
+                phi[a] = b
+                used |= 1 << b
+                queue.append(a)
+            elif phi[a] != b:
+                return None
+        for x in queue:
+            for a, b in zip(gens, images):
+                y, fy = g1.mul(x, a), g2.mul(phi[x], b)
+                if phi[y] == -1:
+                    if used >> fy & 1:
+                        return None
+                    phi[y] = fy
+                    used |= 1 << fy
+                    queue.append(y)
+                elif phi[y] != fy:
+                    return None
+        return phi if len(queue) == n else None
+
+    # The leaves in the order the recursive search reaches them.  A tuple
+    # that repeats an image fails extend's first loop, so it is skipped
+    # before a map is allocated.
+    k = len(gens)
+    for images in product(*cands):
+        if len(set(images)) == k:
+            phi = extend(images)
+            if phi is not None:
+                return tuple(phi)
+    return None
+
+
+def _metacyclic(m, n, r):
+    """C_m x|_r C_n: a^i b^j with b a b^-1 = a^r, at index i * n + j."""
+    def mul(x, y):
+        (i, j), (k, l) = divmod(x, n), divmod(y, n)
+        return (i + pow(r, j, m) * k) % m * n + (j + l) % n
+
+    return validate_cayley([[mul(x, y) for y in range(m * n)] for x in range(m * n)], name=f"C{m}:{r}C{n}")
+
+
+@pytest.mark.parametrize(
+    "pair",
+    ["C2xC2xC2xC2xC2xC2", "D4xC2xC2xC2", "S4xC2", "C4xC4xC2", "Q8/D4", "metacyclic"],
+)
+def test_pruned_search_matches_the_leaf_only_reference(pair):
+    # A conflict over <gens[:i]> is a conflict over g1, so pruning there
+    # keeps the first valid image tuple: the same mapping, or the same None.
+    # Each product is relabelled and searched against itself; the last two
+    # pairs are not isomorphic, and the metacyclic ones share every invariant
+    # of the prefilter.
+    if pair == "Q8/D4":
+        g1, g2 = group_from_name("Q8xC2xC2"), group_from_name("D4xC2xC2")
+    elif pair == "metacyclic":
+        g1 = direct_product(_metacyclic(8, 4, 5), catalog("cyclic", 2))
+        g2 = direct_product(_metacyclic(8, 2, 5), catalog("cyclic", 4))
+    else:
+        g = group_from_name(pair)
+        perm = list(range(g.order))
+        Random(pair).shuffle(perm)
+        g1 = g2 = relabel(g, perm)
+    start = time.perf_counter()
+    phi = are_isomorphic(g1, g2)
+    elapsed = time.perf_counter() - start
+    assert phi == _leaf_only_isomorphism(g1, g2)
+    assert (phi is None) == (pair in ("Q8/D4", "metacyclic"))
+    if pair == "C2xC2xC2xC2xC2xC2":
+        assert elapsed < 1.0
 
 
 def test_fingerprint_invariants():

@@ -4,14 +4,20 @@ import pytest
 
 from powergroups.classify import lattice_power_groups
 from powergroups.errors import CapExceededError, CayleyTableError, NotIdempotentError
-from powergroups.groups import SEARCH_CAP, FiniteGroup, catalog, group_from_name, subset
+from powergroups.groups import (
+    SEARCH_CAP,
+    FiniteGroup,
+    catalog,
+    group_from_name,
+    power_group_family,
+    subset,
+)
 from powergroups.search import (
     BRUTE_FORCE_CAP,
     all_idempotents,
     all_power_groups,
     brute_force_power_groups,
     local_monoid,
-    power_group_family,
     unit_group,
 )
 

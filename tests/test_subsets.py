@@ -10,11 +10,13 @@ from powergroups.groups import (
     SubgroupMask,
     catalog,
     group_from_name,
+    is_idempotent,
     is_subgroup_mask,
-    subgroup_mask,
     subset,
 )
-from powergroups.search import all_idempotents, is_idempotent
+from powergroups.search import all_idempotents
+
+from conftest import subgroup_mask
 
 S3 = catalog("symmetric", 3)
 D4 = catalog("dihedral", 4)

@@ -1,8 +1,11 @@
 """The named verification suites run clean at reduced caps."""
 
+import sys
+
 import pytest
 
-from powergroups.suites import SUITES, SuiteCheck, run_suite
+from powergroups import groups
+from powergroups.suites import SUITES, SuiteCheck, run_suite, suite_thm2_finite
 
 EXPECTED_SUITES = {
     "thm1-equivalence",
@@ -39,6 +42,29 @@ def test_thm2_suite():
     checks = run_suite("thm2-finite", max_order=8)
     assert_all_ok(checks, "thm2-finite")
     assert len(checks) == 26  # thirteen carriers, two checks each
+
+
+def test_thm2_oracle_keeps_true_counts_under_a_lattice_that_drops_a_subgroup(monkeypatch):
+    # The idempotent oracle lists unit-group subgroups by its own closure
+    # walk, so a census lattice that loses the subgroup {e, x_(n-1)} of every
+    # table of order >= 5 fails the suite against the oracle's true counts
+    # instead of taking the oracle down with it.
+    real = groups.subgroup_lattice
+
+    def dropping(table, identity):
+        found = real(table, identity)
+        if len(table) < 5:
+            return found
+        return [m for m in found if m != 1 << identity | 1 << len(table) - 1]
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "powergroups" and getattr(module, "subgroup_lattice", None) is real:
+            monkeypatch.setattr(module, "subgroup_lattice", dropping)
+    checks = {c.name: c for c in suite_thm2_finite(max_order=8)}
+    for name, count in (("V4xC2", 66), ("D4", 30)):
+        check = checks[f"{name}: census count equals sum over H of normal subgroups"]
+        assert not check.ok
+        assert check.detail.startswith(f"search {count}, lattice ")
 
 
 def test_thm1_suite():

@@ -185,6 +185,46 @@ def test_coset_growth_stays_off_the_validation_path():
     assert needs_groups <= _reachable([mutated if s == groups else s for s in sources], roots)
 
 
+def test_oracles_share_no_code_with_the_census():
+    # The idempotent search and the exhaustive scan check the census, so no
+    # path from them may reach its lattice, coset growth, subgroup verdicts,
+    # normal-subgroup test or anything in classify; a lattice that loses a
+    # subgroup would otherwise lose it in the oracle too.
+    pkg = ROOT / "src" / "powergroups"
+    classify = ast.parse((pkg / "classify.py").read_text(encoding="utf-8"))
+    census = {"subgroup_lattice", "_coset_grow", "is_subgroup_mask", "normal_subgroups_of"}
+    census |= {n.name for n in classify.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    roots = ("all_power_groups", "brute_force_power_groups")
+    sources = _package_sources()
+    assert {"subgroup_lattice", "_coset_grow"} <= _reachable(sources, ("enumerate_subquotients",))
+    assert not census & _reachable(sources, roots)
+    # A mutant oracle that lists unit-group subgroups from the lattice is caught.
+    search = (pkg / "search.py").read_text(encoding="utf-8")
+    line = "    unit_masks = u.masks()\n"
+    assert search.count(line) == 1
+    mutant = search.replace(line, line + "    subgroup_lattice(u.abstract_table, u.identity_index)\n")
+    mutated = [mutant if s == search else s for s in sources]
+    assert "subgroup_lattice" in _reachable(mutated, roots)
+
+    # Only the suites and the package facade import the oracle module.
+    def imports_search(node):
+        if isinstance(node, ast.Import):
+            return any(a.name == "powergroups.search" for a in node.names)
+        if isinstance(node, ast.ImportFrom):
+            if node.module in ("search", "powergroups.search"):
+                return True
+            return node.module in (None, "powergroups") and any(a.name == "search" for a in node.names)
+        return False
+
+    importers = [
+        path.name
+        for path in sorted(pkg.glob("*.py"))
+        if any(imports_search(n) for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+    ]
+    assert importers == ["__init__.py", "suites.py"]
+    assert imports_search(ast.parse("from . import search").body[0])
+
+
 def test_family_classification_never_reads_normalizers():
     # match_subquotient and the census record flags re-derive (H, N) from the
     # family alone; the lattice and normalizers behind the enumeration must
