@@ -42,7 +42,7 @@ families = all_power_groups(g)
 print(f"{len(families)} subset families form groups over S3:")
 for fam in families:
     d = match_subquotient(fam)
-    members = " ".join(show(m) for m in fam.masks())
+    members = " ".join(show(m) for m in fam.elements)
     print(f"  order {fam.order}: {members}")
     print(f"    = cosets of N={show(d.kernel.members)} in H={show(d.carrier.members)}")
 
@@ -60,7 +60,7 @@ h = SubgroupMask(k4, k4.full_mask)
 d = build_coset_group(k4, e, h)
 rep = coset_group_epimorphism_check(d)
 print(f"\nklein4, E={show(e.members)}, H=all:")
-print(f"  cosets: {[show(m) for m in d.family.masks()]}")
+print(f"  cosets: {[show(m) for m in d.family.elements]}")
 print(f"  a -> aE surjective: {rep.surjective}, kernel {show(rep.kernel.members)}")
 print(f"  quotient order {rep.quotient_order}, all checks pass: {rep.ok}")
 

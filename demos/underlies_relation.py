@@ -31,7 +31,7 @@ for name, row in zip(NAMES, matrix):
 
 # A positive answer comes with a concrete family, not just a bit.
 w = underlies(group_from_name("S3"), group_from_name("C2"))
-members = [tuple(i for i in range(6) if m >> i & 1) for m in w.family.masks()]
+members = [tuple(i for i in range(6) if m >> i & 1) for m in w.family.elements]
 print(f"\nC2 underlies S3 via the family {members}")
 print(f"(two singleton cosets inside a 2-element subgroup; mapping {w.mapping})")
 

@@ -90,22 +90,21 @@ class NotCosetGroup:
 
 def check_identity_subgroup(f: PowerGroupFamily) -> bool:
     """Does the family identity E pass the subgroup invariants?"""
-    return is_subgroup_mask(f.parent, f.identity.members)
+    return is_subgroup_mask(f.parent, f.identity)
 
 
 def check_inverse_closure(f: PowerGroupFamily) -> bool:
     """For every member A and every x in A, is x^-1 in the family inverse of A?"""
-    g = f.parent
-    for i, a in enumerate(f.elements):
-        fam_inv = f.elements[f.inverse_map[i]].members
-        if g.inverse_mask(a.members) & ~fam_inv:
+    g, masks = f.parent, f.elements
+    for a, j in zip(masks, f.inverse_map):
+        if g.inverse_mask(a) & ~masks[j]:
             return False
     return True
 
 
 def check_partition_union_subgroup(f: PowerGroupFamily) -> bool:
     """Are the members pairwise disjoint with a union that is a subgroup?"""
-    return _partition_union_check(f.parent, f.masks())
+    return _partition_union_check(f.parent, f.elements)
 
 
 def _partition_union_check(g: FiniteGroup, masks: Sequence[int]) -> bool:
@@ -188,7 +187,7 @@ def _coset_family(g: FiniteGroup, mmask: int, nmask: int) -> PowerGroupFamily:
             table.append(tuple([block_of[row[s]] for s in reps]))
         except KeyError as exc:
             raise ValueError(f"family not closed: {exc.args[0]} is outside the carrier") from None
-    return _family_from_table(g, tuple(GroupSubset(g, m) for m in masks), table)
+    return _family_from_table(g, tuple(masks), table)
 
 
 def _restrict(q: PowerGroupFamily, hmask: int) -> PowerGroupFamily:
@@ -198,10 +197,9 @@ def _restrict(q: PowerGroupFamily, hmask: int) -> PowerGroupFamily:
     Since N <= H, H is the union of the blocks inside it.  Its table is q's
     table read at those blocks, renumbered; a product landing on a block
     outside H raises ValueError("family not closed: ...").  The table is
-    validated by _family_from_table (once per distinct table), and the
-    subsets are q's own.
+    validated by _family_from_table (once per distinct table).
     """
-    inside = [i for i, a in enumerate(q.elements) if not a.members & ~hmask]
+    inside = [i for i, a in enumerate(q.elements) if not a & ~hmask]
     if len(inside) == q.order:
         return q
     pos = {i: k for k, i in enumerate(inside)}
@@ -216,7 +214,7 @@ def _restrict(q: PowerGroupFamily, hmask: int) -> PowerGroupFamily:
     try:
         table = [tuple(map(pos.__getitem__, row)) for row in rows]
     except KeyError as exc:
-        block = q.elements[exc.args[0]].members
+        block = q.elements[exc.args[0]]
         raise ValueError(f"family not closed: block {block:#x} is outside {hmask:#x}") from None
     return _family_from_table(q.parent, tuple(q.elements[i] for i in inside), table)
 
@@ -235,10 +233,10 @@ def match_subquotient(
     before the cosets are compared with the family.
     """
     g = f.parent
-    nmask = f.identity.members
+    nmask = f.identity
     hmask = 0
     for a in f.elements:
-        hmask |= a.members
+        hmask |= a
     try:
         kernel = SubgroupMask(g, nmask)
     except NotASubgroupError:
@@ -250,7 +248,7 @@ def match_subquotient(
     cosets = _coset_masks(g, hmask, nmask)
     if _first_non_right_coset(g, nmask, cosets):
         return NotSubquotient("identity_not_normal_in_union", f"{nmask:#x} not normal in {hmask:#x}")
-    if cosets != sorted(f.masks()):
+    if cosets != sorted(f.elements):
         return NotSubquotient("family_not_coset_set", "family differs from the coset set of N in H")
     return SubquotientDescriptor(carrier=carrier, kernel=kernel)
 
@@ -293,7 +291,7 @@ def lattice_power_groups(
     """
     check_cap(g.order, max_order, "census at order")
     fams = [fam for _, fam in enumerate_subquotients(g)]
-    fams.sort(key=lambda f: (f.order, f.masks()))
+    fams.sort(key=lambda f: (f.order, f.elements))
     return fams
 
 
@@ -353,8 +351,7 @@ def coset_group_epimorphism_check(d: CosetGroupDescriptor) -> EpimorphismReport:
     """
     g = d.family.parent
     emask = d.idempotent.members
-    fam_masks = d.family.masks()
-    pos = {m: i for i, m in enumerate(fam_masks)}
+    pos = {m: i for i, m in enumerate(d.family.elements)}
     helems = g.members_of(d.carrier.members)
     phi = {a: pos[g.product_mask(1 << a, emask)] for a in helems}
 
@@ -400,8 +397,8 @@ def is_group_of_cosets(
     {aE} is E itself).  Returns the first match in (size, mask) order of H, or
     NotCosetGroup as a value.
     """
-    e = f.identity
-    want = sorted(f.masks())
+    e = GroupSubset(f.parent, f.identity)
+    want = sorted(f.elements)
     for h in all_subgroups(g):
         if _coset_masks(g, h.members, e.members) == want:
             try:

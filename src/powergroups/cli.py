@@ -146,7 +146,7 @@ def cmd_subquotients(args: argparse.Namespace) -> int:
     group = json.dumps(label)
     lines = [
         f'{{"carrier":{text(desc.carrier.members)},'
-        f'"family":[{",".join([text(a.members) for a in fam.elements])}],'
+        f'"family":[{",".join(map(text, fam.elements))}],'
         f'"group":{group},"kernel":{text(desc.kernel.members)},"order":{fam.order}}}\n'
         for desc, fam in enumerate_subquotients(g)
     ]
@@ -193,8 +193,8 @@ def cmd_underlies(args: argparse.Namespace) -> int:
         text = "no\n"
     else:
         witness = {
-            "family": [list(iter_bits(m)) for m in w.family.masks()],
-            "identity": list(iter_bits(w.family.identity.members)),
+            "family": [list(iter_bits(m)) for m in w.family.elements],
+            "identity": list(iter_bits(w.family.identity)),
             "mapping": list(w.mapping),
         }
         text = "yes\n" + _dumps(witness) + "\n"

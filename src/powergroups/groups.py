@@ -69,7 +69,10 @@ _Table = tuple[tuple[int, ...], ...]  # a Cayley table as validation returns it
 
 
 def iter_bits(mask: int) -> Iterator[int]:
-    """Yield set bit positions of mask in ascending order."""
+    """Yield set bit positions of mask in ascending order.  A negative mask
+    has infinitely many set bits and raises ValueError."""
+    if mask < 0:
+        raise ValueError(f"mask {mask} is negative")
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -288,8 +291,7 @@ class GroupSubset:
     members: int
 
     def __post_init__(self) -> None:
-        if self.members <= 0 or self.members > self.parent.full_mask:
-            raise ValueError(f"mask {self.members:#x} is empty or out of range")
+        _check_mask(self.parent, self.members)
 
     @property
     def size(self) -> int:
@@ -316,6 +318,13 @@ class SubgroupMask(GroupSubset):
     def __post_init__(self) -> None:
         if not is_subgroup_mask(self.parent, self.members):
             raise NotASubgroupError(f"mask {self.members:#x} is not a subgroup")
+
+
+def _check_mask(g: FiniteGroup, mask: int) -> None:
+    """Raise ValueError unless mask is an int (not a bool) naming a nonempty
+    subset of g."""
+    if not isinstance(mask, int) or isinstance(mask, bool) or not 0 < mask <= g.full_mask:
+        raise ValueError(f"mask {mask!r} is not a nonempty subset of {g.name}")
 
 
 def is_subgroup_mask(g: FiniteGroup, mask: int) -> bool:
@@ -373,15 +382,16 @@ def _mask_of(indices: Iterable[int]) -> int:
 class PowerGroupFamily:
     """A family of subsets closed under the subset product and forming a group.
 
-    ``elements`` is sorted by ascending mask; ``abstract_table[i][j]`` is the
-    position of elements[i] * elements[j] within the family, and passes the
-    group-table validator.  ``abstract`` is the group that validation
-    returned.  Construct via power_group_family(), or for the quotient M/N
-    of a subgroup pair via classify._coset_family.
+    ``elements`` holds the member masks in ascending order;
+    ``abstract_table[i][j]`` is the position of elements[i] * elements[j]
+    within the family, and passes the group-table validator.  ``abstract``
+    is the group that validation returned, relabeled so its identity is 0.
+    Construct via power_group_family(), or for the quotient M/N of a
+    subgroup pair via classify._coset_family.
     """
 
     parent: FiniteGroup
-    elements: tuple[GroupSubset, ...]
+    elements: tuple[int, ...]
     identity_index: int
     inverse_map: tuple[int, ...]
     abstract_table: tuple[tuple[int, ...], ...]
@@ -391,35 +401,28 @@ class PowerGroupFamily:
     def order(self) -> int:
         return len(self.elements)
 
-    @cached_property
-    def _masks(self) -> tuple[int, ...]:
-        return tuple(a.members for a in self.elements)
-
-    def masks(self) -> tuple[int, ...]:
-        """The members' masks in family order, collected once per family."""
-        return self._masks
-
     @property
-    def identity(self) -> GroupSubset:
+    def identity(self) -> int:
+        """The identity member's mask."""
         return self.elements[self.identity_index]
-
-    def abstract_group(self) -> FiniteGroup:
-        """The family as an abstract group (relabeled so its identity is 0)."""
-        return self.abstract
 
     def __repr__(self) -> str:
         return (
             f"<PowerGroupFamily over {self.parent.name}: order {self.order}, "
-            f"identity {{{','.join(map(str, self.identity.elements()))}}}>"
+            f"identity {{{','.join(map(str, self.parent.members_of(self.identity)))}}}>"
         )
 
 
 def power_group_family(parent: FiniteGroup, masks: Iterable[int]) -> PowerGroupFamily:
     """Validate that the given subset masks form a group and package them.
 
-    Raises ValueError when the family is not closed, and the table validator's
-    errors when the induced table is not a group table.
+    Raises ValueError for a mask that _check_mask refuses, checked before any
+    product, and when the family is empty or not closed; the table
+    validator's errors when the induced table is not a group table.
     """
+    masks = tuple(masks)
+    for m in masks:
+        _check_mask(parent, m)
     sorted_masks = sorted(set(masks))
     if not sorted_masks:
         raise ValueError("empty family")
@@ -434,23 +437,22 @@ def power_group_family(parent: FiniteGroup, masks: Iterable[int]) -> PowerGroupF
                 raise ValueError(f"family not closed: product of {a:#x} and {b:#x} is {p:#x}")
             row.append(pos[p])
         table.append(tuple(row))
-    return _family_from_table(parent, tuple(GroupSubset(parent, m) for m in sorted_masks), table)
+    return _family_from_table(parent, tuple(sorted_masks), table)
 
 
 def _family_from_table(
     parent: FiniteGroup,
-    elements: tuple[GroupSubset, ...],
+    elements: tuple[int, ...],
     table: Sequence[tuple[int, ...]],
 ) -> PowerGroupFamily:
-    """Package subsets in ascending mask order with their product table.
+    """Package subset masks in ascending order with their product table.
 
     ``table[i][j]`` must be the position of elements[i] * elements[j]; the
     builders (power_group_family and the coset builders in classify)
     compute it from positions, so it needs the group axioms checked but no
     input sanitation, and this raises the axiom checker's errors when it is
     not a group table.  Each distinct table is checked once per parent: the
-    result is kept in parent.family_tables.  The subsets are kept as given,
-    so families built from one quotient share them.
+    result is kept in parent.family_tables.
     """
     table = tuple(table)
     known = parent.family_tables.get(table)

@@ -180,7 +180,7 @@ def underlies(
     (order, masks) order, so the witness is the first such family.
     """
     for fam in lattice_power_groups(g1, max_order=max_order):
-        phi = are_isomorphic(fam.abstract_group(), g2)
+        phi = are_isomorphic(fam.abstract, g2)
         if phi is not None:
             return UnderliesWitness(family=fam, mapping=phi)
     return None
@@ -195,7 +195,7 @@ def underlies_matrix(
 ) -> list[list[bool]]:
     """matrix[i][j] = groups[j] underlies groups[i]."""
     fams = [
-        [f.abstract_group() for f in lattice_power_groups(g, max_order=max_order)]
+        [f.abstract for f in lattice_power_groups(g, max_order=max_order)]
         for g in groups
     ]
     return [

@@ -67,8 +67,8 @@ def _record(fam: PowerGroupFamily, label: str, fp: GroupFingerprint) -> CensusRe
     return CensusRecord(
         group=label,
         order=fam.order,
-        family=tuple(map(indices, fam.masks())),
-        identity=indices(fam.identity.members),
+        family=tuple(map(indices, fam.elements)),
+        identity=indices(fam.identity),
         subquotient=not missed,
         identity_subgroup=check_identity_subgroup(fam),
         inverse_closed=check_inverse_closure(fam),
@@ -97,7 +97,7 @@ def build_census(
     for fam in lattice_power_groups(g, max_order=max_order):
         fp = fps.get(fam.abstract_table)
         if fp is None:
-            fp = fps[fam.abstract_table] = fingerprint(fam.abstract_group())
+            fp = fps[fam.abstract_table] = fingerprint(fam.abstract)
         out.append(_record(fam, label, fp))
     out.sort(key=lambda r: r.canonical_key)
     return out

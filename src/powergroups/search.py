@@ -72,10 +72,11 @@ def all_idempotents(g: FiniteGroup) -> list[GroupSubset]:
 
 @dataclass(frozen=True)
 class LocalMonoid:
-    """All subsets A with EA = AE = A, for one idempotent E."""
+    """All subsets A with EA = AE = A, for one idempotent E, as masks in
+    ascending order."""
 
     idempotent: GroupSubset
-    members: tuple[GroupSubset, ...]
+    members: tuple[int, ...]
 
     @property
     def size(self) -> int:
@@ -95,9 +96,7 @@ def local_monoid(g: FiniteGroup, e: GroupSubset) -> LocalMonoid:
     for x in range(n):
         for y in iter_bits(emask):
             translates[x] |= 1 << t[y][x] | 1 << t[x][y]
-    members = tuple(
-        GroupSubset(g, m) for m in range(1, 1 << n) if not any(translates[x] & ~m for x in iter_bits(m))
-    )
+    members = tuple(m for m in range(1, 1 << n) if not any(translates[x] & ~m for x in iter_bits(m)))
     return LocalMonoid(idempotent=e, members=members)
 
 
@@ -112,7 +111,7 @@ def unit_group(g: FiniteGroup, e: GroupSubset) -> PowerGroupFamily:
     emask = e.members
     target = emask.bit_count()
     pm = g.product_mask
-    candidates = [a.members for a in monoid.members if a.members.bit_count() == target]
+    candidates = [a for a in monoid.members if a.bit_count() == target]
     units = [a for a in candidates if any(pm(a, b) == emask == pm(b, a) for b in candidates)]
     return power_group_family(g, units)
 
@@ -120,7 +119,7 @@ def unit_group(g: FiniteGroup, e: GroupSubset) -> PowerGroupFamily:
 def _families_at_idempotent(g: FiniteGroup, e: GroupSubset) -> list[tuple[int, ...]]:
     """All subset families with identity E that form groups, as mask tuples."""
     u = unit_group(g, e)
-    unit_masks = u.masks()
+    unit_masks = u.elements
     return [
         tuple(sorted(unit_masks[i] for i in iter_bits(sub)))
         for sub in _subgroups(u.abstract_table, u.identity_index)

@@ -64,7 +64,7 @@ def fabricate(parent, masks, identity_index=0):
     table = tuple(tuple((i + j) % k for j in range(k)) for i in range(k))
     return PowerGroupFamily(
         parent=parent,
-        elements=tuple(GroupSubset(parent, m) for m in masks),
+        elements=tuple(masks),
         identity_index=identity_index,
         inverse_map=tuple(range(k)),
         abstract_table=table,
@@ -83,11 +83,11 @@ def test_subquotient_enumeration_round_trips(g):
         assert check_identity_subgroup(fam)
         assert check_inverse_closure(fam)
         assert check_partition_union_subgroup(fam)
-        seen.add(fam.masks())
+        seen.add(fam.elements)
     # Distinct (H, N) pairs induce distinct families: H is the union and N the
     # identity, both recoverable from the family.
     assert len(seen) == len(enumerate_subquotients(g))
-    assert seen == {f.masks() for f in all_power_groups(g)}
+    assert seen == {f.elements for f in all_power_groups(g)}
 
 
 @pytest.mark.parametrize("name", ["D4", "S4"])
@@ -201,11 +201,11 @@ def test_kernel_first_enumeration_matches_per_pair_reference(carrier, seed):
     g = _relabelled(carrier, seed)
     fresh = validate_cayley(g.table, name=g.name)
     got = [
-        (d.carrier.members, d.kernel.members, f.masks(), f.abstract_table, f.abstract)
+        (d.carrier.members, d.kernel.members, f.elements, f.abstract_table, f.abstract)
         for d, f in enumerate_subquotients(g)
     ]
     want = [
-        (h, n, f.masks(), f.abstract_table, f.abstract) for h, n, f in _per_pair_subquotients(fresh)
+        (h, n, f.elements, f.abstract_table, f.abstract) for h, n, f in _per_pair_subquotients(fresh)
     ]
     assert got == want
 
@@ -213,25 +213,25 @@ def test_kernel_first_enumeration_matches_per_pair_reference(carrier, seed):
 @pytest.mark.parametrize("name", ("S4", "D6", "Q8xC2", "C2xC2xC2xC2"))
 def test_coset_family_runs_once_per_kernel(name, monkeypatch):
     # One validated quotient per kernel N, over its normalizer; every H/N
-    # shares the quotient's coset subsets.
+    # is made of the quotient's blocks.
     import powergroups.classify as classify_module
 
     g = _relabelled(group_from_name(name), 4)
     calls = []
+    quotients = {}
     real = classify_module._coset_family
 
     def counting(parent, mmask, nmask):
         calls.append((mmask, nmask))
-        return real(parent, mmask, nmask)
+        q = quotients[nmask] = real(parent, mmask, nmask)
+        return q
 
     monkeypatch.setattr(classify_module, "_coset_family", counting)
     pairs = enumerate_subquotients(g)
     assert len(pairs) > len(calls)
     assert calls == list(zip(g.normalizers, g.subgroup_masks))
-    shared = {}
     for d, f in pairs:
-        for a in f.elements:
-            assert shared.setdefault(a.members, a) is a
+        assert set(f.elements) <= set(quotients[d.kernel.members].elements)
 
 
 @pytest.mark.parametrize("name", ("D4", "Q8", "S4", "D6", "C2xC2xC2xC2"))
@@ -282,7 +282,7 @@ def test_restriction_refuses_masks_whose_blocks_are_not_closed():
         _restrict(q, 1 | 1 << a)
     q = _coset_family(D4, D4.full_mask, 0b0101)  # D4 / center
     assert _restrict(q, D4.full_mask) is q
-    assert _restrict(q, 0b1111).masks() == (0b0101, 0b1010)
+    assert _restrict(q, 0b1111).elements == (0b0101, 0b1010)
 
 
 def test_partition_union_check_negatives():
@@ -384,7 +384,7 @@ def test_subgroups_are_validated_once(monkeypatch):
     monkeypatch.setattr(classify_module, "is_subgroup_mask", counting_check)
     fam = pairs[-1][1]
     assert isinstance(match_subquotient(fam), SubquotientDescriptor)
-    assert sorted(checks) == sorted([fam.identity.members, pairs[-1][0].carrier.members])
+    assert sorted(checks) == sorted([fam.identity, pairs[-1][0].carrier.members])
 
 
 def test_build_coset_group_over_klein4():
@@ -392,7 +392,7 @@ def test_build_coset_group_over_klein4():
     h = subgroup_mask(V4, V4.full_mask)
     d = build_coset_group(V4, e, h)
     assert d.family.order == 2
-    assert set(d.family.masks()) == {0b0011, 0b1100}
+    assert set(d.family.elements) == {0b0011, 0b1100}
     rep = coset_group_epimorphism_check(d)
     assert rep.ok
     assert rep.kernel.members == 0b0011
@@ -416,7 +416,7 @@ def test_build_coset_group_degenerate_cases():
     t2 = next(a for a in S3.elements() if S3.element_order(a) == 2)
     e = subset(S3, [0, t2])
     d = build_coset_group(S3, e, subgroup_mask(S3, e.members))
-    assert d.family.order == 1 and d.family.identity.members == e.members
+    assert d.family.order == 1 and d.family.identity == e.members
     # E = whole group: every translate collapses onto E.
     d = build_coset_group(V4, subset(V4, V4.full_mask), subgroup_mask(V4, V4.full_mask))
     assert d.family.order == 1
@@ -475,7 +475,7 @@ def test_build_coset_group_forms_no_product_after_the_family(monkeypatch, name):
                 continue
             assert built[0] and not late
             built[0] = False
-            assert list(d.family.masks()) == _coset_masks(g, h.members, e.members)
+            assert list(d.family.elements) == _coset_masks(g, h.members, e.members)
             pairs += 1
     assert pairs > len(all_subgroups(g))
 
@@ -485,8 +485,8 @@ def test_every_finite_family_is_a_group_of_cosets(g):
     for fam in all_power_groups(g):
         d = is_group_of_cosets(g, fam)
         assert isinstance(d, CosetGroupDescriptor)
-        assert d.idempotent.members == fam.identity.members
-        assert d.family.masks() == fam.masks()
+        assert d.idempotent.members == fam.identity
+        assert d.family.elements == fam.elements
 
 
 def test_is_group_of_cosets_reports_failure_on_fabricated_family():

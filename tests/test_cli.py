@@ -199,7 +199,7 @@ def test_subquotients_lines_are_sorted_key_json(capsys, tmp_path):
                 "carrier": list(iter_bits(desc.carrier.members)),
                 "kernel": list(iter_bits(desc.kernel.members)),
                 "order": fam.order,
-                "family": [list(iter_bits(a.members)) for a in fam.elements],
+                "family": [list(iter_bits(a)) for a in fam.elements],
             },
             sort_keys=True,
             separators=(",", ":"),

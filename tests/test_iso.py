@@ -252,11 +252,11 @@ def test_underlies_positive_witnesses():
         fam = w.family
         # Re-verify the witness end to end: the family lives over g1, is
         # closed, and its abstract group maps onto g2 by the returned iso.
-        masks = set(fam.masks())
-        for a in fam.masks():
-            for b in fam.masks():
+        masks = set(fam.elements)
+        for a in fam.elements:
+            for b in fam.elements:
                 assert g1.product_mask(a, b) in masks
-        assert_verified_iso(fam.abstract_group(), g2, w.mapping)
+        assert_verified_iso(fam.abstract, g2, w.mapping)
 
 
 def test_underlies_negative_cases():

@@ -8,7 +8,7 @@ import pytest
 
 from powergroups.cli import main
 from powergroups.errors import CapExceededError
-from powergroups.groups import group_from_name
+from powergroups.groups import GroupSubset, group_from_name
 from powergroups.iso import fingerprint
 from powergroups.search import all_power_groups
 from powergroups.suites import THM2_GROUPS
@@ -23,6 +23,24 @@ from powergroups.records import (
 )
 
 S3 = group_from_name("S3")
+
+
+@pytest.mark.parametrize("name", ("D4", "S4"))
+def test_census_wraps_no_family_member_in_a_subset(name, monkeypatch):
+    # Family members are plain masks; the only validated subsets the census
+    # builds are the subgroups it hands out (SubgroupMask).
+    made = []
+    real = GroupSubset.__post_init__
+
+    def counting(self):
+        if type(self) is GroupSubset:
+            made.append(self.members)
+        real(self)
+
+    monkeypatch.setattr(GroupSubset, "__post_init__", counting)
+    records = build_census(group_from_name(name), name, max_order=24)
+    assert len(records) == {"D4": 30, "S4": 93}[name]
+    assert made == []
 
 
 def test_build_census_shape():
@@ -54,7 +72,7 @@ def test_census_matches_search_route_byte_for_byte(name):
     g = group_from_name(name)
     lattice = [record_to_json(r) for r in build_census(g, name)]
     searched = sorted(
-        (_record(f, name, fingerprint(f.abstract_group())) for f in all_power_groups(g)),
+        (_record(f, name, fingerprint(f.abstract)) for f in all_power_groups(g)),
         key=lambda r: r.canonical_key,
     )
     assert lattice == [record_to_json(r) for r in searched]
@@ -231,7 +249,7 @@ def test_census_fingerprints_each_distinct_table_once(monkeypatch):
     assert sorted(map(id, calls)) == sorted(map(id, distinct.values()))
     # Each record still carries its own family's fingerprint.
     fresh = [
-        _record(f, "D6", fingerprint(f.abstract_group()))
+        _record(f, "D6", fingerprint(f.abstract))
         for f in lattice_power_groups(g, max_order=12)
     ]
     assert records == sorted(fresh, key=lambda r: r.canonical_key)

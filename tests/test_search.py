@@ -1,5 +1,9 @@
 """Search for subset families forming groups, checked against brute force."""
 
+import resource
+import subprocess
+import sys
+
 import pytest
 
 from powergroups.classify import lattice_power_groups
@@ -61,10 +65,10 @@ def test_power_group_family_packages_coset_pair():
     a3, odd = a3_masks()
     fam = power_group_family(S3, [odd, a3])
     assert fam.order == 2
-    assert fam.masks() == tuple(sorted((a3, odd)))
-    assert fam.identity.members == a3
+    assert fam.elements == tuple(sorted((a3, odd)))
+    assert fam.identity == a3
     assert fam.inverse_map == (0, 1)  # both cosets are self-inverse
-    assert fam.abstract_group().order == 2
+    assert fam.abstract.order == 2
 
 
 def test_power_group_family_rejects_unclosed_and_non_group():
@@ -77,11 +81,49 @@ def test_power_group_family_rejects_unclosed_and_non_group():
         power_group_family(catalog("cyclic", 2), [0b01, 0b11])
 
 
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+# Each bad mask must be refused with ValueError before any product is formed;
+# a negative mask has infinitely many set bits, so expanding one never ends.
+BAD_MASKS = """
+from powergroups.groups import catalog, power_group_family
+
+c4 = catalog("cyclic", 4)
+for masks in ([-1], [1 << 4], [1, 1 << 5], [0], [True], [1.5], [0b0101, -1]):
+    try:
+        power_group_family(c4, masks)
+    except ValueError as exc:
+        print(exc)
+for op in (c4.members_of, c4.inverse_mask, lambda m: c4.product_mask(1, m),
+           lambda m: c4.product_mask(m, 1), lambda m: c4.conjugate_mask(m, 1)):
+    try:
+        op(-1)
+    except ValueError as exc:
+        print(exc)
+"""
+
+
+def test_power_group_family_refuses_bad_masks_promptly():
+    proc = subprocess.run(
+        [sys.executable, "-c", BAD_MASKS],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        preexec_fn=_limit_memory,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    refused = [f"mask {m} is not a nonempty subset of C4" for m in (-1, 16, 32, 0, True, 1.5, -1)]
+    assert proc.stdout.splitlines() == refused + ["mask -1 is negative"] * 5
+
+
 def test_local_monoid_extremes():
     whole = local_monoid(S3, subset(S3, S3.full_mask))
-    assert [m.members for m in whole.members] == [S3.full_mask]
+    assert whole.members == (S3.full_mask,)
     at_identity = local_monoid(S3, subset(S3, [0]))
     assert at_identity.size == (1 << 6) - 1
+    assert at_identity.members == tuple(range(1, 1 << 6))  # every nonempty mask, as an int
     with pytest.raises(NotIdempotentError):
         local_monoid(C4, subset(C4, [0, 1]))
     s4 = group_from_name("S4")
@@ -92,19 +134,19 @@ def test_local_monoid_extremes():
 def test_unit_group_members_have_identity_size():
     singles = unit_group(S3, subset(S3, [0]))
     assert singles.order == S3.order
-    assert all(a.size == 1 for a in singles.elements)
+    assert all(a.bit_count() == 1 for a in singles.elements)
     a3, odd = a3_masks()
     cosets = unit_group(S3, subset(S3, a3))
     assert cosets.order == 2
-    assert set(cosets.masks()) == {a3, odd}
-    assert all(a.size == 3 for a in cosets.elements)
+    assert set(cosets.elements) == {a3, odd}
+    assert all(a.bit_count() == 3 for a in cosets.elements)
 
 
 @pytest.mark.parametrize("name", ["trivial", "C2", "C3", "C4", "klein4"])
 def test_search_agrees_with_brute_force(name):
     g = group_from_name(name)
-    brute = sorted(f.masks() for f in brute_force_power_groups(g))
-    smart = sorted(f.masks() for f in all_power_groups(g))
+    brute = sorted(f.elements for f in brute_force_power_groups(g))
+    smart = sorted(f.elements for f in all_power_groups(g))
     assert brute == smart
 
 
@@ -119,27 +161,27 @@ def test_family_invariants(g):
     pm = g.product_mask
     for fam in all_power_groups(g):
         # Exactly one member is idempotent, and it is the identity.
-        idems = [m for m in fam.masks() if pm(m, m) == m]
-        assert idems == [fam.identity.members]
+        idems = [m for m in fam.elements if pm(m, m) == m]
+        assert idems == [fam.identity]
         # Every member has the identity's size and members are disjoint.
-        size = fam.identity.size
+        size = fam.identity.bit_count()
         union = 0
         for a in fam.elements:
-            assert a.size == size
-            assert union & a.members == 0
-            union |= a.members
+            assert a.bit_count() == size
+            assert union & a == 0
+            union |= a
         # A * A^-1 = identity.
         for i, a in enumerate(fam.elements):
             b = fam.elements[fam.inverse_map[i]]
-            assert pm(a.members, b.members) == fam.identity.members
+            assert pm(a, b) == fam.identity
 
 
 def test_parallel_search_matches_serial():
     # The process pool is gone; the search must still repeat itself exactly
     # and list the lattice census's families in the same order.
-    first = [f.masks() for f in all_power_groups(S3)]
-    again = [f.masks() for f in all_power_groups(S3)]
-    assert first == again == [f.masks() for f in lattice_power_groups(S3)]
+    first = [f.elements for f in all_power_groups(S3)]
+    again = [f.elements for f in all_power_groups(S3)]
+    assert first == again == [f.elements for f in lattice_power_groups(S3)]
 
 
 @pytest.fixture

@@ -40,6 +40,9 @@ def test_subset_rejects_empty_and_out_of_range():
         subset(S3, 0)
     with pytest.raises(ValueError):
         subset(S3, 1 << 6)  # element 6 does not exist in S3
+    for mask in (True, 1.0, -1):  # a bool or a float is no mask
+        with pytest.raises(ValueError, match="is not a nonempty subset of S3"):
+            GroupSubset(S3, mask)
 
 
 def test_subgroup_mask_is_a_validated_group_subset():

@@ -200,7 +200,7 @@ def test_oracles_share_no_code_with_the_census():
     assert not census & _reachable(sources, roots)
     # A mutant oracle that lists unit-group subgroups from the lattice is caught.
     search = (pkg / "search.py").read_text(encoding="utf-8")
-    line = "    unit_masks = u.masks()\n"
+    line = "    unit_masks = u.elements\n"
     assert search.count(line) == 1
     mutant = search.replace(line, line + "    subgroup_lattice(u.abstract_table, u.identity_index)\n")
     mutated = [mutant if s == search else s for s in sources]
