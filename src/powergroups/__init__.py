@@ -34,8 +34,6 @@ from .classify import (
     match_subquotient,
 )
 from .groups import (
-    SubgroupMask,
-    all_subgroups,
     catalog,
     group_from_name,
     iter_bits,
@@ -60,9 +58,7 @@ def __getattr__(name: str) -> object:
 
 
 __all__ = [
-    "SubgroupMask",
     "all_power_groups",
-    "all_subgroups",
     "build_census",
     "build_coset_group",
     "catalog",

@@ -20,18 +20,16 @@ from .errors import (
     CommutationFailsError,
     HomomorphismFailsError,
     InternalFaultError,
-    NotASubgroupError,
     NotIdempotentError,
     check_cap,
 )
 from .groups import (
     SEARCH_CAP,
     FiniteGroup,
-    GroupSubset,
     PowerGroupFamily,
-    SubgroupMask,
+    _check_mask,
+    _check_subgroup,
     _family_from_table,
-    all_subgroups,
     is_idempotent,
     is_subgroup_mask,
     normal_subgroups_of,
@@ -58,10 +56,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SubquotientDescriptor:
-    """A family realized as the cosets of ``kernel`` inside ``carrier``."""
+    """A family realized as the cosets of the subgroup mask ``kernel`` inside
+    the subgroup mask ``carrier``."""
 
-    carrier: SubgroupMask
-    kernel: SubgroupMask
+    carrier: int
+    kernel: int
 
 
 @dataclass(frozen=True)
@@ -74,10 +73,11 @@ class NotSubquotient:
 
 @dataclass(frozen=True)
 class CosetGroupDescriptor:
-    """A family obtained as {aE | a in H} for an idempotent E commuting with H."""
+    """A family obtained as {aE | a in H} for an idempotent E commuting with
+    H, both masks over family.parent."""
 
-    idempotent: GroupSubset
-    carrier: SubgroupMask
+    idempotent: int
+    carrier: int
     family: PowerGroupFamily
 
 
@@ -237,20 +237,16 @@ def match_subquotient(
     hmask = 0
     for a in f.elements:
         hmask |= a
-    try:
-        kernel = SubgroupMask(g, nmask)
-    except NotASubgroupError:
+    if not is_subgroup_mask(g, nmask):
         return NotSubquotient("identity_not_subgroup", f"identity mask {nmask:#x} is not a subgroup")
-    try:
-        carrier = SubgroupMask(g, hmask)
-    except NotASubgroupError:
+    if not is_subgroup_mask(g, hmask):
         return NotSubquotient("union_not_subgroup", f"union mask {hmask:#x} is not a subgroup")
     cosets = _coset_masks(g, hmask, nmask)
     if _first_non_right_coset(g, nmask, cosets):
         return NotSubquotient("identity_not_normal_in_union", f"{nmask:#x} not normal in {hmask:#x}")
     if cosets != sorted(f.elements):
         return NotSubquotient("family_not_coset_set", "family differs from the coset set of N in H")
-    return SubquotientDescriptor(carrier=carrier, kernel=kernel)
+    return SubquotientDescriptor(carrier=hmask, kernel=nmask)
 
 
 def enumerate_subquotients(
@@ -274,8 +270,8 @@ def enumerate_subquotients(
     """
     quotients = {n: _coset_family(g, norm, n) for n, norm in zip(g.subgroup_masks, g.normalizers)}
     return [
-        (SubquotientDescriptor(carrier=h, kernel=n), _restrict(quotients[n.members], h.members))
-        for h in all_subgroups(g)
+        (SubquotientDescriptor(carrier=h, kernel=n), _restrict(quotients[n], h))
+        for h in g.subgroup_masks
         for n in normal_subgroups_of(g, h)
     ]
 
@@ -295,23 +291,24 @@ def lattice_power_groups(
     return fams
 
 
-def build_coset_group(
-    g: FiniteGroup, e: GroupSubset, h: SubgroupMask
-) -> CosetGroupDescriptor:
+def build_coset_group(g: FiniteGroup, emask: int, hmask: int) -> CosetGroupDescriptor:
     """Form {aE | a in H} for an idempotent E with aE = Ea for every a in H.
 
-    Raises NotIdempotentError or CommutationFailsError when the preconditions
-    fail; a product-law failure after that would be an internal bug and
-    raises InternalFaultError.  An idempotent of a finite group is a
+    Both masks are checked against g before any product: ValueError from
+    _check_mask, then NotIdempotentError, then NotASubgroupError unless H is
+    a subgroup (_check_subgroup).  CommutationFailsError when some aE != Ea;
+    a product-law failure after that would be an internal bug and raises
+    InternalFaultError.  An idempotent of a finite group is a
     subgroup, which _coset_masks relies on; E need not be a subset of H, and
     distinct a may give the same coset.  This is the one place aE is
     compared with Ea.  The product law (aE)(bE) = (ab)E is read on the
     family table, whose entry (i, j) power_group_family set to the position
     of the subset product of members i and j, so no product is formed twice.
     """
-    if not is_idempotent(e):
-        raise NotIdempotentError(f"EE != E for mask {e.members:#x}")
-    emask, hmask = e.members, h.members
+    _check_mask(g, hmask)
+    if not is_idempotent(g, emask):
+        raise NotIdempotentError(f"EE != E for mask {emask:#x}")
+    _check_subgroup(g, hmask)
     blocks = _coset_masks(g, hmask, emask)
     # a -> position of aE; the family lists the blocks in the same sorted order.
     hs = g.members_of(hmask)
@@ -326,7 +323,7 @@ def build_coset_group(
         for b in hs:
             if row[at[b]] != at[ga[b]]:
                 raise InternalFaultError(f"family table disagrees with (aE)(bE) at a={a}, b={b}")
-    return CosetGroupDescriptor(idempotent=e, carrier=h, family=fam)
+    return CosetGroupDescriptor(idempotent=emask, carrier=hmask, family=fam)
 
 
 @dataclass(frozen=True)
@@ -335,7 +332,7 @@ class EpimorphismReport:
 
     homomorphism_ok: bool
     surjective: bool
-    kernel: SubgroupMask
+    kernel: int
     kernel_normal_in_carrier: bool
     quotient_order: int
     quotient_iso_pairs: tuple[tuple[int, int], ...]  # (coset-of-K mask, family index)
@@ -346,13 +343,14 @@ def coset_group_epimorphism_check(d: CosetGroupDescriptor) -> EpimorphismReport:
     """Verify phi(a) = aE is an epimorphism H -> family and H/K matches the family.
 
     K = {a in H | aE = E}.  The induced map aK -> aE must be a well-defined
-    bijective homomorphism.  A failure of the homomorphism law would mean the
-    descriptor was constructed inconsistently and raises HomomorphismFailsError.
+    bijective homomorphism.  A failure of the homomorphism law, or a kernel
+    that is not a subgroup, would mean the descriptor was constructed
+    inconsistently and raises HomomorphismFailsError.
     """
     g = d.family.parent
-    emask = d.idempotent.members
+    emask = d.idempotent
     pos = {m: i for i, m in enumerate(d.family.elements)}
-    helems = g.members_of(d.carrier.members)
+    helems = g.members_of(d.carrier)
     phi = {a: pos[g.product_mask(1 << a, emask)] for a in helems}
 
     table = d.family.abstract_table
@@ -365,7 +363,8 @@ def coset_group_epimorphism_check(d: CosetGroupDescriptor) -> EpimorphismReport:
     for a in helems:
         if phi[a] == d.family.identity_index:
             kmask |= 1 << a
-    kernel = SubgroupMask(g, kmask)
+    if not is_subgroup_mask(g, kmask):
+        raise HomomorphismFailsError(f"kernel {kmask:#x} is not a subgroup")
     knormal = all(g.conjugate_mask(kmask, h) == kmask for h in helems)
 
     # Cosets of K in H pair off with family elements via aK -> aE.
@@ -380,7 +379,7 @@ def coset_group_epimorphism_check(d: CosetGroupDescriptor) -> EpimorphismReport:
     return EpimorphismReport(
         homomorphism_ok=hom_ok,
         surjective=surjective,
-        kernel=kernel,
+        kernel=kmask,
         kernel_normal_in_carrier=knormal,
         quotient_order=len(pairs),
         quotient_iso_pairs=tuple(sorted(pairs.items())),
@@ -394,13 +393,15 @@ def is_group_of_cosets(
     """Search all subgroups H for a coset-group presentation of the family.
 
     Uses E = the family's identity (the only possible choice: the identity of
-    {aE} is E itself).  Returns the first match in (size, mask) order of H, or
-    NotCosetGroup as a value.
+    {aE} is E itself).  Returns the first match in (size, mask) order of H,
+    or NotCosetGroup as a value.  Raises ValueError unless f is over g.
     """
-    e = GroupSubset(f.parent, f.identity)
+    if f.parent != g:
+        raise ValueError(f"family over {f.parent.name} is not over {g.name}")
+    e = f.identity
     want = sorted(f.elements)
-    for h in all_subgroups(g):
-        if _coset_masks(g, h.members, e.members) == want:
+    for h in g.subgroup_masks:
+        if _coset_masks(g, h, e) == want:
             try:
                 return build_coset_group(g, e, h)
             except CommutationFailsError:

@@ -23,7 +23,6 @@ from .classify import enumerate_subquotients
 from .errors import InternalFaultError, ParamOutOfRangeError, check_cap
 from .groups import (
     FiniteGroup,
-    all_subgroups,
     exponent,
     group_from_name,
     iter_bits,
@@ -145,9 +144,9 @@ def cmd_subquotients(args: argparse.Namespace) -> int:
     text = functools.cache(lambda mask: "[" + ",".join(map(str, g.members_of(mask))) + "]")
     group = json.dumps(label)
     lines = [
-        f'{{"carrier":{text(desc.carrier.members)},'
+        f'{{"carrier":{text(desc.carrier)},'
         f'"family":[{",".join(map(text, fam.elements))}],'
-        f'"group":{group},"kernel":{text(desc.kernel.members)},"order":{fam.order}}}\n'
+        f'"group":{group},"kernel":{text(desc.kernel)},"order":{fam.order}}}\n'
         for desc, fam in enumerate_subquotients(g)
     ]
     _emit(args.out, "".join(lines), f"group={label} subquotients={len(lines)}")
@@ -210,7 +209,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
         return 0
     g = group_from_name(args.group)
     fp = fingerprint(g)
-    subs = all_subgroups(g)
+    subs = g.subgroup_masks
     print(
         _dumps(
             {

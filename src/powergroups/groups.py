@@ -4,8 +4,12 @@ A group of order n is a tuple-of-tuples table where entry (i, j) is the index
 of the product of elements i and j.  Validation relabels so that the identity
 is always index 0; every constructor in this module goes through validation,
 so downstream code may rely on ``identity == 0`` and on immutability.
-Subsets, subgroups among them, are bitmasks over element indices; a family of
-subsets forming a group under the subset product is a PowerGroupFamily.
+Subsets, subgroups among them, are int bitmasks over the element indices of
+a group g.  Every public function that takes a subset also takes g and checks
+the mask against g at entry: _check_mask for any subset, and is_subgroup_mask
+(else NotASubgroupError) where a subgroup is needed.  A family of subsets
+forming a group under the subset product is a PowerGroupFamily, the one type
+that holds its carrier.
 """
 
 from __future__ import annotations
@@ -46,10 +50,7 @@ __all__ = [
     "CONSTRUCTION_CAP",
     "SEARCH_CAP",
     "FiniteGroup",
-    "GroupSubset",
     "PowerGroupFamily",
-    "SubgroupMask",
-    "all_subgroups",
     "catalog",
     "direct_product",
     "generating_set",
@@ -124,9 +125,14 @@ class FiniteGroup:
 
     @cached_property
     def subgroup_masks(self) -> tuple[int, ...]:
-        """Every subgroup mask, sorted by (size, mask); built once per group.
-        all_subgroups hands them out as SubgroupMask objects."""
-        return tuple(subgroup_lattice(self.table, self.identity))
+        """Every subgroup mask, sorted by (size, mask); built once per group,
+        and each mask checked by is_subgroup_mask, whose verdicts never rest
+        on the lattice: a lattice mask that fails is an internal fault."""
+        masks = tuple(subgroup_lattice(self.table, self.identity))
+        for m in masks:
+            if not is_subgroup_mask(self, m):
+                raise InternalFaultError(f"lattice mask {m:#x} is not a subgroup of {self.name}")
+        return masks
 
     @cached_property
     def normalizers(self) -> tuple[int, ...]:
@@ -283,58 +289,35 @@ def _group_of_table(t: _Table, *, name: str) -> FiniteGroup:
     return FiniteGroup(order=n, table=t, identity=identity, inverses=inverses, name=name)
 
 
-@dataclass(frozen=True)
-class GroupSubset:
-    """Nonempty subset of ``parent`` stored as an element bitmask."""
-
-    parent: FiniteGroup
-    members: int
-
-    def __post_init__(self) -> None:
-        _check_mask(self.parent, self.members)
-
-    @property
-    def size(self) -> int:
-        return self.members.bit_count()
-
-    def elements(self) -> tuple[int, ...]:
-        return self.parent.members_of(self.members)
-
-    def __contains__(self, i: int) -> bool:
-        return bool(self.members >> i & 1)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.elements())
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.parent.name}, {{{','.join(map(str, self.elements()))}}})"
+def _is_mask(g: FiniteGroup, mask: object) -> bool:
+    """Is mask an int (not a bool) naming a nonempty subset of g?"""
+    return isinstance(mask, int) and not isinstance(mask, bool) and 0 < mask <= g.full_mask
 
 
-@dataclass(frozen=True, repr=False)
-class SubgroupMask(GroupSubset):
-    """A subset of ``parent`` validated as a subgroup.  Dataclass equality
-    compares classes, so it is unequal to the GroupSubset of the same mask."""
-
-    def __post_init__(self) -> None:
-        if not is_subgroup_mask(self.parent, self.members):
-            raise NotASubgroupError(f"mask {self.members:#x} is not a subgroup")
-
-
-def _check_mask(g: FiniteGroup, mask: int) -> None:
+def _check_mask(g: FiniteGroup, mask: object) -> None:
     """Raise ValueError unless mask is an int (not a bool) naming a nonempty
     subset of g."""
-    if not isinstance(mask, int) or isinstance(mask, bool) or not 0 < mask <= g.full_mask:
+    if not _is_mask(g, mask):
         raise ValueError(f"mask {mask!r} is not a nonempty subset of {g.name}")
 
 
-def is_subgroup_mask(g: FiniteGroup, mask: int) -> bool:
-    """True iff mask is nonempty, contains the identity, and is closed.
+def _check_subgroup(g: FiniteGroup, mask: object) -> None:
+    """Raise ValueError as _check_mask does, and NotASubgroupError unless
+    mask is a subgroup of g."""
+    _check_mask(g, mask)
+    if not is_subgroup_mask(g, mask):
+        raise NotASubgroupError(f"mask {mask:#x} is not a subgroup of {g.name}")
 
-    Each in-range mask is decided once per group (_grows_to) and its verdict
+
+def is_subgroup_mask(g: FiniteGroup, mask: object) -> bool:
+    """True iff mask is an int (not a bool) naming a nonempty subset of g
+    that contains the identity and is closed.
+
+    Each such mask is decided once per group (_grows_to) and its verdict
     kept in g.subgroup_verdicts, which nothing else writes: the verdict never
     rests on the lattice or the normalizers it is meant to check.
     """
-    if mask <= 0 or mask > g.full_mask or not mask >> g.identity & 1:
+    if not _is_mask(g, mask) or not mask >> g.identity & 1:
         return False
     verdicts = g.subgroup_verdicts
     verdict = verdicts.get(mask)
@@ -366,15 +349,22 @@ def _grows_to(g: FiniteGroup, mask: int) -> bool:
     return True
 
 
-def subset(g: FiniteGroup, members: Iterable[int] | int) -> GroupSubset:
-    """Build a GroupSubset from a mask or an iterable of element indices."""
-    return GroupSubset(g, members if isinstance(members, int) else _mask_of(members))
-
-
-def _mask_of(indices: Iterable[int]) -> int:
-    mask = 0
-    for i in indices:
-        mask |= 1 << i
+def subset(g: FiniteGroup, members: Iterable[int] | int) -> int:
+    """The mask of a nonempty subset of g, given as a mask or as an iterable
+    of element indices, each an int (not a bool) in range(g.order).  Raises
+    ValueError naming the offending value."""
+    mask = members
+    if not isinstance(members, int):
+        try:
+            indices = iter(members)
+        except TypeError:
+            raise ValueError(f"{members!r} is neither a mask nor an iterable of element indices") from None
+        mask = 0
+        for i in indices:
+            if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < g.order:
+                raise ValueError(f"{i!r} is not an element index of {g.name}")
+            mask |= 1 << i
+    _check_mask(g, mask)
     return mask
 
 
@@ -479,9 +469,10 @@ def _family_from_table(
     )
 
 
-def is_idempotent(e: GroupSubset) -> bool:
-    """True iff EE = E under the subset product."""
-    return e.parent.product_mask(e.members, e.members) == e.members
+def is_idempotent(g: FiniteGroup, emask: int) -> bool:
+    """True iff EE = E under the subset product, for a mask _check_mask accepts."""
+    _check_mask(g, emask)
+    return g.product_mask(emask, emask) == emask
 
 
 def closure_mask(table: Sequence[Sequence[int]], seed: int) -> int:
@@ -604,7 +595,9 @@ def _greedy_generators(table: Sequence[Sequence[int]], identity: int, mask: int)
 
 def generating_set(g: FiniteGroup, mask: int) -> list[int]:
     """Greedy generators of a subgroup mask: ascending members, each kept
-    whenever it enlarges the subgroup the kept ones generate."""
+    whenever it enlarges the subgroup the kept ones generate.  The mask is
+    checked by _check_subgroup."""
+    _check_subgroup(g, mask)
     return _greedy_generators(g.table, g.identity, mask)
 
 
@@ -643,21 +636,13 @@ def _normalizer(g: FiniteGroup, nmask: int) -> int:
     return m
 
 
-def all_subgroups(g: FiniteGroup) -> list[SubgroupMask]:
-    """Every subgroup of g, sorted by (size, mask): g.subgroup_masks as new
-    SubgroupMask objects, whose validation is a lookup in g's verdicts once
-    each mask has been tested."""
-    return [SubgroupMask(g, m) for m in g.subgroup_masks]
-
-
-def normal_subgroups_of(g: FiniteGroup, h: SubgroupMask) -> list[SubgroupMask]:
+def normal_subgroups_of(g: FiniteGroup, hmask: int) -> list[int]:
     """Subgroups N <= H with hNh^-1 = N for every h in H (normal in H, not in
-    g): those with N <= H <= N_G(N), read from g.normalizers."""
-    if h.parent != g:
-        raise NotASubgroupError("subgroup belongs to a different parent group")
-    hmask = h.members
+    g): those with N <= H <= N_G(N), read from g.normalizers.  The mask of H
+    is checked by _check_subgroup."""
+    _check_subgroup(g, hmask)
     return [
-        SubgroupMask(g, n)
+        n
         for n, norm in zip(g.subgroup_masks, g.normalizers)
         if not n & ~hmask and not hmask & ~norm
     ]

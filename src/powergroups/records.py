@@ -74,8 +74,8 @@ def _record(fam: PowerGroupFamily, label: str, fp: GroupFingerprint) -> CensusRe
         inverse_closed=check_inverse_closure(fam),
         partition_union_subgroup=check_partition_union_subgroup(fam),
         fingerprint=fp,
-        carrier=None if missed else indices(verdict.carrier.members),
-        kernel=None if missed else indices(verdict.kernel.members),
+        carrier=None if missed else indices(verdict.carrier),
+        kernel=None if missed else indices(verdict.kernel),
         witness=verdict.condition if missed else None,
     )
 

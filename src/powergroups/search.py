@@ -26,8 +26,8 @@ from .errors import CayleyTableError, NotIdempotentError, check_cap
 from .groups import (
     SEARCH_CAP,
     FiniteGroup,
-    GroupSubset,
     PowerGroupFamily,
+    _check_mask,
     closure_mask,
     iter_bits,
     power_group_family,
@@ -58,8 +58,9 @@ def _closed(t: Sequence[Sequence[int]], mask: int) -> bool:
     return True
 
 
-def all_idempotents(g: FiniteGroup) -> list[GroupSubset]:
-    """All nonempty E with EE = E, scanning every mask in ascending order.
+def all_idempotents(g: FiniteGroup) -> list[int]:
+    """The masks of all nonempty E with EE = E, scanning every mask in
+    ascending order.
 
     In a finite group these are exactly the subgroup masks (a nonempty finite
     product-closed subset contains inverses), which tests assert.
@@ -67,15 +68,15 @@ def all_idempotents(g: FiniteGroup) -> list[GroupSubset]:
     n = g.order
     check_cap(n, SEARCH_CAP, "2^n idempotent scan at order")
     t = g.table
-    return [GroupSubset(g, m) for m in range(1, 1 << n) if _closed(t, m)]
+    return [m for m in range(1, 1 << n) if _closed(t, m)]
 
 
 @dataclass(frozen=True)
 class LocalMonoid:
-    """All subsets A with EA = AE = A, for one idempotent E, as masks in
+    """All subsets A with EA = AE = A, for one idempotent mask E, as masks in
     ascending order."""
 
-    idempotent: GroupSubset
+    idempotent: int
     members: tuple[int, ...]
 
     @property
@@ -83,13 +84,15 @@ class LocalMonoid:
         return len(self.members)
 
 
-def local_monoid(g: FiniteGroup, e: GroupSubset) -> LocalMonoid:
-    """Scan all nonempty masks for EA = AE = A.  Requires EE = E, so E is a
-    subgroup and EA = AE = A exactly when Ex and xE lie in A for each x in A:
-    Ex | xE is formed once per x, and a mask is left at its first x that fails."""
+def local_monoid(g: FiniteGroup, emask: int) -> LocalMonoid:
+    """Scan all nonempty masks for EA = AE = A.  Requires a mask _check_mask
+    accepts with EE = E, so E is a subgroup and EA = AE = A exactly when Ex and
+    xE lie in A for each x in A: Ex | xE is formed once per x, and a mask is
+    left at its first x that fails."""
     n = g.order
     check_cap(n, SEARCH_CAP, "2^n local monoid scan at order")
-    t, emask = g.table, e.members
+    _check_mask(g, emask)
+    t = g.table
     if not _closed(t, emask):
         raise NotIdempotentError(f"EE != E for mask {emask:#x}")
     translates = [0] * n
@@ -97,18 +100,17 @@ def local_monoid(g: FiniteGroup, e: GroupSubset) -> LocalMonoid:
         for y in iter_bits(emask):
             translates[x] |= 1 << t[y][x] | 1 << t[x][y]
     members = tuple(m for m in range(1, 1 << n) if not any(translates[x] & ~m for x in iter_bits(m)))
-    return LocalMonoid(idempotent=e, members=members)
+    return LocalMonoid(idempotent=emask, members=members)
 
 
-def unit_group(g: FiniteGroup, e: GroupSubset) -> PowerGroupFamily:
+def unit_group(g: FiniteGroup, emask: int) -> PowerGroupFamily:
     """The invertible elements of the local monoid at E, as a family.
 
     A unit A has some B in the monoid with AB = BA = E.  Since |XY| >= |X| and
     |XY| >= |Y|, every unit (and every usable B) has exactly |E| elements, so
     the pairwise inverse search only scans monoid members of that size.
     """
-    monoid = local_monoid(g, e)
-    emask = e.members
+    monoid = local_monoid(g, emask)
     target = emask.bit_count()
     pm = g.product_mask
     candidates = [a for a in monoid.members if a.bit_count() == target]
@@ -116,9 +118,9 @@ def unit_group(g: FiniteGroup, e: GroupSubset) -> PowerGroupFamily:
     return power_group_family(g, units)
 
 
-def _families_at_idempotent(g: FiniteGroup, e: GroupSubset) -> list[tuple[int, ...]]:
+def _families_at_idempotent(g: FiniteGroup, emask: int) -> list[tuple[int, ...]]:
     """All subset families with identity E that form groups, as mask tuples."""
-    u = unit_group(g, e)
+    u = unit_group(g, emask)
     unit_masks = u.elements
     return [
         tuple(sorted(unit_masks[i] for i in iter_bits(sub)))

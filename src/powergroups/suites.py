@@ -25,7 +25,7 @@ from .classify import (
     match_subquotient,
 )
 from .errors import CommutationFailsError, NotRepresentableError, ParamOutOfRangeError, check_cap
-from .groups import FiniteGroup, all_subgroups, group_from_name
+from .groups import FiniteGroup, group_from_name
 from .iso import UNDERLIES_CATALOG  # re-exported: its one definition sits by underlies_matrix
 from .search import all_idempotents, all_power_groups, brute_force_power_groups
 
@@ -330,7 +330,7 @@ def suite_remark1_cosets(*, max_order: int = 8, **_: object) -> list[SuiteCheck]
         built = 0
         all_ok = True
         for e in all_idempotents(g):
-            for h in all_subgroups(g):
+            for h in g.subgroup_masks:
                 try:
                     d = build_coset_group(g, e, h)
                 except CommutationFailsError:

@@ -6,8 +6,6 @@ every other source of randomness in the tests is an explicit Random(seed).
 
 from hypothesis import HealthCheck, settings
 
-from powergroups.groups import SubgroupMask, subset
-
 settings.register_profile(
     "repo",
     derandomize=True,
@@ -17,7 +15,3 @@ settings.register_profile(
 )
 settings.load_profile("repo")
 
-
-def subgroup_mask(g, members):
-    """The SubgroupMask of a mask or of an iterable of element indices."""
-    return SubgroupMask(g, subset(g, members).members)

@@ -1,5 +1,6 @@
 """Coset realizations of subset families and the equivalent finite-carrier checks."""
 
+import dataclasses
 from random import Random
 
 import pytest
@@ -25,14 +26,11 @@ from powergroups.classify import (
     lattice_power_groups,
     match_subquotient,
 )
-from powergroups.errors import CommutationFailsError, NotIdempotentError
+from powergroups.errors import CommutationFailsError, HomomorphismFailsError, NotIdempotentError
 from powergroups.groups import (
     FiniteGroup,
-    GroupSubset,
     PowerGroupFamily,
-    SubgroupMask,
     _normalized_by,
-    all_subgroups,
     catalog,
     generating_set,
     group_from_name,
@@ -45,8 +43,6 @@ from powergroups.groups import (
 from powergroups.records import build_census
 from powergroups.search import all_power_groups
 from powergroups.suites import THM2_GROUPS
-
-from conftest import subgroup_mask
 
 S3 = catalog("symmetric", 3)
 D4 = catalog("dihedral", 4)
@@ -78,8 +74,8 @@ def test_subquotient_enumeration_round_trips(g):
     for desc, fam in enumerate_subquotients(g):
         got = match_subquotient(fam)
         assert isinstance(got, SubquotientDescriptor)
-        assert got.carrier.members == desc.carrier.members
-        assert got.kernel.members == desc.kernel.members
+        assert got.carrier == desc.carrier
+        assert got.kernel == desc.kernel
         assert check_identity_subgroup(fam)
         assert check_inverse_closure(fam)
         assert check_partition_union_subgroup(fam)
@@ -101,12 +97,12 @@ def test_coset_masks_multiplies_each_coset_once(name, monkeypatch):
         return real(self, a, b)
 
     monkeypatch.setattr(FiniteGroup, "product_mask", counted)
-    for h in all_subgroups(g):
+    for h in g.subgroup_masks:
         for n in normal_subgroups_of(g, h):
             calls.clear()
-            cosets = _coset_masks(g, h.members, n.members)
-            assert len(calls) == len(cosets) == h.size // n.size
-            naive = {real(g, 1 << a, n.members) for a in iter_bits(h.members)}
+            cosets = _coset_masks(g, h, n)
+            assert len(calls) == len(cosets) == h.bit_count() // n.bit_count()
+            naive = {real(g, 1 << a, n) for a in iter_bits(h)}
             assert cosets == sorted(naive)
 
 
@@ -141,13 +137,13 @@ def test_coset_lookup_table_matches_subset_products(g):
     # power_group_family multiplies out, and both must refuse the left cosets
     # of a non-normal N, which are not closed.
     built = 0
-    subs = all_subgroups(g)
+    subs = g.subgroup_masks
     for h in subs:
         for n in subs:
-            if n.members & ~h.members:
+            if n & ~h:
                 continue
-            got = _outcome(lambda: _coset_family(g, h.members, n.members))
-            want = _outcome(lambda: power_group_family(g, _coset_masks(g, h.members, n.members)))
+            got = _outcome(lambda: _coset_family(g, h, n))
+            want = _outcome(lambda: power_group_family(g, _coset_masks(g, h, n)))
             assert got == want, (h, n)
             if got != "not closed":
                 assert got.abstract_table == want.abstract_table
@@ -162,15 +158,15 @@ def test_coset_lookup_matches_subset_products_under_relabelling(carrier, seed):
     # multiplies out, under any labelling; the left cosets of a non-normal N
     # are not closed under the subset product, and both constructions refuse them.
     g = _relabelled(carrier, seed)
-    subs = all_subgroups(g)
+    subs = g.subgroup_masks
     for h in subs:
         for n in subs:
-            if n.members & ~h.members:
+            if n & ~h:
                 continue
-            got = _outcome(lambda: _coset_family(g, h.members, n.members))
-            want = _outcome(lambda: power_group_family(g, _coset_masks(g, h.members, n.members)))
+            got = _outcome(lambda: _coset_family(g, h, n))
+            want = _outcome(lambda: power_group_family(g, _coset_masks(g, h, n)))
             assert got == want
-            if all(g.conjugate_mask(n.members, x) == n.members for x in iter_bits(h.members)):
+            if all(g.conjugate_mask(n, x) == n for x in iter_bits(h)):
                 assert got.abstract_table == want.abstract_table
                 assert got.abstract == validate_cayley(got.abstract_table, name="F")
             else:
@@ -182,13 +178,13 @@ def _per_pair_subquotients(g):
     # normal in H when conjugation by H's generators fixes it, and every pair
     # gets its own validated coset family.
     out = []
-    for h in all_subgroups(g):
-        gens = generating_set(g, h.members)
-        for n in all_subgroups(g):
-            if n.members & ~h.members or not _normalized_by(g, n.members, gens):
+    for h in g.subgroup_masks:
+        gens = generating_set(g, h)
+        for n in g.subgroup_masks:
+            if n & ~h or not _normalized_by(g, n, gens):
                 continue
-            fam = _coset_family(g, h.members, n.members)
-            out.append((h.members, n.members, fam))
+            fam = _coset_family(g, h, n)
+            out.append((h, n, fam))
     return out
 
 
@@ -201,7 +197,7 @@ def test_kernel_first_enumeration_matches_per_pair_reference(carrier, seed):
     g = _relabelled(carrier, seed)
     fresh = validate_cayley(g.table, name=g.name)
     got = [
-        (d.carrier.members, d.kernel.members, f.elements, f.abstract_table, f.abstract)
+        (d.carrier, d.kernel, f.elements, f.abstract_table, f.abstract)
         for d, f in enumerate_subquotients(g)
     ]
     want = [
@@ -231,7 +227,7 @@ def test_coset_family_runs_once_per_kernel(name, monkeypatch):
     assert len(pairs) > len(calls)
     assert calls == list(zip(g.normalizers, g.subgroup_masks))
     for d, f in pairs:
-        assert set(f.elements) <= set(quotients[d.kernel.members].elements)
+        assert set(f.elements) <= set(quotients[d.kernel].elements)
 
 
 @pytest.mark.parametrize("name", ("D4", "Q8", "S4", "D6", "C2xC2xC2xC2"))
@@ -327,15 +323,15 @@ def test_match_subquotient_normality_matches_conjugation_by_every_element(name):
     g = group_from_name(base)
     if relabelled:
         g = _relabelled(g, 11)
-    subs = all_subgroups(g)
+    subs = g.subgroup_masks
     for h in subs:
         for n in subs:
-            if n.members & ~h.members:
+            if n & ~h:
                 continue
-            masks = _coset_masks(g, h.members, n.members)
-            got = match_subquotient(fabricate(g, masks, masks.index(n.members)))
+            masks = _coset_masks(g, h, n)
+            got = match_subquotient(fabricate(g, masks, masks.index(n)))
             normal = all(
-                g.conjugate_mask(n.members, x) == n.members for x in iter_bits(h.members)
+                g.conjugate_mask(n, x) == n for x in iter_bits(h)
             )
             if normal:
                 assert isinstance(got, SubquotientDescriptor)
@@ -346,10 +342,9 @@ def test_match_subquotient_normality_matches_conjugation_by_every_element(name):
 
 def test_subgroups_are_validated_once(monkeypatch):
     # Each mask's subgroup verdict is computed once per carrier.  The carrier
-    # caches its subgroups as masks, so every hand-out (all_subgroups,
-    # normal_subgroups_of, the descriptors of enumerate_subquotients) builds
-    # new SubgroupMask objects, equal to each other, whose validation after
-    # the first reads the verdict the carrier keeps.
+    # caches its subgroups as masks, which every reader (normal_subgroups_of,
+    # the descriptors of enumerate_subquotients, the entry checks) shares,
+    # and each check after the first reads the verdict the carrier keeps.
     import powergroups.classify as classify_module
     import powergroups.groups as groups_module
 
@@ -368,74 +363,79 @@ def test_subgroups_are_validated_once(monkeypatch):
     monkeypatch.setattr(groups_module, "_grows_to", counting_decide)
     g = group_from_name("S4")
     pairs = enumerate_subquotients(g)
-    subs = all_subgroups(g)
+    subs = g.subgroup_masks
     assert len(subs) == 30
-    assert sorted(decided) == sorted(h.members for h in subs)
+    assert sorted(decided) == sorted(subs)
     # The census classifies every family from scratch, and asks again.
     assert len(build_census(g, "S4", max_order=24)) == len(pairs)
-    assert all_subgroups(g) == subs
+    assert g.subgroup_masks is subs
     assert all(d.carrier in subs and d.kernel in subs for d, _ in pairs)
-    assert sorted(decided) == sorted(h.members for h in subs)
+    assert sorted(decided) == sorted(subs)
     # A new carrier decides its own verdicts.
     decided.clear()
-    assert len(all_subgroups(group_from_name("S4"))) == 30 and len(decided) == 30
+    assert len(group_from_name("S4").subgroup_masks) == 30 and len(decided) == 30
     # match_subquotient validates N and H once each.
     monkeypatch.setattr(groups_module, "is_subgroup_mask", counting_check)
     monkeypatch.setattr(classify_module, "is_subgroup_mask", counting_check)
     fam = pairs[-1][1]
     assert isinstance(match_subquotient(fam), SubquotientDescriptor)
-    assert sorted(checks) == sorted([fam.identity, pairs[-1][0].carrier.members])
+    assert sorted(checks) == sorted([fam.identity, pairs[-1][0].carrier])
 
 
 def test_build_coset_group_over_klein4():
-    e = subset(V4, [0, 1])
-    h = subgroup_mask(V4, V4.full_mask)
-    d = build_coset_group(V4, e, h)
+    d = build_coset_group(V4, subset(V4, [0, 1]), V4.full_mask)
     assert d.family.order == 2
     assert set(d.family.elements) == {0b0011, 0b1100}
     rep = coset_group_epimorphism_check(d)
     assert rep.ok
-    assert rep.kernel.members == 0b0011
+    assert rep.kernel == 0b0011
     assert rep.quotient_order == 2
     assert rep.homomorphism_ok and rep.surjective and rep.kernel_normal_in_carrier
 
 
 def test_build_coset_group_preconditions():
     with pytest.raises(NotIdempotentError):
-        build_coset_group(C4, subset(C4, [0, 1]), subgroup_mask(C4, C4.full_mask))
+        build_coset_group(C4, subset(C4, [0, 1]), C4.full_mask)
     t2 = next(a for a in S3.elements() if S3.element_order(a) == 2)
     e = subset(S3, [0, t2])
     with pytest.raises(CommutationFailsError) as info:
-        build_coset_group(S3, e, subgroup_mask(S3, S3.full_mask))
+        build_coset_group(S3, e, S3.full_mask)
     a = info.value.witness
-    assert S3.product_mask(1 << a, e.members) != S3.product_mask(e.members, 1 << a)
+    assert S3.product_mask(1 << a, e) != S3.product_mask(e, 1 << a)
 
 
 def test_build_coset_group_degenerate_cases():
     # H restricted to the idempotent's own elements: one coset, trivial family.
     t2 = next(a for a in S3.elements() if S3.element_order(a) == 2)
     e = subset(S3, [0, t2])
-    d = build_coset_group(S3, e, subgroup_mask(S3, e.members))
-    assert d.family.order == 1 and d.family.identity == e.members
+    d = build_coset_group(S3, e, e)
+    assert d.family.order == 1 and d.family.identity == e
     # E = whole group: every translate collapses onto E.
-    d = build_coset_group(V4, subset(V4, V4.full_mask), subgroup_mask(V4, V4.full_mask))
+    d = build_coset_group(V4, V4.full_mask, V4.full_mask)
     assert d.family.order == 1
     rep = coset_group_epimorphism_check(d)
-    assert rep.ok and rep.kernel.size == 4 and rep.quotient_order == 1
+    assert rep.ok and rep.kernel == V4.full_mask and rep.quotient_order == 1
+
+
+def test_epimorphism_check_refuses_a_kernel_that_is_no_subgroup():
+    # A descriptor whose family names the wrong identity: a -> aE is still a
+    # homomorphism onto the table, but its "kernel" {1} is no subgroup, which
+    # only an inconsistent descriptor can give.
+    d = build_coset_group(C4, 1, C4.full_mask)
+    broken = dataclasses.replace(d, family=dataclasses.replace(d.family, identity_index=1))
+    with pytest.raises(HomomorphismFailsError, match="^kernel 0x2 is not a subgroup$"):
+        coset_group_epimorphism_check(broken)
 
 
 @pytest.mark.parametrize("g", [C6, S3], ids=lambda g: g.name)
 def test_epimorphism_holds_for_every_commuting_pair(g):
     pm = g.product_mask
     built = 0
-    for h in all_subgroups(g):
-        for e in all_subgroups(g):
-            ge = GroupSubset(g, e.members)
-            if any(
-                pm(1 << a, e.members) != pm(e.members, 1 << a) for a in h.elements()
-            ):
+    for h in g.subgroup_masks:
+        for e in g.subgroup_masks:
+            if any(pm(1 << a, e) != pm(e, 1 << a) for a in g.members_of(h)):
                 continue
-            rep = coset_group_epimorphism_check(build_coset_group(g, ge, h))
+            rep = coset_group_epimorphism_check(build_coset_group(g, e, h))
             assert rep.ok
             built += 1
     assert built > 0
@@ -465,19 +465,19 @@ def test_build_coset_group_forms_no_product_after_the_family(monkeypatch, name):
     monkeypatch.setattr(classify_module, "power_group_family", family)
     monkeypatch.setattr(FiniteGroup, "product_mask", product)
     pairs = 0
-    for h in all_subgroups(g):
-        for e in all_subgroups(g):
+    for h in g.subgroup_masks:
+        for e in g.subgroup_masks:
             built[0] = False
             try:
-                d = build_coset_group(g, GroupSubset(g, e.members), h)
+                d = build_coset_group(g, e, h)
             except CommutationFailsError:
                 assert not built[0]
                 continue
             assert built[0] and not late
             built[0] = False
-            assert list(d.family.elements) == _coset_masks(g, h.members, e.members)
+            assert list(d.family.elements) == _coset_masks(g, h, e)
             pairs += 1
-    assert pairs > len(all_subgroups(g))
+    assert pairs > len(g.subgroup_masks)
 
 
 @pytest.mark.parametrize("g", [V4, S3], ids=lambda g: g.name)
@@ -485,7 +485,7 @@ def test_every_finite_family_is_a_group_of_cosets(g):
     for fam in all_power_groups(g):
         d = is_group_of_cosets(g, fam)
         assert isinstance(d, CosetGroupDescriptor)
-        assert d.idempotent.members == fam.identity
+        assert d.idempotent == fam.identity
         assert d.family.elements == fam.elements
 
 

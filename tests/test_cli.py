@@ -15,8 +15,6 @@ from powergroups.errors import InternalFaultError
 from powergroups.groups import group_from_name, subset
 from powergroups.suites import SuiteCheck
 
-from conftest import subgroup_mask
-
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -196,8 +194,8 @@ def test_subquotients_lines_are_sorted_key_json(capsys, tmp_path):
         json.dumps(
             {
                 "group": label,
-                "carrier": list(iter_bits(desc.carrier.members)),
-                "kernel": list(iter_bits(desc.kernel.members)),
+                "carrier": list(iter_bits(desc.carrier)),
+                "kernel": list(iter_bits(desc.kernel)),
                 "order": fam.order,
                 "family": [list(iter_bits(a)) for a in fam.elements],
             },
@@ -327,9 +325,31 @@ def test_build_coset_group_fault_exits_1(capsys, monkeypatch):
     _flatten_family_tables(monkeypatch, classify)
     g = group_from_name("C2")
     with pytest.raises(InternalFaultError, match="family table"):
-        classify.build_coset_group(g, subset(g, [0]), subgroup_mask(g, g.full_mask))
+        classify.build_coset_group(g, subset(g, [0]), g.full_mask)
     code, _, err = run(capsys, "verify", "remark1-cosets", "--max-order", "2")
     assert code == 1 and err.startswith("error: internal fault:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enum", "--group", "C4"],
+        ["subquotients", "--group", "C4"],
+        ["underlies", "--g1", "C4", "--g2", "C2"],
+        ["catalog", "show", "--group", "C4"],
+    ],
+    ids=" ".join,
+)
+def test_lattice_fault_exits_1(capsys, monkeypatch, argv):
+    # A lattice mask that is no subgroup ({e, x1} of C4) is a fault of the
+    # package, not of the input: each command that reads the lattice exits 1.
+    import powergroups.groups as groups
+
+    real = groups.subgroup_lattice
+    monkeypatch.setattr(groups, "subgroup_lattice", lambda table, identity: real(table, identity) + [0b11])
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: internal fault: lattice mask 0x3 is not a subgroup of C4\n"
 
 
 def test_homomorphism_failure_exits_1(capsys, monkeypatch):
@@ -338,7 +358,7 @@ def test_homomorphism_failure_exits_1(capsys, monkeypatch):
 
     # Families with broken tables reach the epimorphism check unverified.
     def unchecked(g, e, h):
-        masks = sorted({g.product_mask(1 << a, e.members) for a in h.elements()})
+        masks = sorted({g.product_mask(1 << a, e) for a in g.members_of(h)})
         return classify.CosetGroupDescriptor(e, h, classify.power_group_family(g, masks))
 
     _flatten_family_tables(monkeypatch, classify)
@@ -832,10 +852,10 @@ def test_main_builds_the_parser_once(capsys, monkeypatch):
 def test_commands_leave_no_reference_cycle(capsys, argv):
     # Nothing a carrier caches refers back to it, so all a command builds is
     # freed by reference counting: afterwards the cycle collector finds no
-    # group, subset or family.
+    # group or family.
     import gc
 
-    from powergroups.groups import FiniteGroup, GroupSubset, PowerGroupFamily
+    from powergroups.groups import FiniteGroup, PowerGroupFamily
 
     run(capsys, "catalog", "list")  # builds the parser
     gc.collect()
@@ -843,7 +863,7 @@ def test_commands_leave_no_reference_cycle(capsys, argv):
     try:
         assert run(capsys, *argv)[0] == 0
         gc.collect()
-        kinds = (FiniteGroup, GroupSubset, PowerGroupFamily)
+        kinds = (FiniteGroup, PowerGroupFamily)
         cyclic = sorted({type(o).__name__ for o in gc.garbage if isinstance(o, kinds)})
     finally:
         gc.set_debug(0)

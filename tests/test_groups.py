@@ -20,7 +20,6 @@ from powergroups.errors import (
 )
 from powergroups.groups import (
     CONSTRUCTION_CAP,
-    all_subgroups,
     catalog,
     closure_mask,
     direct_product,
@@ -31,13 +30,12 @@ from powergroups.groups import (
     iter_bits,
     load_table_file,
     normal_subgroups_of,
+    subset,
     validate_cayley,
 )
 import powergroups.groups as groups_module
 from powergroups.classify import lattice_power_groups
 from powergroups.records import build_census
-
-from conftest import subgroup_mask
 
 S3 = catalog("symmetric", 3)
 D4 = catalog("dihedral", 4)
@@ -485,7 +483,7 @@ SUBGROUP_COUNTS = {
 }
 
 
-def test_all_subgroups_counts_and_order():
+def test_subgroup_masks_counts_and_order():
     # Classical counts: cyclic groups have one subgroup per divisor; V4 has
     # trivial + three C2 + itself; D4 has 10; Q8 has 1 + 1 + 3 + 1; D6 has
     # 16, C2xC6 10, S4 30 and C2^4 67 (1 + 15 + 35 + 15 + 1).  The naive
@@ -493,12 +491,12 @@ def test_all_subgroups_counts_and_order():
     for name, expected in SUBGROUP_COUNTS.items():
         base = group_from_name(name)
         for g in (base, _relabelled(base, 1), _relabelled(base, 2)):
-            subs = all_subgroups(g)
+            subs = g.subgroup_masks
             assert len(subs) == expected, g.name
-            keys = [(s.size, s.members) for s in subs]
+            keys = [(s.bit_count(), s) for s in subs]
             assert keys == sorted(keys)
             if g.order <= 12:
-                assert {s.members for s in subs} == {
+                assert set(subs) == {
                     m for m in range(1, 1 << g.order) if naive_is_subgroup(g, m)
                 }
 
@@ -576,49 +574,51 @@ def test_normalizers_match_conjugation_by_every_element(name):
 
 
 def test_subgroup_mask_validation():
-    h = subgroup_mask(C4, [0, 2])
-    assert h.size == 2 and h.elements() == (0, 2) and 2 in h and 1 not in h
-    with pytest.raises(NotASubgroupError):
-        subgroup_mask(C4, [0, 1])  # 1 + 1 = 2 escapes the mask
-    with pytest.raises(NotASubgroupError):
-        subgroup_mask(C4, [1, 2])  # misses the identity
+    h = subset(C4, [0, 2])
+    assert is_subgroup_mask(C4, h) and C4.members_of(h) == (0, 2)
+    assert normal_subgroups_of(C4, h) == [1, h]
+    for members in ([0, 1], [1, 2]):  # 1 + 1 = 2 escapes the mask; misses the identity
+        assert not is_subgroup_mask(C4, subset(C4, members))
+        with pytest.raises(NotASubgroupError):
+            normal_subgroups_of(C4, subset(C4, members))
 
 
 def test_normal_subgroups_relative_to_carrier():
-    full = subgroup_mask(S3, (1 << 6) - 1)
-    normals = normal_subgroups_of(S3, full)
-    assert sorted(n.size for n in normals) == [1, 3, 6]
+    normals = normal_subgroups_of(S3, S3.full_mask)
+    assert sorted(n.bit_count() for n in normals) == [1, 3, 6]
+    assert all(type(n) is int for n in normals)
     # Inside a C2 carrier the same C2 is normal even though it is not in S3.
-    c2 = next(h for h in all_subgroups(S3) if h.size == 2)
-    assert sorted(n.size for n in normal_subgroups_of(S3, c2)) == [1, 2]
+    c2 = next(h for h in S3.subgroup_masks if h.bit_count() == 2)
+    assert sorted(n.bit_count() for n in normal_subgroups_of(S3, c2)) == [1, 2]
     # Every subgroup of Q8 is normal.
-    q8full = subgroup_mask(Q8, (1 << 8) - 1)
-    assert len(normal_subgroups_of(Q8, q8full)) == len(all_subgroups(Q8))
+    assert normal_subgroups_of(Q8, Q8.full_mask) == list(Q8.subgroup_masks)
+    # A mask outside the carrier, or no subgroup of it, is refused.
+    with pytest.raises(ValueError, match="is not a nonempty subset of S3"):
+        normal_subgroups_of(S3, D4.full_mask)
     with pytest.raises(NotASubgroupError):
-        normal_subgroups_of(D4, subgroup_mask(S3, [0]))
+        normal_subgroups_of(D4, 0b11)
 
 
 @pytest.mark.parametrize("name", ["S4", "D6", "Q8xC2"])
 def test_generator_normality_matches_conjugation_by_every_element(name):
     g = group_from_name(name)
-    subs = all_subgroups(g)
+    subs = g.subgroup_masks
     for h in subs:
         want = [
-            n.members
+            n
             for n in subs
-            if not n.members & ~h.members
-            and all(g.conjugate_mask(n.members, x) == n.members for x in h.elements())
+            if not n & ~h and all(g.conjugate_mask(n, x) == n for x in g.members_of(h))
         ]
-        assert [n.members for n in normal_subgroups_of(g, h)] == want
+        assert normal_subgroups_of(g, h) == want
 
 
 def test_generating_set_generates_each_subgroup():
     g = group_from_name("S4")
-    for h in all_subgroups(g):
-        gens = generating_set(g, h.members)
-        assert all(h.members >> x & 1 for x in gens)
+    for h in g.subgroup_masks:
+        gens = generating_set(g, h)
+        assert all(h >> x & 1 for x in gens)
         span = closure_mask(g.table, 1 | sum(1 << x for x in gens))
-        assert span == h.members
+        assert span == h
     assert generating_set(g, 1) == []
 
 
@@ -634,10 +634,10 @@ def test_subgroup_lattice_runs_once_per_group(monkeypatch):
 
     monkeypatch.setattr(groups_module, "subgroup_lattice", counting)
     g = group_from_name("S4")
-    subs = all_subgroups(g)
+    subs = g.subgroup_masks
     for h in subs:
         normal_subgroups_of(g, h)
-    assert all_subgroups(g) == subs
+    assert g.subgroup_masks is subs
     assert calls == [24]
     # A new group object builds its own lattice, once, also through the
     # whole census.

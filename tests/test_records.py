@@ -6,9 +6,10 @@ import stat
 
 import pytest
 
+import powergroups.records as records_module
 from powergroups.cli import main
 from powergroups.errors import CapExceededError
-from powergroups.groups import GroupSubset, group_from_name
+from powergroups.groups import group_from_name
 from powergroups.iso import fingerprint
 from powergroups.search import all_power_groups
 from powergroups.suites import THM2_GROUPS
@@ -27,20 +28,23 @@ S3 = group_from_name("S3")
 
 @pytest.mark.parametrize("name", ("D4", "S4"))
 def test_census_wraps_no_family_member_in_a_subset(name, monkeypatch):
-    # Family members are plain masks; the only validated subsets the census
-    # builds are the subgroups it hands out (SubgroupMask).
-    made = []
-    real = GroupSubset.__post_init__
+    # Family members are plain int masks: every family the census records
+    # holds its members, and names its identity, as ints over its carrier.
+    seen = []
 
-    def counting(self):
-        if type(self) is GroupSubset:
-            made.append(self.members)
-        real(self)
+    def recording(fam, label, fp):
+        seen.append(fam)
+        return _record(fam, label, fp)
 
-    monkeypatch.setattr(GroupSubset, "__post_init__", counting)
-    records = build_census(group_from_name(name), name, max_order=24)
+    monkeypatch.setattr(records_module, "_record", recording)
+    g = group_from_name(name)
+    records = build_census(g, name, max_order=24)
     assert len(records) == {"D4": 30, "S4": 93}[name]
-    assert made == []
+    assert len(seen) == len(records)
+    for fam in seen:
+        assert fam.parent is g
+        assert all(type(m) is int for m in fam.elements)
+        assert type(fam.identity) is int
 
 
 def test_build_census_shape():

@@ -3,6 +3,7 @@ exported name exists, the package holds no assert, and the CLI loads only
 what a subcommand runs."""
 
 import ast
+import dataclasses
 import importlib
 import json
 import pathlib
@@ -67,6 +68,52 @@ def test_every_all_entry_resolves():
         missing += [f"{name}.{n}" for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
 
+
+def _carrier_holders(classes):
+    """Names of the dataclasses among classes with a field that holds a
+    FiniteGroup: one annotated with FiniteGroup, or with another holder
+    except PowerGroupFamily, whose carrier is the one its members belong to."""
+    holders = set()
+    grew = True
+    while grew:
+        grew = False
+        names = {"FiniteGroup"} | holders - {"PowerGroupFamily"}
+        for cls in classes:
+            words = {w for f in dataclasses.fields(cls) for w in re.findall(r"\w+", str(f.type))}
+            if cls.__name__ not in holders and words & names:
+                holders.add(cls.__name__)
+                grew = True
+    return holders
+
+
+def test_only_a_family_names_its_carrier():
+    # Subsets and subgroups are int masks over the group each function takes
+    # beside them, so no mask travels with a second group that could
+    # disagree.  A family's parent is the one stored carrier.
+    @dataclasses.dataclass
+    class Subset:
+        parent: "FiniteGroup"
+        members: int
+
+    @dataclasses.dataclass
+    class Descriptor:
+        carrier: "Subset"
+        family: "PowerGroupFamily"
+
+    @dataclasses.dataclass
+    class Report:
+        family: "Optional[PowerGroupFamily]"
+
+    assert _carrier_holders([Report, Descriptor, Subset]) == {"Subset", "Descriptor"}
+    classes = []
+    for path in sorted((ROOT / "src" / "powergroups").glob("*.py")):
+        module = importlib.import_module("powergroups" if path.stem == "__init__" else f"powergroups.{path.stem}")
+        classes += [
+            v for v in vars(module).values()
+            if isinstance(v, type) and dataclasses.is_dataclass(v) and v.__module__ == module.__name__
+        ]
+    assert {"FiniteGroup", "PowerGroupFamily", "LocalMonoid", "CosetGroupDescriptor"} <= {c.__name__ for c in classes}
+    assert _carrier_holders(classes) == {"PowerGroupFamily"}
 
 
 def _calls(source, callee):
@@ -231,7 +278,7 @@ def test_family_classification_never_reads_normalizers():
     # not feed them.  Nor may they feed the subgroup verdicts those checks
     # read: is_subgroup_mask decides each mask by its own coset growth, and
     # its per-carrier memo holds only what it decided.
-    lattice = {"subgroup_masks", "subgroup_lattice", "all_subgroups", "normalizers", "_normalizer"}
+    lattice = {"subgroup_masks", "subgroup_lattice", "normalizers", "_normalizer"}
     roots = ("match_subquotient", "_record", "is_subgroup_mask")
     sources = _package_sources()
     assert lattice <= _reachable(sources, ("enumerate_subquotients",))
