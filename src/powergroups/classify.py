@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Optional, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .errors import (
     CommutationFailsError,
@@ -152,11 +152,6 @@ def _first_non_right_coset(g: FiniteGroup, nmask: int, cosets: Sequence[int]) ->
 def _coset_family(g: FiniteGroup, mmask: int, nmask: int) -> PowerGroupFamily:
     """The family M/N = {xN | x in M} of the left cosets of N in M.
 
-    enumerate_subquotients calls this once per kernel N, on its normalizer
-    M = N_G(N), and reads every other H/N off the result (_restrict), so the
-    refusals below and the table validation run once per kernel, not once per
-    pair.
-
     Raises ValueError unless N is a subgroup and no left coset of N leaves M;
     then the cosets (_coset_masks) partition M.  Raises
     ValueError("family not closed: ...") unless N is normal in M
@@ -190,16 +185,27 @@ def _coset_family(g: FiniteGroup, mmask: int, nmask: int) -> PowerGroupFamily:
     return _family_from_table(g, tuple(masks), table)
 
 
+def _blocks_inside(q: PowerGroupFamily, hmask: int) -> list[int]:
+    """Positions of the blocks of the coset family q = M/N inside the mask H.
+    Raises InternalFaultError unless they cover exactly H (N <= H <= M): a
+    fault of the lattice, the normalizers or normal_subgroups_of."""
+    inside = [i for i, a in enumerate(q.elements) if not a & ~hmask]
+    covered = sum(q.elements[i] for i in inside)  # disjoint blocks: the sum is the union
+    if covered != hmask:
+        raise InternalFaultError(f"cosets of {q.identity:#x} cover {covered:#x}, not {hmask:#x}")
+    return inside
+
+
 def _restrict(q: PowerGroupFamily, hmask: int) -> PowerGroupFamily:
     """The subfamily of the coset family q = M/N made of its blocks inside a
     subgroup H with N <= H <= M: the family H/N.
 
-    Since N <= H, H is the union of the blocks inside it.  Its table is q's
+    The blocks inside H must cover it (_blocks_inside).  Its table is q's
     table read at those blocks, renumbered; a product landing on a block
     outside H raises ValueError("family not closed: ...").  The table is
     validated by _family_from_table (once per distinct table).
     """
-    inside = [i for i, a in enumerate(q.elements) if not a & ~hmask]
+    inside = _blocks_inside(q, hmask)
     if len(inside) == q.order:
         return q
     pos = {i: k for k, i in enumerate(inside)}
@@ -249,44 +255,38 @@ def match_subquotient(
     return SubquotientDescriptor(carrier=hmask, kernel=nmask)
 
 
-def enumerate_subquotients(
-    g: FiniteGroup,
-) -> list[tuple[SubquotientDescriptor, PowerGroupFamily]]:
-    """All pairs (H, N normal in H) with the coset family each pair induces,
-    H in lattice order, then N in lattice order.
-
-    Kernel first: for each subgroup mask N, the validated quotient M/N over
-    its normalizer M = N_G(N) (g.normalizers) is built once (_coset_family).
-    The kernels of H are normal_subgroups_of(g, H), those with N <= H <= M,
-    and H/N is the quotient restricted to the blocks inside H (_restrict),
-    sharing its coset subsets.
-
-    Over a finite carrier every subset family forming a group is one of these
-    coset families, so this is the production census: ``enum`` and
-    ``underlies`` list their families from here, through
-    lattice_power_groups.  The idempotent search (all_power_groups) and the
-    exhaustive scan are independent oracles for it, compared in the
-    verification suites.
-    """
+def _subquotient_pairs(g: FiniteGroup) -> Iterator[tuple[int, int, PowerGroupFamily]]:
+    """Each pair (H, N normal in H), H then N in lattice order, with the
+    quotient M/N over N's normalizer M (g.normalizers), built and validated
+    once per kernel (_coset_family), not once per pair.  The kernels of H
+    are normal_subgroups_of(g, H), those with N <= H <= M, so H/N is made of
+    M/N's blocks inside H."""
     quotients = {n: _coset_family(g, norm, n) for n, norm in zip(g.subgroup_masks, g.normalizers)}
+    for h in g.subgroup_masks:
+        for n in normal_subgroups_of(g, h):
+            yield h, n, quotients[n]
+
+
+def enumerate_subquotients(g: FiniteGroup) -> list[tuple[SubquotientDescriptor, tuple[int, ...]]]:
+    """All pairs (H, N normal in H) in the order of _subquotient_pairs, each
+    with the cosets of N in H as ascending masks: the blocks of its quotient
+    inside H (_blocks_inside), so no table is built per pair."""
     return [
-        (SubquotientDescriptor(carrier=h, kernel=n), _restrict(quotients[n], h))
-        for h in g.subgroup_masks
-        for n in normal_subgroups_of(g, h)
+        (SubquotientDescriptor(carrier=h, kernel=n), tuple(q.elements[i] for i in _blocks_inside(q, h)))
+        for h, n, q in _subquotient_pairs(g)
     ]
 
 
-def lattice_power_groups(
-    g: FiniteGroup, *, max_order: int = SEARCH_CAP
-) -> list[PowerGroupFamily]:
+def lattice_power_groups(g: FiniteGroup, *, max_order: int = SEARCH_CAP) -> list[PowerGroupFamily]:
     """Every subset family over g forming a group, sorted by (order, masks).
 
-    One family per pair (H, N normal in H) from enumerate_subquotients; pairs
-    give distinct families, since H is a family's union and N its identity.
-    This is the order all_power_groups returns the same families in.
+    Over a finite carrier each is the coset family H/N of one pair
+    (_subquotient_pairs), read off its kernel's quotient (_restrict), so this
+    is the production census behind ``enum`` and ``underlies``.  The oracle
+    all_power_groups returns the same families in the same order.
     """
     check_cap(g.order, max_order, "census at order")
-    fams = [fam for _, fam in enumerate_subquotients(g)]
+    fams = [_restrict(q, h) for h, _, q in _subquotient_pairs(g)]
     fams.sort(key=lambda f: (f.order, f.elements))
     return fams
 
@@ -343,18 +343,21 @@ def coset_group_epimorphism_check(d: CosetGroupDescriptor) -> EpimorphismReport:
     """Verify phi(a) = aE is an epimorphism H -> family and H/K matches the family.
 
     K = {a in H | aE = E}.  The induced map aK -> aE must be a well-defined
-    bijective homomorphism.  A failure of the homomorphism law, or a kernel
-    that is not a subgroup, would mean the descriptor was constructed
+    bijective homomorphism.  An aE that is no family member, a failure of
+    the homomorphism law (a product ab outside H included), or a kernel that
+    is not a subgroup would mean the descriptor was constructed
     inconsistently and raises HomomorphismFailsError.
     """
     g = d.family.parent
     emask = d.idempotent
     pos = {m: i for i, m in enumerate(d.family.elements)}
     helems = g.members_of(d.carrier)
-    phi = {a: pos[g.product_mask(1 << a, emask)] for a in helems}
+    phi = {a: pos.get(g.product_mask(1 << a, emask)) for a in helems}
+    if None in phi.values():
+        raise HomomorphismFailsError("some aE is no member of the family")
 
     table = d.family.abstract_table
-    hom_ok = all(phi[g.table[a][b]] == table[phi[a]][phi[b]] for a in helems for b in helems)
+    hom_ok = all(phi.get(g.table[a][b]) == table[phi[a]][phi[b]] for a in helems for b in helems)
     if not hom_ok:
         raise HomomorphismFailsError("phi(ab) != phi(a)phi(b) on the carrier")
     surjective = set(phi.values()) == set(range(d.family.order))

@@ -138,16 +138,15 @@ def cmd_enum(args: argparse.Namespace) -> int:
 def cmd_subquotients(args: argparse.Namespace) -> int:
     g, label = _load_group(args)
     # Each line is the sorted-key compact JSON of {carrier, family, group,
-    # kernel, order}, written from text pieces: the families of one kernel
-    # share its cosets, and carriers and kernels recur from pair to pair, so
-    # each mask's element list is formatted once and the label once.
+    # kernel, order}, written from text pieces: cosets, carriers and kernels
+    # recur from pair to pair, so each mask is formatted once, as is the label.
     text = functools.cache(lambda mask: "[" + ",".join(map(str, g.members_of(mask))) + "]")
     group = json.dumps(label)
     lines = [
         f'{{"carrier":{text(desc.carrier)},'
-        f'"family":[{",".join(map(text, fam.elements))}],'
-        f'"group":{group},"kernel":{text(desc.kernel)},"order":{fam.order}}}\n'
-        for desc, fam in enumerate_subquotients(g)
+        f'"family":[{",".join(map(text, cosets))}],'
+        f'"group":{group},"kernel":{text(desc.kernel)},"order":{len(cosets)}}}\n'
+        for desc, cosets in enumerate_subquotients(g)
     ]
     _emit(args.out, "".join(lines), f"group={label} subquotients={len(lines)}")
     return 0

@@ -125,7 +125,7 @@ def suite_thm2_finite(*, max_order: int = 8, **_: object) -> list[SuiteCheck]:
     for name, g in _carriers(max_order):
         fams = all_power_groups(g)
         every = all(not isinstance(match_subquotient(f), NotSubquotient) for f in fams)
-        from_lattice = sorted(fam.elements for _, fam in enumerate_subquotients(g))
+        from_lattice = sorted(cosets for _, cosets in enumerate_subquotients(g))
         from_search = sorted(f.elements for f in fams)
         checks.append(
             SuiteCheck(

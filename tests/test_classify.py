@@ -42,6 +42,7 @@ from powergroups.groups import (
 )
 from powergroups.records import build_census
 from powergroups.search import all_power_groups
+from powergroups.cli import CATALOG_NAMES
 from powergroups.suites import THM2_GROUPS
 
 S3 = catalog("symmetric", 3)
@@ -71,7 +72,9 @@ def fabricate(parent, masks, identity_index=0):
 @pytest.mark.parametrize("g", [C4, V4, C6, S3, D4], ids=lambda g: g.name)
 def test_subquotient_enumeration_round_trips(g):
     seen = set()
-    for desc, fam in enumerate_subquotients(g):
+    for desc, cosets in enumerate_subquotients(g):
+        fam = power_group_family(g, cosets)
+        assert fam.elements == cosets
         got = match_subquotient(fam)
         assert isinstance(got, SubquotientDescriptor)
         assert got.carrier == desc.carrier
@@ -196,14 +199,13 @@ def test_kernel_first_enumeration_matches_per_pair_reference(carrier, seed):
     # validated table with the enumeration.
     g = _relabelled(carrier, seed)
     fresh = validate_cayley(g.table, name=g.name)
-    got = [
-        (d.carrier, d.kernel, f.elements, f.abstract_table, f.abstract)
-        for d, f in enumerate_subquotients(g)
-    ]
-    want = [
-        (h, n, f.elements, f.abstract_table, f.abstract) for h, n, f in _per_pair_subquotients(fresh)
-    ]
-    assert got == want
+    want = _per_pair_subquotients(fresh)
+    got = [(d.carrier, d.kernel, cosets) for d, cosets in enumerate_subquotients(g)]
+    assert got == [(h, n, f.elements) for h, n, f in want]
+    # The census reads the same families, with their tables, off the quotients.
+    census = [(f.elements, f.abstract_table, f.abstract) for f in lattice_power_groups(g, max_order=g.order)]
+    want.sort(key=lambda pair: (pair[2].order, pair[2].elements))
+    assert census == [(f.elements, f.abstract_table, f.abstract) for _, _, f in want]
 
 
 @pytest.mark.parametrize("name", ("S4", "D6", "Q8xC2", "C2xC2xC2xC2"))
@@ -226,8 +228,38 @@ def test_coset_family_runs_once_per_kernel(name, monkeypatch):
     pairs = enumerate_subquotients(g)
     assert len(pairs) > len(calls)
     assert calls == list(zip(g.normalizers, g.subgroup_masks))
-    for d, f in pairs:
-        assert set(f.elements) <= set(quotients[d.kernel].elements)
+    for d, cosets in pairs:
+        assert set(cosets) <= set(quotients[d.kernel].elements)
+    # The census builds the same quotients, once per kernel as well.
+    calls.clear()
+    fams = lattice_power_groups(g, max_order=g.order)
+    assert calls == list(zip(g.normalizers, g.subgroup_masks)) and len(fams) == len(pairs)
+    for f in fams:
+        assert set(f.elements) <= set(quotients[f.identity].elements)
+
+
+# Every catalog carrier (all of order <= 24) and the subquotient benchmark's
+# carriers, C2^4 by its catalog name; D6 and S4 are in both.
+LISTING_CARRIERS = tuple(dict.fromkeys(CATALOG_NAMES + (
+    "D6", "C4xC4", "C8xC2", "C4xC2xC2", "Q8xC2", "D8", "C2xC2xC2xC2", "D9", "S3xC3",
+    "D10", "C2xC2xC6", "D4xC3", "S3xC4", "S4", "D12",
+)))
+
+
+@pytest.mark.parametrize("name", LISTING_CARRIERS)
+def test_listing_and_census_give_the_same_cosets(name):
+    # The subquotients listing and the census families are two routes over
+    # the same pairs; each on a carrier of its own, they must agree pair for
+    # pair: the cosets, their union H and the identity coset N.
+    listed = sorted(
+        (len(cosets), cosets, d.carrier, d.kernel)
+        for d, cosets in enumerate_subquotients(group_from_name(name))
+    )
+    census = [
+        (f.order, f.elements, sum(f.elements), f.identity)
+        for f in lattice_power_groups(group_from_name(name), max_order=24)
+    ]
+    assert listed == census
 
 
 @pytest.mark.parametrize("name", ("D4", "Q8", "S4", "D6", "C2xC2xC2xC2"))
@@ -375,9 +407,9 @@ def test_subgroups_are_validated_once(monkeypatch):
     decided.clear()
     assert len(group_from_name("S4").subgroup_masks) == 30 and len(decided) == 30
     # match_subquotient validates N and H once each.
+    fam = power_group_family(g, pairs[-1][1])
     monkeypatch.setattr(groups_module, "is_subgroup_mask", counting_check)
     monkeypatch.setattr(classify_module, "is_subgroup_mask", counting_check)
-    fam = pairs[-1][1]
     assert isinstance(match_subquotient(fam), SubquotientDescriptor)
     assert sorted(checks) == sorted([fam.identity, pairs[-1][0].carrier])
 
@@ -425,6 +457,24 @@ def test_epimorphism_check_refuses_a_kernel_that_is_no_subgroup():
     broken = dataclasses.replace(d, family=dataclasses.replace(d.family, identity_index=1))
     with pytest.raises(HomomorphismFailsError, match="^kernel 0x2 is not a subgroup$"):
         coset_group_epimorphism_check(broken)
+
+
+C4_POINTS = power_group_family(C4, [1, 2, 4, 8])  # C4 / 1
+
+
+@pytest.mark.parametrize(
+    "d, message",
+    [
+        # The carrier {0, 1} is not closed: 1 + 1 = 2 has no image.
+        (CosetGroupDescriptor(1, 0b0011, C4_POINTS), "^phi\\(ab\\) != phi\\(a\\)phi\\(b\\)"),
+        # aE = {a, a + 2} is no member of the family of points.
+        (CosetGroupDescriptor(0b0101, C4.full_mask, C4_POINTS), "^some aE is no member of the family$"),
+    ],
+    ids=["carrier-not-closed", "image-not-a-member"],
+)
+def test_epimorphism_check_refuses_inconsistent_descriptors(d, message):
+    with pytest.raises(HomomorphismFailsError, match=message):
+        coset_group_epimorphism_check(d)
 
 
 @pytest.mark.parametrize("g", [C6, S3], ids=lambda g: g.name)

@@ -196,13 +196,13 @@ def test_subquotients_lines_are_sorted_key_json(capsys, tmp_path):
                 "group": label,
                 "carrier": list(iter_bits(desc.carrier)),
                 "kernel": list(iter_bits(desc.kernel)),
-                "order": fam.order,
-                "family": [list(iter_bits(a)) for a in fam.elements],
+                "order": len(cosets),
+                "family": [list(iter_bits(a)) for a in cosets],
             },
             sort_keys=True,
             separators=(",", ":"),
         )
-        for desc, fam in enumerate_subquotients(load_table_file(str(path)))
+        for desc, cosets in enumerate_subquotients(load_table_file(str(path)))
     ]
     assert out.splitlines() == want and out.endswith("\n")
     assert '"group":"q\\"\\\\\\u00e9"' in out
@@ -350,6 +350,29 @@ def test_lattice_fault_exits_1(capsys, monkeypatch, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == "error: internal fault: lattice mask 0x3 is not a subgroup of C4\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["subquotients", "--group", "S3", "--max-order", "24"], ["enum", "--group", "S3"]], ids=" ".join
+)
+def test_normal_subgroup_fault_exits_1(capsys, monkeypatch, argv):
+    # A normal_subgroups_of that forgets H <= N_G(N) lists pairs such as
+    # (S3, C2), whose quotient's blocks inside H do not cover H.  Without the
+    # coverage check both commands reported 15 pairs instead of 12, exit 0.
+    import inspect
+
+    import powergroups.classify as classify
+    import powergroups.groups as groups
+
+    source = inspect.getsource(groups.normal_subgroups_of)
+    condition = " and not hmask & ~norm"
+    assert source.count(condition) == 1
+    namespace = dict(vars(groups))
+    exec(source.replace(condition, ""), namespace)
+    monkeypatch.setattr(classify, "normal_subgroups_of", namespace["normal_subgroups_of"])
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: internal fault: cosets of 0x3 cover 0x3, not 0x3f\n"
 
 
 def test_homomorphism_failure_exits_1(capsys, monkeypatch):

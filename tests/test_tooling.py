@@ -302,6 +302,45 @@ def test_enumeration_walks_cosets_and_tests_normality_in_one_place_each():
     assert {"_coset_masks", "normal_subgroups_of"} <= reached
 
 
+def test_subquotient_listing_builds_no_family_per_pair():
+    # subquotients prints masks, so it lists its pairs through
+    # enumerate_subquotients, which reads each pair's cosets off its kernel's
+    # quotient; _restrict, which builds and validates each H/N for the
+    # census, must stay off that path.
+    pkg = ROOT / "src" / "powergroups"
+    cli = (pkg / "cli.py").read_text(encoding="utf-8")
+    assert [func for func, _ in _calls(cli, "enumerate_subquotients")] == ["cmd_subquotients"]
+    sources = _package_sources()
+    reached = _reachable(sources, ("cmd_subquotients",))
+    assert {"enumerate_subquotients", "_coset_family"} <= reached
+    assert "_restrict" not in reached
+    assert "_restrict" in _reachable(sources, ("cmd_enum",))
+    # A mutant listing that builds every pair's family is caught.
+    classify = (pkg / "classify.py").read_text(encoding="utf-8")
+    text = "tuple(q.elements[i] for i in _blocks_inside(q, h))"
+    assert classify.count(text) == 1
+    mutant = classify.replace(text, "_restrict(q, h).elements")
+    assert "_restrict" in _reachable([mutant if s == classify else s for s in sources], ("cmd_subquotients",))
+
+
+def test_subquotient_listing_validates_one_table_per_kernel(monkeypatch, capsys):
+    import powergroups.classify as classify
+    import powergroups.groups as groups
+
+    tables = []
+    real = groups._family_from_table
+
+    def counting(parent, elements, table):
+        tables.append(elements)
+        return real(parent, elements, table)
+
+    monkeypatch.setattr(groups, "_family_from_table", counting)
+    monkeypatch.setattr(classify, "_family_from_table", counting)
+    assert main(["subquotients", "--group", "S4", "--max-order", "24"]) == 0
+    assert capsys.readouterr().err == "group=S4 subquotients=93\n"
+    assert len(tables) == 30  # one per subgroup of S4, not one per pair
+
+
 def test_family_classification_closes_no_generators():
     # match_subquotient decides normality on the left cosets it builds anyway,
     # so classifying a census record closes no generating set; the closures
