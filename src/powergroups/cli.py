@@ -17,13 +17,15 @@ import json
 import os
 import sys
 from dataclasses import is_dataclass
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .classify import enumerate_subquotients
 from .errors import InternalFaultError, ParamOutOfRangeError, check_cap
 from .groups import (
     FiniteGroup,
+    _normalized_by,
     exponent,
+    generating_set,
     group_from_name,
     iter_bits,
     load_table_file,
@@ -37,7 +39,7 @@ from .iso import (
     underlies,
     underlies_matrix,
 )
-from .records import build_census, record_to_json, write_text_atomic
+from .records import census_lines, census_rows, write_text_atomic
 
 # zsets, qcuts and suites (and fractions) are imported inside the commands that
 # use them, so an enum or subquotients process loads only the finite core.
@@ -111,27 +113,33 @@ def _load_group(args: argparse.Namespace) -> tuple[FiniteGroup, str]:
     return g, label
 
 
-def _write(out: Optional[str], text: str) -> None:
-    """Write text to ``out`` atomically, or to stdout without ``out``."""
+def _write(out: Optional[str], chunks: Iterable[str]) -> None:
+    """Write the chunks to ``out`` atomically, or without ``out`` to stdout
+    in one write once all are made, so a fault while making them prints
+    nothing."""
     if out:
-        write_text_atomic(out, (text,))
+        write_text_atomic(out, chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write("".join(chunks))
 
 
-def _emit(out: Optional[str], text: str, summary: str) -> None:
-    """_write the text, then print the summary: to stdout when the text went
-    to ``out``, else to stderr."""
-    _write(out, text)
-    print(summary, file=sys.stdout if out else sys.stderr)
+def _emit(out: Optional[str], chunks: Iterable[str], summary: Callable[[], str]) -> None:
+    """_write the chunks, then print summary(): to stdout when the chunks
+    went to ``out``, else to stderr."""
+    _write(out, chunks)
+    print(summary(), file=sys.stdout if out else sys.stderr)
 
 
 def cmd_enum(args: argparse.Namespace) -> int:
     g, label = _load_group(args)
-    records = build_census(g, label, max_order=args.max_order)
-    lines = "".join(record_to_json(r) + "\n" for r in records)
-    sub = sum(1 for r in records if r.subquotient)
-    _emit(args.out, lines, f"group={label} families={len(records)} subquotients={sub}")
+    flags = []  # the subquotient flag of each line made so far
+
+    def census_text() -> Iterator[str]:
+        for subquotient, line in census_lines(g, label, census_rows(g, max_order=args.max_order)):
+            flags.append(subquotient)
+            yield line
+
+    _emit(args.out, census_text(), lambda: f"group={label} families={len(flags)} subquotients={sum(flags)}")
     return 0
 
 
@@ -148,7 +156,7 @@ def cmd_subquotients(args: argparse.Namespace) -> int:
         f'"group":{group},"kernel":{text(desc.kernel)},"order":{len(cosets)}}}\n'
         for desc, cosets in enumerate_subquotients(g)
     ]
-    _emit(args.out, "".join(lines), f"group={label} subquotients={len(lines)}")
+    _emit(args.out, lines, lambda: f"group={label} subquotients={len(lines)}")
     return 0
 
 
@@ -168,7 +176,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for c in checks
     )
     failed = [c for c in checks if not c.ok]
-    _emit(args.out, text, f"suite={args.suite} checks={len(checks)} failed={len(failed)}")
+    _emit(args.out, (text,), lambda: f"suite={args.suite} checks={len(checks)} failed={len(failed)}")
     return 1 if failed else 0
 
 
@@ -179,7 +187,7 @@ def cmd_underlies(args: argparse.Namespace) -> int:
         names = list(UNDERLIES_CATALOG)
         groups = [group_from_name(n) for n in names]
         matrix = underlies_matrix(groups, max_order=args.max_order)
-        _write(args.out, matrix_to_csv(names, matrix))
+        _write(args.out, (matrix_to_csv(names, matrix),))
         transitive = matrix_is_transitive(matrix)
         print(f"transitive: {str(transitive).lower()}")
         return 0 if transitive else 1
@@ -196,7 +204,7 @@ def cmd_underlies(args: argparse.Namespace) -> int:
             "mapping": list(w.mapping),
         }
         text = "yes\n" + _dumps(witness) + "\n"
-    _write(args.out, text)
+    _write(args.out, (text,))
     return 0
 
 
@@ -209,6 +217,16 @@ def cmd_catalog(args: argparse.Namespace) -> int:
     g = group_from_name(args.group)
     fp = fingerprint(g)
     subs = g.subgroup_masks
+    # normal_subgroups_of reads the normalizers; the check conjugates each
+    # subgroup by generators of g instead.
+    normal = normal_subgroups_of(g, subs[-1])
+    gens = generating_set(g, g.full_mask)
+    conjugated = [n for n in subs if _normalized_by(g, n, gens)]
+    if normal != conjugated:
+        raise InternalFaultError(
+            f"{len(normal)} normal subgroups of {args.group} from the normalizers, "
+            f"{len(conjugated)} by conjugation"
+        )
     print(
         _dumps(
             {
@@ -220,7 +238,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
                 "element_orders": list(fp.element_orders),
                 "conjugacy_class_sizes": list(fp.conjugacy_class_sizes),
                 "subgroups": len(subs),
-                "normal_subgroups": len(normal_subgroups_of(g, subs[-1])),
+                "normal_subgroups": len(normal),
             }
         )
     )

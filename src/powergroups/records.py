@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional, Union
 
 from .classify import (
     NotSubquotient,
+    SubquotientDescriptor,
     check_identity_subgroup,
     check_inverse_closure,
     check_partition_union_subgroup,
@@ -21,6 +23,8 @@ from .iso import GroupFingerprint, fingerprint
 __all__ = [
     "CensusRecord",
     "build_census",
+    "census_lines",
+    "census_rows",
     "read_records",
     "record_from_json",
     "record_to_json",
@@ -58,10 +62,23 @@ class CensusRecord:
         return (self.order, self.family)
 
 
+def _classify(
+    fam: PowerGroupFamily,
+) -> tuple[Union[SubquotientDescriptor, NotSubquotient], bool, bool, bool]:
+    """The family's subquotient verdict and its three flags: identity
+    subgroup, inverse closed, partition union subgroup."""
+    return (
+        match_subquotient(fam),
+        check_identity_subgroup(fam),
+        check_inverse_closure(fam),
+        check_partition_union_subgroup(fam),
+    )
+
+
 def _record(fam: PowerGroupFamily, label: str, fp: GroupFingerprint) -> CensusRecord:
     """Classify one family into its record; ``label`` names the carrier and
     ``fp`` is the fingerprint of the family's abstract group."""
-    verdict = match_subquotient(fam)
+    verdict, identity_subgroup, inverse_closed, partition_union_subgroup = _classify(fam)
     missed = isinstance(verdict, NotSubquotient)
     indices = fam.parent.members_of
     return CensusRecord(
@@ -70,9 +87,9 @@ def _record(fam: PowerGroupFamily, label: str, fp: GroupFingerprint) -> CensusRe
         family=tuple(map(indices, fam.elements)),
         identity=indices(fam.identity),
         subquotient=not missed,
-        identity_subgroup=check_identity_subgroup(fam),
-        inverse_closed=check_inverse_closure(fam),
-        partition_union_subgroup=check_partition_union_subgroup(fam),
+        identity_subgroup=identity_subgroup,
+        inverse_closed=inverse_closed,
+        partition_union_subgroup=partition_union_subgroup,
         fingerprint=fp,
         carrier=None if missed else indices(verdict.carrier),
         kernel=None if missed else indices(verdict.kernel),
@@ -80,27 +97,69 @@ def _record(fam: PowerGroupFamily, label: str, fp: GroupFingerprint) -> CensusRe
     )
 
 
-def build_census(
-    g: FiniteGroup, label: str, *, max_order: int = SEARCH_CAP
-) -> list[CensusRecord]:
-    """One record per subset family over g forming a group, sorted by canonical_key.
+def census_rows(
+    g: FiniteGroup, *, max_order: int = SEARCH_CAP
+) -> list[tuple[PowerGroupFamily, GroupFingerprint]]:
+    """Each subset family over g forming a group, with the fingerprint of
+    its abstract group, sorted once by the record key, canonical_key.
+    Families with equal tables share one fingerprint.
 
-    The families come from the subgroup lattice, one coset family H/N per
-    pair (H, N normal in H).  Every record is still classified from the
-    family alone, so ``subquotient`` re-derives (H, N) independently.  The
-    idempotent search (all_power_groups) is the oracle for this list.
-    Raises CapExceededError when g's order exceeds ``max_order``.
+    The families come from the subgroup lattice (lattice_power_groups), one
+    coset family H/N per pair (H, N normal in H).  The idempotent search
+    (all_power_groups) is the oracle for this list.  Raises
+    CapExceededError when g's order exceeds ``max_order``.
     """
-    # Families with equal tables share one abstract group, fingerprinted once.
+    members = g.members_of
+    fams = lattice_power_groups(g, max_order=max_order)
+    fams.sort(key=lambda f: (f.order, tuple(map(members, f.elements))))
     fps: dict[tuple[tuple[int, ...], ...], GroupFingerprint] = {}
-    out = []
-    for fam in lattice_power_groups(g, max_order=max_order):
+    rows = []
+    for fam in fams:
         fp = fps.get(fam.abstract_table)
         if fp is None:
             fp = fps[fam.abstract_table] = fingerprint(fam.abstract)
-        out.append(_record(fam, label, fp))
-    out.sort(key=lambda r: r.canonical_key)
-    return out
+        rows.append((fam, fp))
+    return rows
+
+
+def build_census(
+    g: FiniteGroup, label: str, *, max_order: int = SEARCH_CAP
+) -> list[CensusRecord]:
+    """One record per row of census_rows(g), in its order.  Every record is
+    classified from the family alone, so ``subquotient`` re-derives (H, N)
+    independently of the lattice."""
+    return [_record(fam, label, fp) for fam, fp in census_rows(g, max_order=max_order)]
+
+
+_JSON_BOOL = ("false", "true")
+
+
+def census_lines(
+    g: FiniteGroup, label: str, rows: Iterable[tuple[PowerGroupFamily, GroupFingerprint]]
+) -> Iterator[tuple[bool, str]]:
+    """Each row of census_rows(g), in order, as the record_to_json line of
+    its record plus a newline, with the record's ``subquotient`` flag.
+
+    The lines are written from text pieces, keys in sorted order: each mask
+    (member, carrier or kernel) and each fingerprint is formatted once per
+    call.  Each family is classified by _classify, as _record does."""
+    text = functools.cache(lambda mask: "[" + ",".join(map(str, g.members_of(mask))) + "]")
+    fp_text = functools.cache(lambda fp: json.dumps(vars(fp), sort_keys=True, separators=(",", ":")))
+    group = json.dumps(label)
+    for fam, fp in rows:
+        verdict, identity_subgroup, inverse_closed, partition_union_subgroup = _classify(fam)
+        missed = isinstance(verdict, NotSubquotient)
+        yield not missed, (
+            f'{{"carrier":{"null" if missed else text(verdict.carrier)},'
+            f'"family":[{",".join(map(text, fam.elements))}],'
+            f'"fingerprint":{fp_text(fp)},"group":{group},"identity":{text(fam.identity)},'
+            f'"identity_subgroup":{_JSON_BOOL[identity_subgroup]},'
+            f'"inverse_closed":{_JSON_BOOL[inverse_closed]},'
+            f'"kernel":{"null" if missed else text(verdict.kernel)},"order":{fam.order},'
+            f'"partition_union_subgroup":{_JSON_BOOL[partition_union_subgroup]},'
+            f'"subquotient":{_JSON_BOOL[not missed]},'
+            f'"witness":{json.dumps(verdict.condition) if missed else "null"}}}\n'
+        )
 
 
 # Record and fingerprint fields are the JSON keys; tuples encode as lists.

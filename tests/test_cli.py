@@ -353,15 +353,24 @@ def test_lattice_fault_exits_1(capsys, monkeypatch, argv):
 
 
 @pytest.mark.parametrize(
-    "argv", [["subquotients", "--group", "S3", "--max-order", "24"], ["enum", "--group", "S3"]], ids=" ".join
+    "argv",
+    [
+        ["subquotients", "--group", "S3", "--max-order", "24"],
+        ["enum", "--group", "S3"],
+        ["catalog", "show", "--group", "S3"],
+    ],
+    ids=" ".join,
 )
 def test_normal_subgroup_fault_exits_1(capsys, monkeypatch, argv):
     # A normal_subgroups_of that forgets H <= N_G(N) lists pairs such as
     # (S3, C2), whose quotient's blocks inside H do not cover H.  Without the
-    # coverage check both commands reported 15 pairs instead of 12, exit 0.
+    # coverage check the listings reported 15 pairs instead of 12, and
+    # without the conjugation count catalog show printed 6 normal subgroups
+    # of S3, all with exit 0.
     import inspect
 
     import powergroups.classify as classify
+    import powergroups.cli as cli
     import powergroups.groups as groups
 
     source = inspect.getsource(groups.normal_subgroups_of)
@@ -369,10 +378,14 @@ def test_normal_subgroup_fault_exits_1(capsys, monkeypatch, argv):
     assert source.count(condition) == 1
     namespace = dict(vars(groups))
     exec(source.replace(condition, ""), namespace)
-    monkeypatch.setattr(classify, "normal_subgroups_of", namespace["normal_subgroups_of"])
+    for module in (classify, cli):
+        monkeypatch.setattr(module, "normal_subgroups_of", namespace["normal_subgroups_of"])
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
-    assert err == "error: internal fault: cosets of 0x3 cover 0x3, not 0x3f\n"
+    if argv[0] == "catalog":
+        assert err == "error: internal fault: 6 normal subgroups of S3 from the normalizers, 3 by conjugation\n"
+    else:
+        assert err == "error: internal fault: cosets of 0x3 cover 0x3, not 0x3f\n"
 
 
 def test_homomorphism_failure_exits_1(capsys, monkeypatch):
@@ -399,7 +412,7 @@ def test_internal_key_error_exits_1():
         "from powergroups import cli\n"
         "def broken(*args, **kwargs):\n"
         "    raise KeyError('internal')\n"
-        "cli.build_census = broken\n"
+        "cli.census_lines = broken\n"
         "sys.exit(cli.main(['enum', '--group', 'C2']))\n"
     )
     proc = subprocess.run(
@@ -407,6 +420,31 @@ def test_internal_key_error_exits_1():
     )
     assert proc.returncode == 1 and proc.stdout == ""
     assert "KeyError: 'internal'" in proc.stderr
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_enum_fault_partway_through_the_lines_writes_nothing(capsys, monkeypatch, tmp_path, to_file):
+    # enum streams its lines into the --out file and joins them for stdout:
+    # a fault at the third family leaves the old file, no temporary file and
+    # an empty stdout, and exits 1.
+    import powergroups.records as records
+
+    real, seen = records._classify, []
+
+    def failing(fam):
+        seen.append(fam)
+        if len(seen) == 3:
+            raise InternalFaultError("classification fault")
+        return real(fam)
+
+    monkeypatch.setattr(records, "_classify", failing)
+    path = tmp_path / "census.jsonl"
+    path.write_text("old\n")
+    argv = ["enum", "--group", "S3"] + (["--out", str(path)] if to_file else [])
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", "error: internal fault: classification fault\n")
+    assert len(seen) == 3
+    assert path.read_text() == "old\n" and os.listdir(tmp_path) == ["census.jsonl"]
 
 
 def test_zset_sum_self_check_fault_exits_1(capsys, monkeypatch):

@@ -7,15 +7,18 @@ import stat
 import pytest
 
 import powergroups.records as records_module
-from powergroups.cli import main
+from powergroups.classify import NotSubquotient
+from powergroups.cli import CATALOG_NAMES, main
 from powergroups.errors import CapExceededError
-from powergroups.groups import group_from_name
+from powergroups.groups import group_from_name, load_table_file
 from powergroups.iso import fingerprint
 from powergroups.search import all_power_groups
 from powergroups.suites import THM2_GROUPS
 from powergroups.records import (
     _record,
     build_census,
+    census_lines,
+    census_rows,
     read_records,
     record_from_json,
     record_to_json,
@@ -80,6 +83,65 @@ def test_census_matches_search_route_byte_for_byte(name):
         key=lambda r: r.canonical_key,
     )
     assert lattice == [record_to_json(r) for r in searched]
+
+
+# The carriers of the benchmark's census workload (perfbench/workloads.py).
+CENSUS_CARRIERS = (
+    "C8", "D4", "Q8", "C2xC4", "V4xC2", "C9", "C3xC3", "D5", "C10", "C11",
+    "C12", "C2xC6", "D6", "C13", "D7", "C14", "C15", "C16",
+)
+
+
+def _assert_lines_match_records(g, label, max_order=24):
+    # enum writes census_lines; record_to_json of build_census is the reference.
+    records = build_census(g, label, max_order=max_order)
+    flagged = list(census_lines(g, label, census_rows(g, max_order=max_order)))
+    assert [line for _, line in flagged] == [record_to_json(r) + "\n" for r in records]
+    assert [sub for sub, _ in flagged] == [r.subquotient for r in records]
+    return records
+
+
+@pytest.mark.parametrize("name", sorted(set(CATALOG_NAMES) | set(CENSUS_CARRIERS)))
+def test_census_lines_are_the_record_json(name):
+    _assert_lines_match_records(group_from_name(name), name)
+
+
+@pytest.mark.parametrize("stem", ['quo"te', "back\\slash", "caf\u00e9\u2603", "ctrl\x01"])
+def test_enum_escapes_the_table_label(tmp_path, capsys, stem):
+    g = group_from_name("D4")
+    path = tmp_path / f"{stem}.json"
+    path.write_text(json.dumps({"order": g.order, "table": [list(row) for row in g.table]}))
+    assert main(["enum", "--table", str(path)]) == 0
+    out = capsys.readouterr().out
+    t = load_table_file(str(path))
+    assert t.name == stem
+    assert out == "".join(record_to_json(r) + "\n" for r in build_census(t, stem))
+    assert json.loads(out.splitlines()[0])["group"] == stem
+    _assert_lines_match_records(t, stem)
+
+
+def test_census_lines_match_unrealized_records(monkeypatch):
+    # Every finite family is a subquotient, so the null carrier and kernel,
+    # the witness text and the false flags are reached by patching the
+    # classification that _record and census_lines share.
+    real = records_module.match_subquotient
+    witness = 'family_not_coset_set "quoted" \\ caf\u00e9'
+
+    def patched(fam):
+        if fam.elements[0] % 3 == 0:
+            return NotSubquotient(witness, "patched")
+        return real(fam)
+
+    monkeypatch.setattr(records_module, "match_subquotient", patched)
+    monkeypatch.setattr(records_module, "check_inverse_closure", lambda fam: fam.order % 2 == 0)
+    monkeypatch.setattr(records_module, "check_identity_subgroup", lambda fam: fam.order % 3 == 0)
+    monkeypatch.setattr(records_module, "check_partition_union_subgroup", lambda fam: fam.order % 4 == 0)
+    records = _assert_lines_match_records(group_from_name("S4"), "S4")
+    missed = [r for r in records if not r.subquotient]
+    assert 0 < len(missed) < len(records)
+    assert all(r.carrier is None and r.kernel is None and r.witness == witness for r in missed)
+    for flag in ("identity_subgroup", "inverse_closed", "partition_union_subgroup"):
+        assert {getattr(r, flag) for r in records} == {False, True}
 
 
 def test_record_json_round_trip():

@@ -273,13 +273,14 @@ def test_oracles_share_no_code_with_the_census():
 
 
 def test_family_classification_never_reads_normalizers():
-    # match_subquotient and the census record flags re-derive (H, N) from the
+    # match_subquotient and the census record flags (_classify, which both
+    # _record and the line writer census_lines call) re-derive (H, N) from the
     # family alone; the lattice and normalizers behind the enumeration must
     # not feed them.  Nor may they feed the subgroup verdicts those checks
     # read: is_subgroup_mask decides each mask by its own coset growth, and
     # its per-carrier memo holds only what it decided.
     lattice = {"subgroup_masks", "subgroup_lattice", "normalizers", "_normalizer"}
-    roots = ("match_subquotient", "_record", "is_subgroup_mask")
+    roots = ("match_subquotient", "_classify", "_record", "census_lines", "is_subgroup_mask")
     sources = _package_sources()
     assert lattice <= _reachable(sources, ("enumerate_subquotients",))
     assert not lattice & _reachable(sources, roots)
@@ -345,7 +346,7 @@ def test_family_classification_closes_no_generators():
     # match_subquotient decides normality on the left cosets it builds anyway,
     # so classifying a census record closes no generating set; the closures
     # keep serving the normalizers and the isomorphism search.
-    roots = ("match_subquotient", "_record")
+    roots = ("match_subquotient", "_classify", "_record", "census_lines")
     closures = {"closure_mask", "_greedy_generators", "generating_set", "_normalized_by"}
     sources = _package_sources()
     assert closures <= _reachable(sources, ("_normalizer", "are_isomorphic"))
