@@ -185,15 +185,16 @@ def _coset_family(g: FiniteGroup, mmask: int, nmask: int) -> PowerGroupFamily:
     return _family_from_table(g, tuple(masks), table)
 
 
-def _blocks_inside(q: PowerGroupFamily, hmask: int) -> list[int]:
-    """Positions of the blocks of the coset family q = M/N inside the mask H.
-    Raises InternalFaultError unless they cover exactly H (N <= H <= M): a
-    fault of the lattice, the normalizers or normal_subgroups_of."""
-    inside = [i for i, a in enumerate(q.elements) if not a & ~hmask]
-    covered = sum(q.elements[i] for i in inside)  # disjoint blocks: the sum is the union
+def _blocks_inside(q: PowerGroupFamily, hmask: int) -> tuple[int, ...]:
+    """The blocks of the coset family q = M/N inside the mask H, ascending:
+    the cosets of N in H.  Raises InternalFaultError unless they cover
+    exactly H (N <= H <= M): a fault of the lattice, the normalizers or
+    normal_subgroups_of."""
+    blocks = tuple([a for a in q.elements if not a & ~hmask])
+    covered = sum(blocks)  # disjoint blocks: the sum is the union
     if covered != hmask:
         raise InternalFaultError(f"cosets of {q.identity:#x} cover {covered:#x}, not {hmask:#x}")
-    return inside
+    return blocks
 
 
 def _restrict(q: PowerGroupFamily, hmask: int) -> PowerGroupFamily:
@@ -205,9 +206,10 @@ def _restrict(q: PowerGroupFamily, hmask: int) -> PowerGroupFamily:
     outside H raises ValueError("family not closed: ...").  The table is
     validated by _family_from_table (once per distinct table).
     """
-    inside = _blocks_inside(q, hmask)
-    if len(inside) == q.order:
+    blocks = _blocks_inside(q, hmask)
+    if len(blocks) == q.order:
         return q
+    inside = list(map(q.elements.index, blocks))
     pos = {i: k for k, i in enumerate(inside)}
     qt = q.abstract_table
     if len(inside) == 1:
@@ -222,7 +224,7 @@ def _restrict(q: PowerGroupFamily, hmask: int) -> PowerGroupFamily:
     except KeyError as exc:
         block = q.elements[exc.args[0]]
         raise ValueError(f"family not closed: block {block:#x} is outside {hmask:#x}") from None
-    return _family_from_table(q.parent, tuple(q.elements[i] for i in inside), table)
+    return _family_from_table(q.parent, blocks, table)
 
 
 def match_subquotient(
@@ -260,8 +262,14 @@ def _subquotient_pairs(g: FiniteGroup) -> Iterator[tuple[int, int, PowerGroupFam
     quotient M/N over N's normalizer M (g.normalizers), built and validated
     once per kernel (_coset_family), not once per pair.  The kernels of H
     are normal_subgroups_of(g, H), those with N <= H <= M, so H/N is made of
-    M/N's blocks inside H."""
-    quotients = {n: _coset_family(g, norm, n) for n, norm in zip(g.subgroup_masks, g.normalizers)}
+    M/N's blocks inside H.  Both masks of a quotient come from the package,
+    so a quotient _coset_family refuses raises InternalFaultError."""
+    quotients = {}
+    for n, norm in zip(g.subgroup_masks, g.normalizers):
+        try:
+            quotients[n] = _coset_family(g, norm, n)
+        except ValueError as exc:
+            raise InternalFaultError(f"normalizer {norm:#x} of {n:#x} gives no quotient: {exc}") from None
     for h in g.subgroup_masks:
         for n in normal_subgroups_of(g, h):
             yield h, n, quotients[n]
@@ -272,7 +280,7 @@ def enumerate_subquotients(g: FiniteGroup) -> list[tuple[SubquotientDescriptor, 
     with the cosets of N in H as ascending masks: the blocks of its quotient
     inside H (_blocks_inside), so no table is built per pair."""
     return [
-        (SubquotientDescriptor(carrier=h, kernel=n), tuple(q.elements[i] for i in _blocks_inside(q, h)))
+        (SubquotientDescriptor(carrier=h, kernel=n), _blocks_inside(q, h))
         for h, n, q in _subquotient_pairs(g)
     ]
 

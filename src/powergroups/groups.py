@@ -505,12 +505,12 @@ def _coset_grow(
     hs: Sequence[int],
     gens: Sequence[int],
     g: int,
-    bound: int = -1,
+    bound: int,
 ) -> int:
     """<H, g> for a subgroup mask H with members hs, generated by gens, and an
     element g outside it, on an associative table (Dimino's algorithm, as in
     G. Butler, *Fundamental Algorithms for Permutation Groups*, LNCS 559,
-    1991); 0 as soon as a coset leaves the mask bound (by default, none does).
+    1991); 0 as soon as a coset leaves the mask bound.
 
     <H, g> is a union of right cosets Hr.  Starting from r = g, each new
     representative r adds its coset Hr and its products r*s for s in gens and
@@ -546,34 +546,36 @@ def _coset_grow(
 
 
 def subgroup_lattice(table: Sequence[Sequence[int]], identity: int) -> list[int]:
-    """All subgroup masks of a validated table, grown by adding one generator.
+    """All subgroup masks of a validated table, sorted by (size, mask), each
+    grown once, by canonical augmentation (B. D. McKay, "Isomorph-free
+    exhaustive generation", *J. Algorithms* 26, 1998).
 
-    Every subgroup is generated by {g1, ..., gk}, so repeatedly extending
-    each known subgroup H by one outside element reaches all of them without
-    scanning 2^n subsets.  Each subgroup keeps the generators it was found
-    with, and <H, g> is grown from H one right coset at a time (_coset_grow).
-    Since <H, gh> = <H, g> for h in H, one g per left coset gH != H is tried:
-    [G:H] - 1 extensions per H.  Sorted by (size, mask).
+    A subgroup's path is its greedy generators g1 < ... < gk
+    (_greedy_generators), so its parent <g1, ..., g(k-1)> is unique.  H with
+    path g1, ..., gk grows only by an x > gk that is the least member of its
+    left coset xH, and <H, x> is grown by right cosets (_coset_grow) bounded
+    to give up at any member below x outside H: exactly the growths whose
+    path is H's path then x.  No 2^n scan and no set of found subgroups.
     """
     n = len(table)
-    trivial = 1 << identity
-    found = {trivial}
-    stack: list[tuple[int, tuple[int, ...]]] = [(trivial, ())]
-    while stack:
-        h, gens = stack.pop()
+    grown: list[tuple[int, tuple[int, ...]]] = [(1 << identity, ())]
+    for h, gens in grown:
         hs = tuple(iter_bits(h))
         covered = h
-        for g in range(n):
-            if covered >> g & 1:
+        for x in range(gens[-1] + 1 if gens else 0, n):
+            if covered >> x & 1:
                 continue
-            row = table[g]
-            for x in hs:
-                covered |= 1 << row[x]
-            k = _coset_grow(table, h, hs, gens, g)
-            if k not in found:
-                found.add(k)
-                stack.append((k, (*gens, g)))
-    return sorted(found, key=lambda m: (m.bit_count(), m))
+            row = table[x]
+            coset = 0
+            for y in hs:
+                coset |= 1 << row[y]
+            covered |= coset
+            if coset & ((1 << x) - 1):
+                continue  # x is not the least member of xH
+            k = _coset_grow(table, h, hs, gens, x, h | -1 << x)
+            if k:
+                grown.append((k, (*gens, x)))
+    return sorted((k for k, _ in grown), key=lambda m: (m.bit_count(), m))
 
 
 def _greedy_generators(table: Sequence[Sequence[int]], identity: int, mask: int) -> list[int]:
@@ -611,28 +613,28 @@ def _normalized_by(g: FiniteGroup, nmask: int, gens: Iterable[int]) -> bool:
 
 
 def _normalizer(g: FiniteGroup, nmask: int) -> int:
-    """N_G(N) for a subgroup mask N, grown one left coset at a time.
+    """N_G(N) for a subgroup mask N, one left coset xN at a time.
 
-    The elements of N normalize N, so the growth starts from them.  After
-    that, each element x outside the normalizer M found so far and outside
-    the left cosets already refused takes one conjugation test: if x
-    normalizes N, M grows to <M, x> (_coset_grow); if not, neither does any
-    element of xM, and that coset is refused.
+    Each coset is met at its least member x not yet covered, and x takes one
+    conjugation test, stopped at the first image outside N.  For n in N,
+    xn normalizes N exactly when x does, so the whole coset joins the
+    normalizer or none of it does.
     """
-    t = g.table
-    m = covered = 1 << g.identity
-    gens: list[int] = []
-    for x in (*g.members_of(nmask), *range(g.order)):
+    t, ns = g.table, g.members_of(nmask)
+    m = covered = nmask
+    for x in range(g.order):
         if covered >> x & 1:
             continue
-        if nmask >> x & 1 or _normalized_by(g, nmask, (x,)):
-            m = _coset_grow(t, m, g.members_of(m), gens, x)
-            gens.append(x)
-            covered |= m
+        row, xinv = t[x], g.inverses[x]
+        coset = 0
+        for y in ns:
+            coset |= 1 << row[y]
+        covered |= coset
+        for y in ns:
+            if not nmask >> t[row[y]][xinv] & 1:
+                break
         else:
-            row = t[x]
-            for y in g.members_of(m):
-                covered |= 1 << row[y]
+            m |= coset
     return m
 
 

@@ -388,6 +388,37 @@ def test_normal_subgroup_fault_exits_1(capsys, monkeypatch, argv):
         assert err == "error: internal fault: cosets of 0x3 cover 0x3, not 0x3f\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["subquotients", "--group", "S3", "--max-order", "24"],
+        ["enum", "--group", "S3"],
+    ],
+    ids=" ".join,
+)
+def test_normalizer_fault_exits_1(capsys, monkeypatch, argv):
+    # A _normalizer that returns the whole group makes a non-normal C2 of S3
+    # the kernel of a quotient over S3.  _coset_family refuses that quotient
+    # with a ValueError, which exited 2 (usage error) before the pairs
+    # reported it as the package's own fault.
+    import inspect
+
+    import powergroups.groups as groups
+
+    source = inspect.getsource(groups._normalizer)
+    line = "    return m\n"
+    assert source.count(line) == 1
+    namespace = dict(vars(groups))
+    exec(source.replace(line, "    return g.full_mask\n"), namespace)
+    monkeypatch.setattr(groups, "_normalizer", namespace["_normalizer"])
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: internal fault: normalizer 0x3f of 0x3 gives no quotient: "
+        "family not closed: 0x3 is not normal (block 0xc is no right coset)\n"
+    )
+
+
 def test_homomorphism_failure_exits_1(capsys, monkeypatch):
     import powergroups.classify as classify
     import powergroups.suites as suites

@@ -503,17 +503,22 @@ def test_subgroup_masks_counts_and_order():
 
 @pytest.mark.parametrize("name", ["S4", "D6", "C2xC2xC2xC2", "Q8"])
 def test_subgroup_lattice_closes_once_per_coset(name, monkeypatch):
-    # <H, gh> = <H, g>, so extending H takes one coset growth per left coset
-    # gH != H: at most [G:H] - 1 extensions per subgroup, and no closure.
+    # <H, gh> = <H, g>, so extending H takes at most one coset growth per
+    # left coset gH != H, and no closure.  Canonical augmentation accepts a
+    # growth only from the subgroup's own path, so exactly S - 1 growths
+    # return a subgroup: one per subgroup but the trivial one.
     import powergroups.groups as groups_module
 
     g = _relabelled(group_from_name(name), 3)
-    seeds = []
+    seeds, grown = [], []
     real = groups_module._coset_grow
 
-    def counting(table, hmask, hs, gens, x):
+    def counting(table, hmask, hs, gens, x, bound):
         seeds.append(x)
-        return real(table, hmask, hs, gens, x)
+        k = real(table, hmask, hs, gens, x, bound)
+        if k:
+            grown.append(k)
+        return k
 
     def no_closure(table, seed):
         raise AssertionError("the lattice grows subgroups by cosets")
@@ -523,6 +528,8 @@ def test_subgroup_lattice_closes_once_per_coset(name, monkeypatch):
     subs = groups_module.subgroup_lattice(g.table, g.identity)
     assert len(subs) == SUBGROUP_COUNTS[name]
     assert 0 < len(seeds) <= sum(g.order // m.bit_count() - 1 for m in subs)
+    assert len(grown) == len(subs) - 1
+    assert sorted(grown) == sorted(subs[1:])
 
 
 def _closure_lattice(table, identity):
@@ -551,7 +558,8 @@ def _closure_lattice(table, identity):
 )
 def test_coset_grown_lattice_matches_closure_lattice(name):
     # Growing <H, g> by right cosets of H must give the subgroups closure
-    # gives, mask for mask, under relabelling, up to order 32.
+    # gives, mask for mask, under relabelling, up to order 32, and on a raw
+    # table whose identity is not element 0.
     import powergroups.groups as groups_module
 
     for seed in (0, 5):
@@ -559,18 +567,27 @@ def test_coset_grown_lattice_matches_closure_lattice(name):
         assert groups_module.subgroup_lattice(g.table, g.identity) == _closure_lattice(
             g.table, g.identity
         )
+    raw = _permuted_table(group_from_name(name), 7)
+    identity = next(e for e, row in enumerate(raw) if row == list(range(len(raw))))
+    assert identity != 0
+    assert groups_module.subgroup_lattice(raw, identity) == _closure_lattice(raw, identity)
 
 
-@pytest.mark.parametrize("name", ["S4", "D6", "Q8xC2", "D4xC3", "S3xC4"])
+@pytest.mark.parametrize(
+    "name", ["S4", "D6", "Q8xC2", "D4xC3", "S3xC4", "C4xC4", "C2xC2xC2xC2xC2", "D4xC2xC2"]
+)
 def test_normalizers_match_conjugation_by_every_element(name):
     # g.normalizers[i] = {x : x N x^-1 = N} for N = g.subgroup_masks[i], on
     # a relabelled table; normal_subgroups_of reads its verdicts from them.
+    # On the abelian carriers every coset of N normalizes it.
     g = _relabelled(group_from_name(name), 11)
     want = tuple(
         sum(1 << x for x in range(g.order) if g.conjugate_mask(n, x) == n)
         for n in g.subgroup_masks
     )
     assert g.normalizers == want
+    if g.is_abelian:
+        assert set(want) == {g.full_mask}
 
 
 def test_subgroup_mask_validation():
