@@ -9,7 +9,7 @@ upper cuts of the rationals.
 
 The natural entry points:
 
-- ``group_from_name`` / ``catalog`` / ``validate_cayley`` build carriers;
+- ``group_from_name`` / ``validate_cayley`` build carriers;
 - ``lattice_power_groups`` lists the subset families over one from its
   subgroup lattice, one coset family H/N per pair (H, N normal in H), and
   ``build_census`` turns them into records; ``all_power_groups`` finds the
@@ -34,7 +34,6 @@ from .classify import (
     match_subquotient,
 )
 from .groups import (
-    catalog,
     group_from_name,
     iter_bits,
     normal_subgroups_of,
@@ -61,7 +60,6 @@ __all__ = [
     "all_power_groups",
     "build_census",
     "build_coset_group",
-    "catalog",
     "coset_group_epimorphism_check",
     "group_from_name",
     "is_group_of_cosets",

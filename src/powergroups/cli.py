@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from dataclasses import is_dataclass
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
@@ -106,7 +105,7 @@ def _load_group(args: argparse.Namespace) -> tuple[FiniteGroup, str]:
         label = args.group
     elif args.table:
         g = load_table_file(args.table)
-        label = g.name or os.path.basename(args.table)
+        label = g.name
     else:
         raise ParamOutOfRangeError("need --group NAME or --table PATH")
     check_cap(g.order, args.max_order, "--max-order: group order")

@@ -28,11 +28,11 @@ class NotAssociativeError(CayleyTableError):
 
 
 class UnknownFamilyError(ValueError):
-    """Catalog family name not recognized."""
+    """A group name not recognized."""
 
 
 class ParamOutOfRangeError(ValueError):
-    """Catalog parameters outside the supported range."""
+    """A parameter or an option outside its supported range."""
 
 
 class CapExceededError(ValueError):

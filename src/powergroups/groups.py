@@ -43,7 +43,7 @@ from .errors import (
 # CLI passes --max-order).
 SEARCH_CAP = 16
 CONSTRUCTION_CAP = 64
-MAX_SYMMETRIC_DEGREE = 4  # catalog("symmetric", n) builds S1 .. S4
+MAX_SYMMETRIC_DEGREE = 4  # group names S1 .. S4
 MAX_TABLE_BYTES = 1 << 20  # an order-64 table indented by 2 takes about 40 KB
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "SEARCH_CAP",
     "FiniteGroup",
     "PowerGroupFamily",
-    "catalog",
     "direct_product",
     "generating_set",
     "group_from_name",
@@ -664,7 +663,7 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
 
 
 # ---------------------------------------------------------------------------
-# Catalog
+# Named groups
 
 
 def _cyclic_table(n: int) -> list[list[int]]:
@@ -717,72 +716,37 @@ def _quaternion8_table() -> list[list[int]]:
     return [[mul(a, b) for b in range(8)] for a in range(8)]
 
 
-def catalog(family: str, *params: int) -> FiniteGroup:
-    """Construct a named group.
-
-    Families: cyclic(n), dihedral(n) of order 2n, symmetric(degree),
-    quaternion8, klein4, direct_product(n1, ..., nk) of cyclic factors.
-    Every constructed table is passed back through validate_cayley.
-    """
-    fam = family.lower()
-    if fam == "cyclic":
-        if len(params) != 1 or params[0] < 1:
-            raise ParamOutOfRangeError(f"cyclic needs one parameter >= 1, got {params}")
-        (n,) = params
-        check_cap(n, CONSTRUCTION_CAP, "group order")  # before building the n x n table
-        return validate_cayley(_cyclic_table(n), name=f"C{n}")
-    if fam == "dihedral":
-        if len(params) != 1 or params[0] < 1:
-            raise ParamOutOfRangeError(f"dihedral needs one parameter >= 1, got {params}")
-        (n,) = params
-        check_cap(2 * n, CONSTRUCTION_CAP, "group order")
-        return validate_cayley(_dihedral_table(n), name=f"D{n}")
-    if fam == "symmetric":
-        if len(params) != 1 or not 1 <= params[0] <= MAX_SYMMETRIC_DEGREE:
-            raise ParamOutOfRangeError(
-                f"symmetric degree must be in [1, {MAX_SYMMETRIC_DEGREE}], got {params}"
-            )
-        (n,) = params
-        return validate_cayley(_symmetric_table(n), name=f"S{n}")
-    if fam == "quaternion8":
-        if params:
-            raise ParamOutOfRangeError("quaternion8 takes no parameters")
-        return validate_cayley(_quaternion8_table(), name="Q8")
-    if fam == "klein4":
-        if params:
-            raise ParamOutOfRangeError("klein4 takes no parameters")
-        return validate_cayley([[i ^ j for j in range(4)] for i in range(4)], name="V4")
-    if fam == "direct_product":
-        if not params or any(p < 1 for p in params):
-            raise ParamOutOfRangeError(f"direct_product needs factors >= 1, got {params}")
-        g = catalog("cyclic", params[0])
-        for p in params[1:]:
-            g = direct_product(g, catalog("cyclic", p))
-        return g
-    raise UnknownFamilyError(f"unknown catalog family {family!r}")
-
-
 _ATOM_RE = re.compile(r"^([CDS])(\d+)$", re.IGNORECASE)
 
 
 def _group_atom(token: str) -> FiniteGroup:
+    """One factor of a group name, built from its table: C<n>, D<n> of order
+    2n, S<degree>, Q8, V4 (or klein4), or trivial.  The order is checked
+    against CONSTRUCTION_CAP before the table is built."""
     t = token.strip()
     low = t.lower()
-    if low in ("trivial", "1", "c1"):
-        return catalog("cyclic", 1)
-    if low in ("v4", "klein4"):
-        return catalog("klein4")
-    if low == "q8":
-        return catalog("quaternion8")
+    if low in ("trivial", "1"):
+        t = "C1"
+    elif low in ("v4", "klein4"):
+        return validate_cayley([[i ^ j for j in range(4)] for i in range(4)], name="V4")
+    elif low == "q8":
+        return validate_cayley(_quaternion8_table(), name="Q8")
     m = _ATOM_RE.match(t)
-    if m:
-        kind, n = m.group(1).upper(), int(m.group(2))
-        if kind == "C":
-            return catalog("cyclic", n)
-        if kind == "D":
-            return catalog("dihedral", n)
-        return catalog("symmetric", n)
-    raise UnknownFamilyError(f"unknown group name {token!r}")
+    if not m:
+        raise UnknownFamilyError(f"unknown group name {token!r}")
+    kind, n = m.group(1).upper(), int(m.group(2))
+    if kind == "S":
+        if not 1 <= n <= MAX_SYMMETRIC_DEGREE:
+            raise ParamOutOfRangeError(
+                f"symmetric degree must be in [1, {MAX_SYMMETRIC_DEGREE}], got ({n},)"
+            )
+        return validate_cayley(_symmetric_table(n), name=f"S{n}")
+    if n < 1:
+        family = "cyclic" if kind == "C" else "dihedral"
+        raise ParamOutOfRangeError(f"{family} needs one parameter >= 1, got ({n},)")
+    check_cap(n if kind == "C" else 2 * n, CONSTRUCTION_CAP, "group order")
+    table = _cyclic_table(n) if kind == "C" else _dihedral_table(n)
+    return validate_cayley(table, name=f"{kind}{n}")
 
 
 def group_from_name(name: str) -> FiniteGroup:

@@ -144,7 +144,7 @@ def census_lines(
     (member, carrier or kernel) and each fingerprint is formatted once per
     call.  Each family is classified by _classify, as _record does."""
     text = functools.cache(lambda mask: "[" + ",".join(map(str, g.members_of(mask))) + "]")
-    fp_text = functools.cache(lambda fp: json.dumps(vars(fp), sort_keys=True, separators=(",", ":")))
+    fp_text = functools.cache(record_to_json)
     group = json.dumps(label)
     for fam, fp in rows:
         verdict, identity_subgroup, inverse_closed, partition_union_subgroup = _classify(fam)

@@ -31,7 +31,6 @@ from powergroups.groups import (
     FiniteGroup,
     PowerGroupFamily,
     _normalized_by,
-    catalog,
     generating_set,
     group_from_name,
     iter_bits,
@@ -45,11 +44,11 @@ from powergroups.search import all_power_groups
 from powergroups.cli import CATALOG_NAMES
 from powergroups.suites import THM2_GROUPS
 
-S3 = catalog("symmetric", 3)
-D4 = catalog("dihedral", 4)
-C4 = catalog("cyclic", 4)
-C6 = catalog("cyclic", 6)
-V4 = catalog("klein4")
+S3 = group_from_name("S3")
+D4 = group_from_name("D4")
+C4 = group_from_name("C4")
+C6 = group_from_name("C6")
+V4 = group_from_name("klein4")
 
 
 def fabricate(parent, masks, identity_index=0):

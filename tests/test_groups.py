@@ -20,7 +20,6 @@ from powergroups.errors import (
 )
 from powergroups.groups import (
     CONSTRUCTION_CAP,
-    catalog,
     closure_mask,
     direct_product,
     exponent,
@@ -37,13 +36,13 @@ import powergroups.groups as groups_module
 from powergroups.classify import lattice_power_groups
 from powergroups.records import build_census
 
-S3 = catalog("symmetric", 3)
-D4 = catalog("dihedral", 4)
-Q8 = catalog("quaternion8")
-C4 = catalog("cyclic", 4)
-C6 = catalog("cyclic", 6)
-C8 = catalog("cyclic", 8)
-V4 = catalog("klein4")
+S3 = group_from_name("S3")
+D4 = group_from_name("D4")
+Q8 = group_from_name("Q8")
+C4 = group_from_name("C4")
+C6 = group_from_name("C6")
+C8 = group_from_name("C8")
+V4 = group_from_name("klein4")
 
 
 def cyclic_table(n):
@@ -326,20 +325,16 @@ def test_exponent():
 
 
 def test_catalog_rejects_bad_parameters():
-    with pytest.raises(ParamOutOfRangeError):
-        catalog("cyclic", 0)
-    with pytest.raises(ParamOutOfRangeError):
-        catalog("cyclic", 2, 3)
-    with pytest.raises(ParamOutOfRangeError):
-        catalog("symmetric", 5)
-    with pytest.raises(ParamOutOfRangeError):
-        catalog("quaternion8", 2)
-    with pytest.raises(ParamOutOfRangeError):
-        catalog("klein4", 1)
-    with pytest.raises(ParamOutOfRangeError):
-        catalog("direct_product", 2, 0)
-    with pytest.raises(UnknownFamilyError):
-        catalog("frobnicate")
+    for name, error, message in [
+        ("C0", ParamOutOfRangeError, "cyclic needs one parameter >= 1, got (0,)"),
+        ("D0", ParamOutOfRangeError, "dihedral needs one parameter >= 1, got (0,)"),
+        ("S0", ParamOutOfRangeError, "symmetric degree must be in [1, 4], got (0,)"),
+        ("S5", ParamOutOfRangeError, "symmetric degree must be in [1, 4], got (5,)"),
+        ("X9", UnknownFamilyError, "unknown group name 'X9'"),
+    ]:
+        with pytest.raises(error) as info:
+            group_from_name(name)
+        assert str(info.value) == message, name
 
 
 def test_catalog_checks_the_cap_before_building_a_table(monkeypatch):
@@ -351,9 +346,9 @@ def test_catalog_checks_the_cap_before_building_a_table(monkeypatch):
     monkeypatch.setattr(groups_module, "_cyclic_table", never)
     monkeypatch.setattr(groups_module, "_dihedral_table", never)
     with pytest.raises(CapExceededError, match="order 100000 exceeds"):
-        catalog("cyclic", 100000)
+        group_from_name("C100000")
     with pytest.raises(CapExceededError, match="order 66 exceeds"):
-        catalog("dihedral", 33)
+        group_from_name("D33")
     with pytest.raises(CapExceededError):
         group_from_name("C100000xC2")
 
@@ -373,11 +368,11 @@ def test_group_from_name_parsing():
 
 
 def test_direct_product_structure():
-    g = direct_product(catalog("cyclic", 2), catalog("cyclic", 3))
+    g = direct_product(group_from_name("C2"), group_from_name("C3"))
     assert g.order == 6 and g.is_abelian
     assert max(g.element_order(a) for a in g.elements()) == 6  # so iso to C6
     # Pair (i1, i2) sits at index i1 * n2 + i2 and multiplies componentwise.
-    c2, c3 = catalog("cyclic", 2), catalog("cyclic", 3)
+    c2, c3 = group_from_name("C2"), group_from_name("C3")
     for i1 in range(2):
         for i2 in range(3):
             for j1 in range(2):
@@ -385,7 +380,7 @@ def test_direct_product_structure():
                     got = g.mul(i1 * 3 + i2, j1 * 3 + j2)
                     assert got == c2.mul(i1, j1) * 3 + c3.mul(i2, j2)
     with pytest.raises(CapExceededError):
-        direct_product(C8, catalog("cyclic", 16))
+        direct_product(C8, group_from_name("C16"))
 
 
 # ---------------------------------------------------------------------------

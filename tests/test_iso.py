@@ -8,7 +8,7 @@ import pytest
 
 from powergroups.cli import CATALOG_NAMES
 from powergroups.errors import CapExceededError
-from powergroups.groups import catalog, direct_product, generating_set, group_from_name, validate_cayley
+from powergroups.groups import direct_product, generating_set, group_from_name, validate_cayley
 from powergroups.iso import (
     GroupFingerprint,
     _square_roots,
@@ -20,11 +20,11 @@ from powergroups.iso import (
     underlies_matrix,
 )
 
-S3 = catalog("symmetric", 3)
-D4 = catalog("dihedral", 4)
-Q8 = catalog("quaternion8")
-C4 = catalog("cyclic", 4)
-V4 = catalog("klein4")
+S3 = group_from_name("S3")
+D4 = group_from_name("D4")
+Q8 = group_from_name("Q8")
+C4 = group_from_name("C4")
+V4 = group_from_name("klein4")
 
 
 def relabel(g, perm):
@@ -81,9 +81,9 @@ def test_abelian_fingerprints_match_the_scan():
 @pytest.mark.parametrize(
     "g1,g2",
     [
-        (catalog("cyclic", 6), direct_product(catalog("cyclic", 2), catalog("cyclic", 3))),
-        (V4, direct_product(catalog("cyclic", 2), catalog("cyclic", 2))),
-        (S3, catalog("dihedral", 3)),
+        (group_from_name("C6"), direct_product(group_from_name("C2"), group_from_name("C3"))),
+        (V4, direct_product(group_from_name("C2"), group_from_name("C2"))),
+        (S3, group_from_name("D3")),
         (C4, relabel(C4, (2, 0, 3, 1))),
         (Q8, relabel(Q8, (3, 1, 4, 0, 7, 5, 2, 6))),
     ],
@@ -100,10 +100,10 @@ def test_isomorphic_pairs(g1, g2):
     [
         (C4, V4),
         (Q8, D4),
-        (catalog("cyclic", 8), direct_product(C4, catalog("cyclic", 2))),
-        (catalog("cyclic", 8), group_from_name("C2xC2xC2")),
-        (catalog("cyclic", 6), S3),
-        (catalog("cyclic", 2), catalog("cyclic", 3)),
+        (group_from_name("C8"), direct_product(C4, group_from_name("C2"))),
+        (group_from_name("C8"), group_from_name("C2xC2xC2")),
+        (group_from_name("C6"), S3),
+        (group_from_name("C2"), group_from_name("C3")),
     ],
     ids=["C4/V4", "Q8/D4", "C8/C4xC2", "C8/C2^3", "C6/S3", "order-mismatch"],
 )
@@ -127,7 +127,7 @@ def test_equal_fingerprints_of_different_groups_are_refused_promptly(k):
     # counts differ, so are_isomorphic refuses them before searching.
     g1 = _c4_semidirect_c4()
     for _ in range(k):
-        g1 = direct_product(g1, catalog("cyclic", 2))
+        g1 = direct_product(g1, group_from_name("C2"))
     g2 = group_from_name("Q8" + "xC2" * (k + 1))
     assert fingerprint(g1) == fingerprint(g2)
     start = time.perf_counter()
@@ -212,8 +212,8 @@ def test_pruned_search_matches_the_leaf_only_reference(pair):
     if pair == "Q8/D4":
         g1, g2 = group_from_name("Q8xC2xC2"), group_from_name("D4xC2xC2")
     elif pair == "metacyclic":
-        g1 = direct_product(_metacyclic(8, 4, 5), catalog("cyclic", 2))
-        g2 = direct_product(_metacyclic(8, 2, 5), catalog("cyclic", 4))
+        g1 = direct_product(_metacyclic(8, 4, 5), group_from_name("C2"))
+        g2 = direct_product(_metacyclic(8, 2, 5), group_from_name("C4"))
     else:
         g = group_from_name(pair)
         perm = list(range(g.order))
@@ -229,7 +229,7 @@ def test_pruned_search_matches_the_leaf_only_reference(pair):
 
 
 def test_fingerprint_invariants():
-    fp = fingerprint(catalog("cyclic", 8))
+    fp = fingerprint(group_from_name("C8"))
     assert fp.element_orders == ((1, 1), (2, 1), (4, 2), (8, 4))
     fp_d4 = fingerprint(D4)
     assert fp_d4.element_orders == ((1, 1), (2, 5), (4, 2))
@@ -240,12 +240,12 @@ def test_fingerprint_invariants():
     assert fp_q8.conjugacy_class_sizes == (1, 1, 2, 2, 2)
     assert fp_q8.element_orders == ((1, 1), (2, 1), (4, 6))
     fp_s3 = fingerprint(S3)
-    assert fp_s3 == fingerprint(catalog("dihedral", 3))
+    assert fp_s3 == fingerprint(group_from_name("D3"))
     assert fp_s3.center_size == 1 and fp_s3.conjugacy_class_sizes == (1, 2, 3)
 
 
 def test_underlies_positive_witnesses():
-    for g1, g2 in [(S3, catalog("cyclic", 2)), (S3, catalog("cyclic", 3)),
+    for g1, g2 in [(S3, group_from_name("C2")), (S3, group_from_name("C3")),
                    (S3, S3), (D4, V4), (D4, C4), (Q8, V4)]:
         w = underlies(g1, g2)
         assert w is not None, (g1.name, g2.name)
@@ -263,12 +263,12 @@ def test_underlies_negative_cases():
     assert underlies(S3, C4) is None
     assert underlies(S3, V4) is None
     assert underlies(Q8, D4) is None
-    assert underlies(catalog("cyclic", 8), V4) is None
+    assert underlies(group_from_name("C8"), V4) is None
 
 
 def test_underlies_respects_search_cap():
     with pytest.raises(CapExceededError):
-        underlies(group_from_name("S4"), catalog("cyclic", 2))
+        underlies(group_from_name("S4"), group_from_name("C2"))
 
 
 def test_matrix_agrees_with_pairwise_relation():

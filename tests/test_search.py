@@ -11,7 +11,6 @@ from powergroups.errors import CapExceededError, CayleyTableError, NotIdempotent
 from powergroups.groups import (
     SEARCH_CAP,
     FiniteGroup,
-    catalog,
     group_from_name,
     power_group_family,
     subset,
@@ -25,9 +24,9 @@ from powergroups.search import (
     unit_group,
 )
 
-S3 = catalog("symmetric", 3)
-D4 = catalog("dihedral", 4)
-C4 = catalog("cyclic", 4)
+S3 = group_from_name("S3")
+D4 = group_from_name("D4")
+C4 = group_from_name("C4")
 
 # Families per carrier, independently countable as the sum over subgroups H
 # of the number of subgroups normal in H.  Examples:
@@ -78,7 +77,7 @@ def test_power_group_family_rejects_unclosed_and_non_group():
         power_group_family(C4, [])
     # Closed under the product but no inverse for the second element.
     with pytest.raises(CayleyTableError):
-        power_group_family(catalog("cyclic", 2), [0b01, 0b11])
+        power_group_family(group_from_name("C2"), [0b01, 0b11])
 
 
 def _limit_memory():
@@ -88,9 +87,9 @@ def _limit_memory():
 # Each bad mask must be refused with ValueError before any product is formed;
 # a negative mask has infinitely many set bits, so expanding one never ends.
 BAD_MASKS = """
-from powergroups.groups import catalog, power_group_family
+from powergroups.groups import group_from_name, power_group_family
 
-c4 = catalog("cyclic", 4)
+c4 = group_from_name("C4")
 for masks in ([-1], [1 << 4], [1, 1 << 5], [0], [True], [1.5], [0b0101, -1]):
     try:
         power_group_family(c4, masks)
@@ -192,7 +191,7 @@ def no_subset_products(monkeypatch):
     monkeypatch.setattr(FiniteGroup, "product_mask", fail)
 
 
-C17 = catalog("cyclic", 17)
+C17 = group_from_name("C17")
 
 
 @pytest.mark.parametrize(
@@ -214,7 +213,7 @@ def test_subset_scans_refuse_cap_plus_one_before_any_work(scan, no_subset_produc
 def test_brute_force_refuses_cap_plus_one_before_any_work(no_subset_products):
     assert BRUTE_FORCE_CAP == 4
     with pytest.raises(CapExceededError, match="at order 5 exceeds cap 4$"):
-        brute_force_power_groups(catalog("cyclic", 5))
+        brute_force_power_groups(group_from_name("C5"))
 
 
 def test_search_caps():

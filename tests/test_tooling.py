@@ -149,6 +149,32 @@ def test_only_check_cap_raises_cap_exceeded():
     assert found == [("errors.py", "check_cap")]
 
 
+def test_group_names_are_the_one_way_to_a_named_group():
+    # group_from_name parses each name straight to its table: _group_atom is
+    # the one caller of the table builders, and no catalog(family, *params)
+    # constructor sits beside it.
+    builders = ("_cyclic_table", "_dihedral_table", "_symmetric_table", "_quaternion8_table")
+    mutant = "def catalog(family, n):\n    return _cyclic_table(n)\n"
+    assert _calls(mutant, "_cyclic_table") == [("catalog", 2)]
+    paths = sorted((ROOT / "src" / "powergroups").glob("*.py"))
+    found = sorted(
+        (path.name, func, callee)
+        for path in paths
+        for callee in builders
+        for func, _ in _calls(path.read_text(encoding="utf-8"), callee)
+    )
+    assert found == sorted(("groups.py", "_group_atom", b) for b in builders)
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert not any(
+            isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "catalog"
+            for node in ast.walk(tree)
+        ), path.name
+        assert _calls(path.read_text(encoding="utf-8"), "catalog") == [], path.name
+        module = importlib.import_module("powergroups" if path.stem == "__init__" else f"powergroups.{path.stem}")
+        assert "catalog" not in getattr(module, "__all__", ()) and not hasattr(module, "catalog"), path.name
+
+
 def test_membership_bits_are_read_through_one_window():
     # zset_window_mask is the one reader of membership (and the one place its
     # width is capped): it builds windows from masks, and the word doubling
