@@ -693,25 +693,15 @@ def _symmetric_table(degree: int) -> list[list[int]]:
     return out
 
 
-_Q8_LETTERS = "1ijk"
-_Q8_MUL = {
-    ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"), ("1", "k"): (1, "k"),
-    ("i", "1"): (1, "i"), ("j", "1"): (1, "j"), ("k", "1"): (1, "k"),
-    ("i", "i"): (-1, "1"), ("j", "j"): (-1, "1"), ("k", "k"): (-1, "1"),
-    ("i", "j"): (1, "k"), ("j", "i"): (-1, "k"),
-    ("j", "k"): (1, "i"), ("k", "j"): (-1, "i"),
-    ("k", "i"): (1, "j"), ("i", "k"): (-1, "j"),
-}
-
-
 def _quaternion8_table() -> list[list[int]]:
-    # Index s*4 + letter with s = 0 for +, 1 for -; letters ordered 1, i, j, k.
+    # Index s*4 + letter with s = 0 for +, 1 for -; letters 1, i, j, k are
+    # 0-3, so the letter of a product is la ^ lb.  The sign flips once per
+    # negative factor and once more for ii, jj, kk, ji, kj and ik.
     def mul(a: int, b: int) -> int:
         sa, la = divmod(a, 4)
         sb, lb = divmod(b, 4)
-        sign, letter = _Q8_MUL[(_Q8_LETTERS[la], _Q8_LETTERS[lb])]
-        neg = (sa + sb + (1 if sign < 0 else 0)) % 2
-        return neg * 4 + _Q8_LETTERS.index(letter)
+        flip = la and lb and (la == lb or (lb - la) % 3 == 2)
+        return (sa ^ sb ^ bool(flip)) * 4 + (la ^ lb)
 
     return [[mul(a, b) for b in range(8)] for a in range(8)]
 
@@ -738,12 +728,12 @@ def _group_atom(token: str) -> FiniteGroup:
     if kind == "S":
         if not 1 <= n <= MAX_SYMMETRIC_DEGREE:
             raise ParamOutOfRangeError(
-                f"symmetric degree must be in [1, {MAX_SYMMETRIC_DEGREE}], got ({n},)"
+                f"group name {t!r}: symmetric degree must be in [1, {MAX_SYMMETRIC_DEGREE}]"
             )
         return validate_cayley(_symmetric_table(n), name=f"S{n}")
     if n < 1:
         family = "cyclic" if kind == "C" else "dihedral"
-        raise ParamOutOfRangeError(f"{family} needs one parameter >= 1, got ({n},)")
+        raise ParamOutOfRangeError(f"group name {t!r}: {family} {kind}<n> needs n >= 1")
     check_cap(n if kind == "C" else 2 * n, CONSTRUCTION_CAP, "group order")
     table = _cyclic_table(n) if kind == "C" else _dihedral_table(n)
     return validate_cayley(table, name=f"{kind}{n}")

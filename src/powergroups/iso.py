@@ -78,7 +78,8 @@ def fingerprint(g: FiniteGroup) -> GroupFingerprint:
 def _extend_map(
     g1: FiniteGroup, g2: FiniteGroup, gens: Sequence[int], images: Sequence[int]
 ) -> Optional[list[int]]:
-    """Grow the injective homomorphism the generator images determine on <gens>; None on conflict."""
+    """Grow the injective homomorphism the generator images determine on <gens>; None on conflict.
+    A generator already mapped keeps its image; the walk refuses a conflicting one."""
     n = g1.order
     phi = [-1] * n
     phi[g1.identity] = g2.identity
@@ -91,8 +92,6 @@ def _extend_map(
             phi[a] = b
             used |= 1 << b
             queue.append(a)
-        elif phi[a] != b:
-            return None
     head = 0
     while head < len(queue):
         x = queue[head]

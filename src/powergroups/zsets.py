@@ -418,16 +418,14 @@ def zset_sum(a: ZSet, b: ZSet, *, verify: bool = False) -> ZSet:
         out: ZSet = two_sided(m, ((r + s) % m for r in rs for s in ss))
     elif isinstance(a, BoundedBelow) and isinstance(b, BoundedBelow):
         out = _sum_bounded_below(a, b)
-    elif isinstance(a, BoundedAbove) and isinstance(b, BoundedAbove):
-        out = BoundedAbove(_sum_bounded_below(a.mirror, b.mirror))
     else:
-        below, above = (a, b) if isinstance(a, BoundedBelow) else (b, a)
-        if not zset_is_finite(below):
+        # A bounded-above operand: the mirror of the sum of the two mirrors.
+        na, nb = zset_negate(a), zset_negate(b)
+        if not (isinstance(na, BoundedBelow) and isinstance(nb, BoundedBelow)):
             raise NotRepresentableError(
                 "sum of opposite-direction infinite sets is not representable"
             )
-        neg = _sum_bounded_below(zset_negate(below), above.mirror)  # type: ignore[union-attr,arg-type]
-        out = zset_negate(neg)
+        out = zset_negate(_sum_bounded_below(na, nb))
     if verify:
         _verify_sum(a, b, out)
     return out
@@ -737,36 +735,20 @@ def power_group_of_naturals_demo() -> NaturalsDemoReport:
 
 def additive_closure(generators: Sequence[int]) -> BoundedBelow:
     """Smallest subset of the non-negative integers containing 0 and closed
-    under adding any generator.  Always idempotent with least element 0."""
+    under adding any generator.  Always idempotent with least element 0.
+
+    It is the sum of the multiples of each generator.  With a the least
+    generator, the multiples of a absorb those of a*b, so each other generator
+    b adds only {0, b, ..., (a-1)*b}, one zset_sum each.  A sum needs about
+    a*b window bits, so [1000, 1001] exceeds MAX_WINDOW_BITS and is refused."""
     gens = sorted({int(x) for x in generators})
     if not gens or gens[0] < 1:
         raise ValueError("need positive generators")
-    g = 0
-    for x in gens:
-        g = gcd(g, x)
-    reduced = [x // g for x in gens]
-    m = reduced[0]
-    inf = float("inf")
-    dist: list[float] = [inf] * m
-    dist[0] = 0
-    done = [False] * m
-    for _ in range(m):
-        r = min((d, i) for i, d in enumerate(dist) if not done[i])[1]
-        done[r] = True
-        for x in reduced:
-            nr = (r + x) % m
-            if dist[r] + x < dist[nr]:
-                dist[nr] = dist[r] + x
-        if all(done):
-            break
-    stab = int(max(dist)) + 1
-    bits = [1 if dist[x % m] <= x else 0 for x in range(stab)]
-    scaled = []
-    for y in range(g * stab):
-        q, r = divmod(y, g)
-        scaled.append(bits[q] if r == 0 else 0)
-    word = [1 if i == 0 else 0 for i in range(g)]
-    return bounded_below(0, scaled, g, word)
+    a = gens[0]
+    out: ZSet = bounded_below(0, (), a, (1,) + (0,) * (a - 1))
+    for b in gens[1:]:
+        out = zset_sum(out, finite_zset(range(0, a * b, b)))
+    return out  # type: ignore[return-value]
 
 
 def random_idempotent(rng: Random) -> BoundedBelow:

@@ -318,6 +318,14 @@ def test_partition_union_check_negatives():
     assert _partition_union_check(C4, [0b0101, 0b1010])
 
 
+def test_inverse_closure_check_refuses_a_wrong_inverse_map():
+    # C4/{0, 2}: each coset is its own inverse, so the swapped map sends
+    # {0, 2} to {1, 3}, which holds none of its inverses.
+    fam = power_group_family(C4, [0b0101, 0b1010])
+    assert fam.inverse_map == (0, 1) and check_inverse_closure(fam)
+    assert not check_inverse_closure(dataclasses.replace(fam, inverse_map=(1, 0)))
+
+
 def test_match_subquotient_failure_conditions():
     t2 = next(a for a in S3.elements() if S3.element_order(a) == 2)
     c2 = (1 << 0) | (1 << t2)

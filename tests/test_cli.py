@@ -279,6 +279,62 @@ def test_verify_reports_failures_with_exit_1(capsys, monkeypatch):
     assert "failed=1" in err
 
 
+def _verdict_flipped(real):
+    def flipped(e, a):
+        v = real(e, a)
+        return dataclasses.replace(v, translate_ok=not v.unit_ok)
+
+    return flipped
+
+
+@pytest.mark.parametrize(
+    "name, fake, failing, detail",
+    [
+        ("minkowski_window_sum", lambda real: lambda *a, **kw: real(*a, **kw) ^ 1, [0], "5 mismatches"),
+        ("theorem3_unit_test", _verdict_flipped, [1, 2], "5 disagreements"),
+    ],
+)
+def test_zsets_suite_reports_a_disagreeing_oracle(capsys, monkeypatch, name, fake, failing, detail):
+    # The suite compares two independent answers; when one of them is wrong,
+    # the checks that read it print "ok":false and the command exits 1.
+    monkeypatch.setattr(zsets, name, fake(getattr(zsets, name)))
+    code, out, err = run(capsys, "verify", "zsets-thm3", "--trials", "5")
+    assert code == 1
+    assert [i for i, line in enumerate(out.splitlines()) if '"ok":false' in line] == failing
+    assert detail in out and f"failed={len(failing)}" in err
+
+
+def test_remark1_suite_reports_a_failed_epimorphism_check(capsys, monkeypatch):
+    real = suites.coset_group_epimorphism_check
+    monkeypatch.setattr(
+        suites, "coset_group_epimorphism_check", lambda d: dataclasses.replace(real(d), ok=False)
+    )
+    code, out, _ = run(capsys, "verify", "remark1-cosets", "--max-order", "2")
+    assert code == 1
+    lines = json_lines(out)
+    assert [line["ok"] for line in lines if line["check"].startswith("C2:")] == [False]
+    assert all(line["ok"] for line in lines if line["check"].startswith("integer cosets"))
+
+
+@pytest.mark.parametrize("fault", ["no-split", "wrong-split", "split-of-a-non-member"])
+def test_qcuts_verify_reports_a_wrong_decomposition(capsys, monkeypatch, fault):
+    real = qcuts.decompose_member
+
+    def faulty(a, b, x):
+        split = real(a, b, x)
+        if fault == "no-split":
+            return None
+        if fault == "wrong-split":
+            return split and (split[0], split[1] + 1)  # u + v != x
+        return split or (x, 0)
+
+    monkeypatch.setattr(qcuts, "decompose_member", faulty)
+    code, out, err = run(capsys, "qcuts", "verify", "--trials", "50")
+    report = json.loads(out)
+    assert (code, err) == (1, "")
+    assert report["decomposition_trials"] == 50 and report["decomposition_failures"] > 0
+
+
 # ---------------------------------------------------------------------------
 # internal faults: explicit checks (kept under python -O), exit 1, no traceback
 

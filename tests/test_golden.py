@@ -5,7 +5,8 @@ the normalizers tested one element per coset.  The digests are sha256 of
 stdout, frozen from the code before each change; any change to a record's
 content or order shows here.  The named-group entries (SHOWN, LISTINGS and the
 refusal messages in REFUSED) were frozen before group names parsed straight
-to their tables.  To re-freeze after an intended output change, print the
+to their tables; the five out-of-range refusals (C0, D0, S0, S5, C2xS5) were
+re-frozen when their messages came to name the factor as written.  To re-freeze after an intended output change, print the
 digest of each command's stdout.
 """
 
@@ -85,12 +86,12 @@ LISTINGS = {
 }
 # catalog show --group NAME on a refused name: exit 2, this stderr, no stdout.
 REFUSED = {
-    "C0": "error: cyclic needs one parameter >= 1, got (0,)\n",
-    "D0": "error: dihedral needs one parameter >= 1, got (0,)\n",
-    "S0": "error: symmetric degree must be in [1, 4], got (0,)\n",
-    "S5": "error: symmetric degree must be in [1, 4], got (5,)\n",
+    "C0": "error: group name 'C0': cyclic C<n> needs n >= 1\n",
+    "D0": "error: group name 'D0': dihedral D<n> needs n >= 1\n",
+    "S0": "error: group name 'S0': symmetric degree must be in [1, 4]\n",
+    "S5": "error: group name 'S5': symmetric degree must be in [1, 4]\n",
     "X9": "error: unknown group name 'X9'\n",
-    "C2xS5": "error: symmetric degree must be in [1, 4], got (5,)\n",
+    "C2xS5": "error: group name 'S5': symmetric degree must be in [1, 4]\n",
     "C100000": "error: group order 100000 exceeds cap 64\n",
     "D33": "error: group order 66 exceeds cap 64\n",
     "C-1": "error: unknown group name 'C-1'\n",

@@ -317,6 +317,22 @@ def test_element_order_histograms():
     assert hist(S3) == {1: 1, 2: 3, 3: 2}
 
 
+def test_quaternion_table_is_frozen():
+    # Index 4s + l: sign s (0 for +, 1 for -), letter l in 1, i, j, k.
+    frozen = [
+        [0, 1, 2, 3, 4, 5, 6, 7],
+        [1, 4, 3, 6, 5, 0, 7, 2],
+        [2, 7, 4, 1, 6, 3, 0, 5],
+        [3, 2, 5, 4, 7, 6, 1, 0],
+        [4, 5, 6, 7, 0, 1, 2, 3],
+        [5, 0, 7, 2, 1, 4, 3, 6],
+        [6, 3, 0, 5, 2, 7, 4, 1],
+        [7, 6, 1, 0, 3, 2, 5, 4],
+    ]
+    assert groups_module._quaternion8_table() == frozen
+    assert [list(row) for row in Q8.table] == frozen
+
+
 def test_exponent():
     assert exponent(C6) == 6
     assert exponent(V4) == 2
@@ -326,10 +342,10 @@ def test_exponent():
 
 def test_catalog_rejects_bad_parameters():
     for name, error, message in [
-        ("C0", ParamOutOfRangeError, "cyclic needs one parameter >= 1, got (0,)"),
-        ("D0", ParamOutOfRangeError, "dihedral needs one parameter >= 1, got (0,)"),
-        ("S0", ParamOutOfRangeError, "symmetric degree must be in [1, 4], got (0,)"),
-        ("S5", ParamOutOfRangeError, "symmetric degree must be in [1, 4], got (5,)"),
+        ("C0", ParamOutOfRangeError, "group name 'C0': cyclic C<n> needs n >= 1"),
+        ("D0", ParamOutOfRangeError, "group name 'D0': dihedral D<n> needs n >= 1"),
+        ("S0", ParamOutOfRangeError, "group name 'S0': symmetric degree must be in [1, 4]"),
+        ("S5", ParamOutOfRangeError, "group name 'S5': symmetric degree must be in [1, 4]"),
         ("X9", UnknownFamilyError, "unknown group name 'X9'"),
     ]:
         with pytest.raises(error) as info:

@@ -237,6 +237,25 @@ def _package_sources():
     return [p.read_text(encoding="utf-8") for p in sorted((ROOT / "src" / "powergroups").glob("*.py"))]
 
 
+def test_integer_sets_are_added_in_one_place():
+    # _sum_bounded_below is the one exact sum of sets bounded on one side:
+    # zset_sum calls it directly or on the mirrors of a bounded-above sum, and
+    # additive_closure builds its idempotents through zset_sum.  The windowed
+    # oracle that re-checks every sum reaches none of that code.
+    def callers(callee, sources):
+        return {(name, func) for name, source in sources for func, _ in _calls(source, callee)}
+
+    paths = sorted((ROOT / "src" / "powergroups").glob("*.py"))
+    sources = [(path.name, path.read_text(encoding="utf-8")) for path in paths]
+    mutant = "def additive_closure(gens):\n    return _sum_bounded_below(a, b)\n"
+    assert callers("_sum_bounded_below", [("zsets.py", mutant)]) == {("zsets.py", "additive_closure")}
+    assert callers("_sum_bounded_below", sources) == {("zsets.py", "zset_sum")}
+    assert ("zsets.py", "additive_closure") in callers("zset_sum", sources)
+    sum_code = {"zset_sum", "_sum_bounded_below", "additive_closure"}
+    assert "_sum_bounded_below" in _reachable([s for _, s in sources], ("additive_closure",))
+    assert not sum_code & _reachable([s for _, s in sources], ("minkowski_window_sum",))
+
+
 def test_coset_growth_stays_off_the_validation_path():
     # _coset_grow needs associativity, and so does is_subgroup_mask, which
     # grows <S> by cosets: nothing that runs before a table is known to be a

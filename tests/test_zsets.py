@@ -1,5 +1,6 @@
 """Exact integer-set algebra: canonical forms, sums, residuals, coset windows."""
 
+import itertools
 import json
 import resource
 import subprocess
@@ -805,11 +806,26 @@ def test_additive_closure_is_idempotent():
             assert zset_contains(s, g)
 
 
+def test_additive_closure_matches_a_reachability_scan():
+    # x is in the closure when x - g is for some generator g; every gap of
+    # these closures lies below 9 * 8 (the Frobenius bound), well inside 200.
+    for k in (1, 2, 3):
+        for gens in itertools.combinations_with_replacement(range(1, 10), k):
+            reach = [True]
+            for x in range(1, 200):
+                reach.append(any(x >= g and reach[x - g] for g in gens))
+            want = sum(1 << x for x, r in enumerate(reach) if r)
+            assert zset_window_mask(additive_closure(gens), 0, 200) == want, gens
+
+
 def test_additive_closure_validation():
     with pytest.raises(ValueError):
         additive_closure([])
     with pytest.raises(ValueError):
         additive_closure([0, 3])
+    # Each generator is one windowed sum of about a*b bits with the least.
+    with pytest.raises(CapExceededError, match="window bits 1002000 exceeds cap 131072"):
+        additive_closure([1000, 1001])
 
 
 def test_random_generators_are_seeded_and_in_bounds():
