@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterator, Sequence, Union
+from typing import Any, Callable, Iterator, Sequence, Union
 
 from .errors import (
     CommutationFailsError,
@@ -149,17 +149,13 @@ def _first_non_right_coset(g: FiniteGroup, nmask: int, cosets: Sequence[int]) ->
     return 0
 
 
-def _coset_family(g: FiniteGroup, mmask: int, nmask: int) -> PowerGroupFamily:
-    """The family M/N = {xN | x in M} of the left cosets of N in M.
+def _kernel_cosets(g: FiniteGroup, mmask: int, nmask: int) -> list[int]:
+    """The left cosets of N in M (_coset_masks), checked as blocks of M/N.
 
     Raises ValueError unless N is a subgroup and no left coset of N leaves M;
-    then the cosets (_coset_masks) partition M.  Raises
-    ValueError("family not closed: ...") unless N is normal in M
-    (_first_non_right_coset) and every product of two representatives lies
-    in M (then M is closed).  With both, (rN)(sN) = rsN, so entry (i, j) of
-    the table is the coset of r_i r_j: one lookup per entry instead of the
-    |A||B| table reads of power_group_family.  The table is validated by
-    _family_from_table.
+    then the cosets partition M.  Raises ValueError("family not closed: ...")
+    unless every coset is a right coset (_first_non_right_coset), so N is
+    normal in every subgroup that is a union of them.  M need not be closed.
     """
     if not is_subgroup_mask(g, nmask):
         raise ValueError(f"kernel {nmask:#x} is not a subgroup")
@@ -172,9 +168,21 @@ def _coset_family(g: FiniteGroup, mmask: int, nmask: int) -> PowerGroupFamily:
         raise ValueError(
             f"family not closed: {nmask:#x} is not normal (block {bad:#x} is no right coset)"
         )
+    return masks
+
+
+def _coset_family(g: FiniteGroup, cosets: Sequence[int]) -> PowerGroupFamily:
+    """The family M/N of the cosets of N in M that _kernel_cosets checked.
+
+    They are right cosets, so (rN)(sN) = rsN: entry (i, j) of the table is
+    the coset of r_i r_j, one lookup per entry instead of the |A||B| table
+    reads of power_group_family.  Raises ValueError("family not closed:
+    ...") unless every product of two representatives lies in M (then M is
+    closed).  The table is validated by _family_from_table.
+    """
     t = g.table
-    reps = [(m & -m).bit_length() - 1 for m in masks]
-    block_of = {x: i for i, m in enumerate(masks) for x in g.members_of(m)}
+    reps = [(m & -m).bit_length() - 1 for m in cosets]
+    block_of = {x: i for i, m in enumerate(cosets) for x in g.members_of(m)}
     table = []
     for r in reps:
         row = t[r]
@@ -182,18 +190,17 @@ def _coset_family(g: FiniteGroup, mmask: int, nmask: int) -> PowerGroupFamily:
             table.append(tuple([block_of[row[s]] for s in reps]))
         except KeyError as exc:
             raise ValueError(f"family not closed: {exc.args[0]} is outside the carrier") from None
-    return _family_from_table(g, tuple(masks), table)
+    return _family_from_table(g, tuple(cosets), table)
 
 
-def _blocks_inside(q: PowerGroupFamily, hmask: int) -> tuple[int, ...]:
-    """The blocks of the coset family q = M/N inside the mask H, ascending:
-    the cosets of N in H.  Raises InternalFaultError unless they cover
-    exactly H (N <= H <= M): a fault of the lattice, the normalizers or
-    normal_subgroups_of."""
-    blocks = tuple([a for a in q.elements if not a & ~hmask])
+def _blocks_inside(cosets: Sequence[int], nmask: int, hmask: int) -> tuple[int, ...]:
+    """The ascending cosets of N in M that lie inside the mask H: the cosets
+    of N in H.  Raises InternalFaultError unless they cover exactly H (N <=
+    H <= M): a fault of the lattice, the normalizers or normal_subgroups_of."""
+    blocks = tuple([a for a in cosets if not a & ~hmask])
     covered = sum(blocks)  # disjoint blocks: the sum is the union
     if covered != hmask:
-        raise InternalFaultError(f"cosets of {q.identity:#x} cover {covered:#x}, not {hmask:#x}")
+        raise InternalFaultError(f"cosets of {nmask:#x} cover {covered:#x}, not {hmask:#x}")
     return blocks
 
 
@@ -206,7 +213,7 @@ def _restrict(q: PowerGroupFamily, hmask: int) -> PowerGroupFamily:
     outside H raises ValueError("family not closed: ...").  The table is
     validated by _family_from_table (once per distinct table).
     """
-    blocks = _blocks_inside(q, hmask)
+    blocks = _blocks_inside(q.elements, q.identity, hmask)
     if len(blocks) == q.order:
         return q
     inside = list(map(q.elements.index, blocks))
@@ -236,7 +243,7 @@ def match_subquotient(
     failed condition: identity-subgroup, union-subgroup, normality, or the
     coset set differing from the family.  The left cosets of N in H are built
     once (_coset_masks) and serve both of the last two tests: normality
-    (_first_non_right_coset, the test _coset_family applies to its blocks)
+    (_first_non_right_coset, the test _kernel_cosets applies to its blocks)
     and the comparison.  Normality depends on H and N only, so it is decided
     before the cosets are compared with the family.
     """
@@ -257,31 +264,35 @@ def match_subquotient(
     return SubquotientDescriptor(carrier=hmask, kernel=nmask)
 
 
-def _subquotient_pairs(g: FiniteGroup) -> Iterator[tuple[int, int, PowerGroupFamily]]:
+def _subquotient_pairs(
+    g: FiniteGroup, build: Callable[[FiniteGroup, list[int]], Any] | None = None
+) -> Iterator[tuple[int, int, Any]]:
     """Each pair (H, N normal in H), H then N in lattice order, with the
-    quotient M/N over N's normalizer M (g.normalizers), built and validated
-    once per kernel (_coset_family), not once per pair.  The kernels of H
-    are normal_subgroups_of(g, H), those with N <= H <= M, so H/N is made of
-    M/N's blocks inside H.  Both masks of a quotient come from the package,
-    so a quotient _coset_family refuses raises InternalFaultError."""
-    quotients = {}
+    cosets of N in its normalizer M (g.normalizers), walked and checked once
+    per kernel (_kernel_cosets), or with build(g, cosets), made once per
+    kernel.  The kernels of H, normal_subgroups_of(g, H), have N <= H <= M,
+    so N's cosets in H are checked right cosets: N is normal in H even if M
+    is not closed.  A kernel that _kernel_cosets or build refuses raises
+    InternalFaultError, as both masks come from the package."""
+    per_kernel = {}
     for n, norm in zip(g.subgroup_masks, g.normalizers):
         try:
-            quotients[n] = _coset_family(g, norm, n)
+            cosets = _kernel_cosets(g, norm, n)
+            per_kernel[n] = build(g, cosets) if build else cosets
         except ValueError as exc:
             raise InternalFaultError(f"normalizer {norm:#x} of {n:#x} gives no quotient: {exc}") from None
     for h in g.subgroup_masks:
         for n in normal_subgroups_of(g, h):
-            yield h, n, quotients[n]
+            yield h, n, per_kernel[n]
 
 
 def enumerate_subquotients(g: FiniteGroup) -> list[tuple[SubquotientDescriptor, tuple[int, ...]]]:
     """All pairs (H, N normal in H) in the order of _subquotient_pairs, each
-    with the cosets of N in H as ascending masks: the blocks of its quotient
-    inside H (_blocks_inside), so no table is built per pair."""
+    with the cosets of N in H as ascending masks, read off N's checked cosets
+    (_blocks_inside): no quotient table is built, per pair or per kernel."""
     return [
-        (SubquotientDescriptor(carrier=h, kernel=n), _blocks_inside(q, h))
-        for h, n, q in _subquotient_pairs(g)
+        (SubquotientDescriptor(carrier=h, kernel=n), _blocks_inside(cosets, n, h))
+        for h, n, cosets in _subquotient_pairs(g)
     ]
 
 
@@ -289,12 +300,13 @@ def lattice_power_groups(g: FiniteGroup, *, max_order: int = SEARCH_CAP) -> list
     """Every subset family over g forming a group, sorted by (order, masks).
 
     Over a finite carrier each is the coset family H/N of one pair
-    (_subquotient_pairs), read off its kernel's quotient (_restrict), so this
-    is the production census behind ``enum`` and ``underlies``.  The oracle
-    all_power_groups returns the same families in the same order.
+    (_subquotient_pairs), read off its kernel's quotient M/N (_restrict),
+    built once per kernel from the cosets already walked (_coset_family).
+    This is the production census behind ``enum`` and ``underlies``; the
+    oracle all_power_groups returns the same families in the same order.
     """
     check_cap(g.order, max_order, "census at order")
-    fams = [_restrict(q, h) for h, _, q in _subquotient_pairs(g)]
+    fams = [_restrict(q, h) for h, _, q in _subquotient_pairs(g, _coset_family)]
     fams.sort(key=lambda f: (f.order, f.elements))
     return fams
 
@@ -350,11 +362,12 @@ class EpimorphismReport:
 def coset_group_epimorphism_check(d: CosetGroupDescriptor) -> EpimorphismReport:
     """Verify phi(a) = aE is an epimorphism H -> family and H/K matches the family.
 
-    K = {a in H | aE = E}.  The induced map aK -> aE must be a well-defined
-    bijective homomorphism.  An aE that is no family member, a failure of
-    the homomorphism law (a product ab outside H included), or a kernel that
-    is not a subgroup would mean the descriptor was constructed
-    inconsistently and raises HomomorphismFailsError.
+    K = {a in H | aE = E}.  The induced map aK -> aE must be bijective; it
+    is well defined once phi is a homomorphism and K a subgroup.  An aE that
+    is no family member, a failure of the homomorphism law (a product ab
+    outside H included), or a kernel that is not a subgroup would mean the
+    descriptor was constructed inconsistently and raises
+    HomomorphismFailsError.
     """
     g = d.family.parent
     emask = d.idempotent
@@ -378,13 +391,9 @@ def coset_group_epimorphism_check(d: CosetGroupDescriptor) -> EpimorphismReport:
         raise HomomorphismFailsError(f"kernel {kmask:#x} is not a subgroup")
     knormal = all(g.conjugate_mask(kmask, h) == kmask for h in helems)
 
-    # Cosets of K in H pair off with family elements via aK -> aE.
-    pairs = {}
-    for a in helems:
-        ck = g.product_mask(1 << a, kmask)
-        idx = phi[a]
-        if pairs.setdefault(ck, idx) != idx:
-            raise HomomorphismFailsError("aK -> aE is not well defined")
+    # Cosets of K in H pair off with family elements via aK -> aE, well
+    # defined: for k in K, phi(ak) = phi(a)phi(k) = phi(a)phi(1) = phi(a).
+    pairs = {g.product_mask(1 << a, kmask): phi[a] for a in helems}
     bijective = len(pairs) == d.family.order
     ok = hom_ok and surjective and knormal and bijective
     return EpimorphismReport(

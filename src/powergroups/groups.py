@@ -151,10 +151,10 @@ class FiniteGroup:
         return {}
 
     @cached_property
-    def family_tables(self) -> dict[_Table, tuple[FiniteGroup, int, tuple[int, ...]]]:
+    def family_tables(self) -> dict[_Table, tuple[FiniteGroup, int, tuple[int, ...], _Table]]:
         """Family table -> (validated abstract group, identity index, inverse
-        map), filled by _family_from_table so that each distinct table
-        of a family over this group is validated once."""
+        map, the table), filled by _family_from_table so that each distinct
+        table of a family over this group is validated and stored once."""
         return {}
 
     def members_of(self, mask: int) -> tuple[int, ...]:
@@ -375,8 +375,8 @@ class PowerGroupFamily:
     ``abstract_table[i][j]`` is the position of elements[i] * elements[j]
     within the family, and passes the group-table validator.  ``abstract``
     is the group that validation returned, relabeled so its identity is 0.
-    Construct via power_group_family(), or for the quotient M/N of a
-    subgroup pair via classify._coset_family.
+    Construct via power_group_family(), or for a quotient M/N from its
+    checked cosets via classify._coset_family.
     """
 
     parent: FiniteGroup
@@ -440,8 +440,8 @@ def _family_from_table(
     builders (power_group_family and the coset builders in classify)
     compute it from positions, so it needs the group axioms checked but no
     input sanitation, and this raises the axiom checker's errors when it is
-    not a group table.  Each distinct table is checked once per parent: the
-    result is kept in parent.family_tables.
+    not a group table.  Each distinct table is checked once per parent and
+    kept in parent.family_tables, whose copy every family with it shares.
     """
     table = tuple(table)
     known = parent.family_tables.get(table)
@@ -456,8 +456,8 @@ def _family_from_table(
         inverse_map = tuple(row.index(identity_index) for row in table)
         if abstract.order != k:
             raise InternalFaultError(f"family of {k} masks validated as order {abstract.order}")
-        known = parent.family_tables[table] = (abstract, identity_index, inverse_map)
-    abstract, identity_index, inverse_map = known
+        known = parent.family_tables[table] = (abstract, identity_index, inverse_map, table)
+    abstract, identity_index, inverse_map, table = known
     return PowerGroupFamily(
         parent=parent,
         elements=elements,

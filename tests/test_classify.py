@@ -14,6 +14,7 @@ from powergroups.classify import (
     SubquotientDescriptor,
     _coset_family,
     _coset_masks,
+    _kernel_cosets,
     _partition_union_check,
     _restrict,
     build_coset_group,
@@ -122,6 +123,11 @@ COSET_CARRIERS = [group_from_name(name) for name in THM2_GROUPS + ("S4", "D6")]
 COSET_CARRIERS.append(_relabelled(group_from_name("C2xC2xC2xC2"), 7))
 
 
+def _quotient(g, mmask, nmask):
+    # The quotient M/N in two steps: the kernel's coset check, then the table.
+    return _coset_family(g, _kernel_cosets(g, mmask, nmask))
+
+
 def _outcome(build):
     # The family built, or "not closed" when the family is refused as not
     # closed under the subset product; any other refusal propagates.
@@ -144,7 +150,7 @@ def test_coset_lookup_table_matches_subset_products(g):
         for n in subs:
             if n & ~h:
                 continue
-            got = _outcome(lambda: _coset_family(g, h, n))
+            got = _outcome(lambda: _quotient(g, h, n))
             want = _outcome(lambda: power_group_family(g, _coset_masks(g, h, n)))
             assert got == want, (h, n)
             if got != "not closed":
@@ -165,7 +171,7 @@ def test_coset_lookup_matches_subset_products_under_relabelling(carrier, seed):
         for n in subs:
             if n & ~h:
                 continue
-            got = _outcome(lambda: _coset_family(g, h, n))
+            got = _outcome(lambda: _quotient(g, h, n))
             want = _outcome(lambda: power_group_family(g, _coset_masks(g, h, n)))
             assert got == want
             if all(g.conjugate_mask(n, x) == n for x in iter_bits(h)):
@@ -185,7 +191,7 @@ def _per_pair_subquotients(g):
         for n in g.subgroup_masks:
             if n & ~h or not _normalized_by(g, n, gens):
                 continue
-            fam = _coset_family(g, h, n)
+            fam = _quotient(g, h, n)
             out.append((h, n, fam))
     return out
 
@@ -209,32 +215,39 @@ def test_kernel_first_enumeration_matches_per_pair_reference(carrier, seed):
 
 @pytest.mark.parametrize("name", ("S4", "D6", "Q8xC2", "C2xC2xC2xC2"))
 def test_coset_family_runs_once_per_kernel(name, monkeypatch):
-    # One validated quotient per kernel N, over its normalizer; every H/N
-    # is made of the quotient's blocks.
+    # The census builds one validated quotient per kernel N, over its
+    # normalizer, from the cosets it walked once; every H/N is made of the
+    # quotient's blocks.  The listing builds no quotient at all.
     import powergroups.classify as classify_module
 
     g = _relabelled(group_from_name(name), 4)
     calls = []
     quotients = {}
-    real = classify_module._coset_family
+    walks = []
+    real, real_walk = classify_module._coset_family, classify_module._coset_masks
 
-    def counting(parent, mmask, nmask):
-        calls.append((mmask, nmask))
-        q = quotients[nmask] = real(parent, mmask, nmask)
+    def counting(parent, cosets):
+        q = real(parent, cosets)
+        calls.append((sum(cosets), q.identity))
+        quotients[q.identity] = q
         return q
 
+    def walking(parent, hmask, nmask):
+        walks.append(nmask)
+        return real_walk(parent, hmask, nmask)
+
     monkeypatch.setattr(classify_module, "_coset_family", counting)
+    monkeypatch.setattr(classify_module, "_coset_masks", walking)
     pairs = enumerate_subquotients(g)
-    assert len(pairs) > len(calls)
-    assert calls == list(zip(g.normalizers, g.subgroup_masks))
-    for d, cosets in pairs:
-        assert set(cosets) <= set(quotients[d.kernel].elements)
-    # The census builds the same quotients, once per kernel as well.
-    calls.clear()
+    assert calls == [] and walks == list(g.subgroup_masks)
+    walks.clear()
     fams = lattice_power_groups(g, max_order=g.order)
-    assert calls == list(zip(g.normalizers, g.subgroup_masks)) and len(fams) == len(pairs)
+    assert calls == list(zip(g.normalizers, g.subgroup_masks)) and len(fams) == len(pairs) > len(calls)
+    assert walks == list(g.subgroup_masks)  # one coset walk per kernel
     for f in fams:
         assert set(f.elements) <= set(quotients[f.identity].elements)
+    for d, cosets in pairs:
+        assert set(cosets) <= set(quotients[d.kernel].elements)
 
 
 # Every catalog carrier (all of order <= 24) and the subquotient benchmark's
@@ -294,7 +307,7 @@ def test_census_families_hold_freshly_validated_groups(name):
 )
 def test_coset_family_refuses_bad_pairs(g, mmask, nmask, refusal):
     with pytest.raises(ValueError, match=refusal):
-        _coset_family(g, mmask, nmask)
+        _quotient(g, mmask, nmask)
     if refusal.startswith("^family not closed"):
         with pytest.raises(ValueError, match="^family not closed"):
             power_group_family(g, _coset_masks(g, mmask, nmask))
@@ -303,13 +316,26 @@ def test_coset_family_refuses_bad_pairs(g, mmask, nmask, refusal):
 def test_restriction_refuses_masks_whose_blocks_are_not_closed():
     # _restrict reads H/N off the quotient N_G(N)/N; blocks that multiply out
     # of the mask are refused.
-    q = _coset_family(S3, S3.full_mask, 1)  # S3 / 1
+    q = _quotient(S3, S3.full_mask, 1)  # S3 / 1
     a = next(x for x in S3.elements() if S3.element_order(x) == 3)
     with pytest.raises(ValueError, match="^family not closed: block"):
         _restrict(q, 1 | 1 << a)
-    q = _coset_family(D4, D4.full_mask, 0b0101)  # D4 / center
+    q = _quotient(D4, D4.full_mask, 0b0101)  # D4 / center
     assert _restrict(q, D4.full_mask) is q
     assert _restrict(q, 0b1111).elements == (0b0101, 0b1010)
+
+
+def test_is_group_of_cosets_skips_a_carrier_that_does_not_commute():
+    # The left cosets of a non-normal C2 in S3, packaged without validation:
+    # H = S3 gives exactly these cosets, but aE != Ea there, so the search
+    # goes on past build_coset_group's CommutationFailsError and finds none.
+    t2 = next(a for a in S3.elements() if S3.element_order(a) == 2)
+    c2 = (1 << 0) | (1 << t2)
+    cosets = _coset_masks(S3, S3.full_mask, c2)
+    with pytest.raises(CommutationFailsError):
+        build_coset_group(S3, c2, S3.full_mask)
+    fake = fabricate(S3, cosets, identity_index=cosets.index(c2))
+    assert isinstance(is_group_of_cosets(S3, fake), NotCosetGroup)
 
 
 def test_partition_union_check_negatives():

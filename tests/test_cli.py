@@ -475,6 +475,34 @@ def test_normalizer_fault_exits_1(capsys, monkeypatch, argv):
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["subquotients", "--group", "S3", "--max-order", "24"],
+        ["enum", "--group", "S3"],
+    ],
+    ids=" ".join,
+)
+def test_normalizer_with_an_outside_element_exits_1(capsys, monkeypatch, argv):
+    # A _normalizer that adds its least missing element to N_G(N) gives the
+    # non-normal C2 = 0x3 of S3 the mask 0x7.  The listing builds no quotient
+    # table, so the kernel's coset check must refuse it: the coset 0xc of
+    # 0x3 leaves 0x7.
+    import inspect
+
+    import powergroups.groups as groups
+
+    source = inspect.getsource(groups._normalizer)
+    line = "    return m\n"
+    assert source.count(line) == 1
+    namespace = dict(vars(groups))
+    exec(source.replace(line, "    return m | ~m & (m + 1) & g.full_mask\n"), namespace)
+    monkeypatch.setattr(groups, "_normalizer", namespace["_normalizer"])
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: internal fault: normalizer 0x7 of 0x3 gives no quotient: coset 0xc of 0x3 leaves 0x7\n"
+
+
 def test_homomorphism_failure_exits_1(capsys, monkeypatch):
     import powergroups.classify as classify
     import powergroups.suites as suites

@@ -351,25 +351,34 @@ def test_enumeration_walks_cosets_and_tests_normality_in_one_place_each():
 def test_subquotient_listing_builds_no_family_per_pair():
     # subquotients prints masks, so it lists its pairs through
     # enumerate_subquotients, which reads each pair's cosets off its kernel's
-    # quotient; _restrict, which builds and validates each H/N for the
-    # census, must stay off that path.
+    # checked cosets; the quotient tables (_coset_family), the H/N families
+    # (_restrict) and their validation (_family_from_table), which the census
+    # builds, must stay off that path.
     pkg = ROOT / "src" / "powergroups"
     cli = (pkg / "cli.py").read_text(encoding="utf-8")
     assert [func for func, _ in _calls(cli, "enumerate_subquotients")] == ["cmd_subquotients"]
     sources = _package_sources()
+    tables = {"_restrict", "_coset_family", "_family_from_table"}
     reached = _reachable(sources, ("cmd_subquotients",))
-    assert {"enumerate_subquotients", "_coset_family"} <= reached
-    assert "_restrict" not in reached
-    assert "_restrict" in _reachable(sources, ("cmd_enum",))
-    # A mutant listing that builds every pair's family is caught.
+    assert {"enumerate_subquotients", "_kernel_cosets"} <= reached
+    assert not tables & reached
+    assert tables <= _reachable(sources, ("cmd_enum",))
+    # Mutant listings that build every pair's family, or every kernel's
+    # quotient table, are caught.
     classify = (pkg / "classify.py").read_text(encoding="utf-8")
-    text = "(SubquotientDescriptor(carrier=h, kernel=n), _blocks_inside(q, h))"
-    assert classify.count(text) == 1
-    mutant = classify.replace(text, "(SubquotientDescriptor(carrier=h, kernel=n), _restrict(q, h).elements)")
-    assert "_restrict" in _reachable([mutant if s == classify else s for s in sources], ("cmd_subquotients",))
+    text = "(SubquotientDescriptor(carrier=h, kernel=n), _blocks_inside(cosets, n, h))"
+    per_pair = "(SubquotientDescriptor(carrier=h, kernel=n), _restrict(_coset_family(g, cosets), h).elements)"
+    pairs = "for h, n, cosets in _subquotient_pairs(g)\n"
+    for old, new in ((text, per_pair), (pairs, pairs.replace("(g)", "(g, _coset_family)"))):
+        assert classify.count(old) == 1
+        mutant = classify.replace(old, new)
+        reached = _reachable([mutant if s == classify else s for s in sources], ("cmd_subquotients",))
+        assert {"_coset_family", "_family_from_table"} <= reached
 
 
 def test_subquotient_listing_validates_one_table_per_kernel(monkeypatch, capsys):
+    # The census validates a quotient table per kernel; the listing, which
+    # reads each kernel's checked cosets, validates none.
     import powergroups.classify as classify
     import powergroups.groups as groups
 
@@ -384,7 +393,9 @@ def test_subquotient_listing_validates_one_table_per_kernel(monkeypatch, capsys)
     monkeypatch.setattr(classify, "_family_from_table", counting)
     assert main(["subquotients", "--group", "S4", "--max-order", "24"]) == 0
     assert capsys.readouterr().err == "group=S4 subquotients=93\n"
-    assert len(tables) == 30  # one per subgroup of S4, not one per pair
+    assert len(tables) == 0
+    assert main(["enum", "--group", "S4", "--max-order", "24"]) == 0
+    assert len(tables) >= 30
 
 
 def test_family_classification_closes_no_generators():
